@@ -2,6 +2,10 @@
 // protection word. This stands in for the paper's per-node AIX address
 // space; "mprotect" in the simulation is a plain protection-word write whose
 // *cost* is charged by sim::OsModel at the call site in the DSM layer.
+//
+// Like that address space, the frames are demand-zero: they live in one
+// anonymous private host mapping, so a page the node never touches reads as
+// the kernel's zero page and commits no host memory.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +22,13 @@ namespace updsm::mem {
 class PageTable {
  public:
   /// Creates a table of `num_pages` pages of `page_size` bytes each, all
-  /// zero-filled with Protect::None (nothing mapped yet).
+  /// zero-filled with Protect::None (nothing mapped yet). Throws Error if
+  /// the host cannot map the segment.
   PageTable(std::uint32_t num_pages, std::uint32_t page_size);
+  ~PageTable();
+
+  PageTable(const PageTable&) = delete;
+  PageTable& operator=(const PageTable&) = delete;
 
   [[nodiscard]] std::uint32_t num_pages() const { return num_pages_; }
   [[nodiscard]] std::uint32_t page_size() const { return page_size_; }
@@ -37,20 +46,20 @@ class PageTable {
   /// Mutable view of one page's private frame.
   [[nodiscard]] std::span<std::byte> frame(PageId page) {
     const std::size_t i = check(page);
-    return {data_.data() + i * page_size_, page_size_};
+    return {data_ + i * page_size_, page_size_};
   }
   [[nodiscard]] std::span<const std::byte> frame(PageId page) const {
     const std::size_t i = check(page);
-    return {data_.data() + i * page_size_, page_size_};
+    return {data_ + i * page_size_, page_size_};
   }
 
   /// The whole private segment (used by checksum validation and by the
   /// privileged sequential baseline).
   [[nodiscard]] std::span<std::byte> segment() {
-    return {data_.data(), data_.size()};
+    return {data_, segment_bytes()};
   }
   [[nodiscard]] std::span<const std::byte> segment() const {
-    return {data_.data(), data_.size()};
+    return {data_, segment_bytes()};
   }
 
   [[nodiscard]] PageId page_of(GlobalAddr addr) const {
@@ -71,7 +80,7 @@ class PageTable {
   std::uint32_t num_pages_;
   std::uint32_t page_size_;
   std::vector<Protect> prot_;
-  std::vector<std::byte> data_;
+  std::byte* data_ = nullptr;  // segment_bytes() of demand-zero memory
 };
 
 }  // namespace updsm::mem

@@ -8,14 +8,15 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_json.cmake)
 
 # fft only coalesces once rows span several pages; 0.5 is the smallest
 # scale where the sweep exercises real multi-record batches (see the bench
 # preamble), and 4 nodes keeps the 144-run sweep quick.
 set(flags --scale=0.5 --iters=2 --warmup=2 --nodes=4)
 
-# --jobs=1 vs --jobs=4, plus a repeat of --jobs=1: all byte-identical, on
-# stdout and in the emitted JSON.
+# --jobs=1 vs --jobs=4, plus a repeat of --jobs=1: all byte-identical on
+# stdout and in the emitted JSON, host provenance masked.
 foreach(run jobs1 jobs4 jobs1_again)
   if(run STREQUAL jobs4)
     set(jobs 4)
@@ -32,7 +33,7 @@ foreach(run jobs1 jobs4 jobs1_again)
     message(FATAL_ERROR
       "ablation_aggregation (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
-  file(READ ${BENCH_DIR}/BENCH_aggregation.json json_${run})
+  read_bench_results(${BENCH_DIR}/BENCH_aggregation.json json_${run})
 endforeach()
 if(NOT out_jobs1 STREQUAL out_jobs4)
   message(FATAL_ERROR

@@ -9,13 +9,12 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_json.cmake)
 
 set(flags --quick)
 
 # --jobs=1 vs --jobs=4, a --workers=2 run, plus a repeat of --jobs=1: all
-# byte-identical on stdout. The JSON stamps host provenance (including the
-# resolved worker count, on purpose), so the workers-varied run is compared
-# with that one line masked out.
+# byte-identical on stdout and in the emitted JSON, host provenance masked.
 foreach(run jobs1 jobs4 workers2 jobs1_again)
   set(extra "")
   if(run STREQUAL jobs4)
@@ -35,9 +34,7 @@ foreach(run jobs1 jobs4 workers2 jobs1_again)
     message(FATAL_ERROR
       "ablation_async (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
-  file(READ ${BENCH_DIR}/BENCH_async.json raw)
-  string(REGEX REPLACE "\"workers\": [0-9]+" "\"workers\": X" raw "${raw}")
-  set(json_${run} "${raw}")
+  read_bench_results(${BENCH_DIR}/BENCH_async.json json_${run})
 endforeach()
 foreach(run jobs4 workers2 jobs1_again)
   if(NOT out_jobs1 STREQUAL out_${run})

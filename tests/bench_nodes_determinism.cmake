@@ -9,14 +9,15 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_json.cmake)
 
 # 8 and 64 nodes cover both the legacy size and a post-64 cluster the flat
 # stack could never reach; --quick keeps the 64-node sweep inside the test
 # budget while still exercising the tree and relay paths for real.
 set(flags --quick --nodes-list=8,64)
 
-# --jobs=1 vs --jobs=4, plus a repeat of --jobs=1: all byte-identical, on
-# stdout and in the emitted JSON.
+# --jobs=1 vs --jobs=4, plus a repeat of --jobs=1: all byte-identical on
+# stdout and in the emitted JSON, host provenance masked.
 foreach(run jobs1 jobs4 jobs1_again)
   if(run STREQUAL jobs4)
     set(jobs 4)
@@ -33,7 +34,7 @@ foreach(run jobs1 jobs4 jobs1_again)
     message(FATAL_ERROR
       "ablation_nodes (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
-  file(READ ${BENCH_DIR}/BENCH_nodes.json json_${run})
+  read_bench_results(${BENCH_DIR}/BENCH_nodes.json json_${run})
 endforeach()
 if(NOT out_jobs1 STREQUAL out_jobs4)
   message(FATAL_ERROR

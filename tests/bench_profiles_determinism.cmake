@@ -9,11 +9,12 @@
 if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "pass -DBENCH_DIR=<dir with bench binaries>")
 endif()
+include(${CMAKE_CURRENT_LIST_DIR}/bench_json.cmake)
 
 set(flags --quick)
 
 # --jobs=1 vs --jobs=4, a --workers=1 run, plus a repeat of --jobs=1: all
-# byte-identical, on stdout and in the emitted JSON.
+# byte-identical on stdout and in the emitted JSON, host provenance masked.
 foreach(run jobs1 jobs4 workers1 jobs1_again)
   set(extra "")
   if(run STREQUAL jobs4)
@@ -33,7 +34,7 @@ foreach(run jobs1 jobs4 workers1 jobs1_again)
     message(FATAL_ERROR
       "ablation_profiles (${run}) failed (${rc_${run}}): ${err_${run}}")
   endif()
-  file(READ ${BENCH_DIR}/BENCH_profiles.json json_${run})
+  read_bench_results(${BENCH_DIR}/BENCH_profiles.json json_${run})
 endforeach()
 foreach(run jobs4 workers1 jobs1_again)
   if(NOT out_jobs1 STREQUAL out_${run})

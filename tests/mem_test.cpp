@@ -1,6 +1,14 @@
 // Unit tests for the remaining mem/ components: page tables, the shared
 // heap, twin stores and diff stores.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "updsm/dsm/diff_store.hpp"
 #include "updsm/dsm/twin_store.hpp"
@@ -37,6 +45,66 @@ TEST(PageTableTest, FramesAreDisjointAndContiguous) {
   EXPECT_EQ(table.segment()[1024], std::byte{0xaa});
   EXPECT_EQ(table.frame(PageId{0})[0], std::byte{0});
   EXPECT_EQ(table.frame(PageId{2})[0], std::byte{0});
+}
+
+// Indices of the host pages under `bytes` that are resident, per
+// mincore(2); nullopt if the kernel rejects the query.
+std::optional<std::vector<std::size_t>> resident_host_pages(
+    std::span<const std::byte> bytes) {
+  const auto host_page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((bytes.size() + host_page - 1) / host_page);
+  if (::mincore(const_cast<std::byte*>(bytes.data()), bytes.size(),
+                vec.data()) != 0) {
+    return std::nullopt;
+  }
+  std::vector<std::size_t> resident;
+  for (std::size_t i = 0; i < vec.size(); ++i) {
+    if ((vec[i] & 1) != 0) resident.push_back(i);
+  }
+  return resident;
+}
+
+constexpr std::uint32_t k64MbPages = 8192;  // 8 KB pages, as in the paper
+constexpr std::uint32_t k8Kb = 8192;
+
+TEST(PageTableTest, FreshTableCommitsNoHostMemory) {
+  PageTable table(k64MbPages, k8Kb);
+  ASSERT_EQ(table.segment_bytes(), 64u << 20);
+  const auto resident = resident_host_pages(table.segment());
+  ASSERT_TRUE(resident.has_value());
+  EXPECT_EQ(resident->size(), 0u);
+}
+
+TEST(PageTableTest, WritingOneFrameCommitsOnlyThatFrame) {
+  PageTable table(k64MbPages, k8Kb);
+  const PageId page{100};
+  for (std::byte& b : table.frame(page)) b = std::byte{0x5a};
+
+  // The host pages overlapping the frame's bytes, and nothing else.
+  const auto host_page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<std::size_t> expected;
+  for (std::size_t i = page.index() * k8Kb / host_page;
+       i * host_page < (page.index() + 1) * k8Kb; ++i) {
+    expected.push_back(i);
+  }
+  const auto resident = resident_host_pages(table.segment());
+  ASSERT_TRUE(resident.has_value());
+  EXPECT_EQ(*resident, expected);
+  for (const PageId neighbour : {PageId{99}, PageId{101}}) {
+    for (const std::byte b : table.frame(neighbour)) {
+      ASSERT_EQ(b, std::byte{0}) << "page " << neighbour;
+    }
+  }
+}
+
+TEST(PageTableTest, RecreatedTableReadsZero) {
+  for (int round = 0; round < 3; ++round) {
+    auto table = std::make_unique<PageTable>(64, k8Kb);
+    for (const std::byte b : table->segment()) {
+      ASSERT_EQ(b, std::byte{0}) << "round " << round;
+    }
+    for (std::byte& b : table->segment()) b = std::byte{0xff};
+  }
 }
 
 TEST(PageTableTest, PageOfMapsAddresses) {
