@@ -41,9 +41,6 @@ struct BenchOptions {
   /// (--workers=M; 0 = auto). Output is byte-identical for every value;
   /// a ctest pins it.
   int workers = 0;
-  /// Barrier-time flush aggregation (--no-aggregate disables). Checksums
-  /// are bit-identical either way; messages and times differ by design.
-  bool aggregate = true;
   /// Tree-barrier fanout (--fanout=K; 0 = the flat master barrier).
   /// Checksums are bit-identical either way; barrier times differ.
   int fanout = 0;
@@ -96,8 +93,6 @@ struct BenchOptions {
           std::fprintf(stderr, "--workers must be >= 1, got %s\n", v);
           std::exit(2);
         }
-      } else if (arg == "--no-aggregate") {
-        opt.aggregate = false;
       } else if (const char* v = value("--fanout=")) {
         opt.fanout = std::atoi(v);
       } else if (const char* v = value("--relay-threshold=")) {
@@ -116,7 +111,7 @@ struct BenchOptions {
       } else if (arg == "--help") {
         std::printf(
             "options: --nodes=N --scale=F --iters=N --warmup=N --jobs=N "
-            "--gang=parallel|baton|async --workers=M --no-aggregate --fanout=K "
+            "--gang=parallel|baton|async --workers=M --fanout=K "
             "--relay-threshold=N --relay-fanout=K --net-profile=sp2|rdma "
             "--cost=K=V --adaptive-window=W --quick\n");
         std::exit(0);
@@ -140,10 +135,8 @@ struct BenchOptions {
   [[nodiscard]] dsm::ClusterConfig cluster_config() const {
     dsm::ClusterConfig cfg;
     cfg.num_nodes = nodes;
-    cfg.seed = seed;
     cfg.gang = gang;
     cfg.workers = workers;
-    cfg.aggregate_flushes = aggregate;
     cfg.barrier_fanout = fanout;
     cfg.relay_threshold = relay_threshold;
     cfg.relay_fanout = relay_fanout;

@@ -22,7 +22,6 @@ updsm_add_bench(ablation_page_size)
 updsm_add_bench(ablation_nodes)
 updsm_add_bench(ablation_migration)
 updsm_add_bench(ablation_faults)
-updsm_add_bench(ablation_aggregation)
 updsm_add_bench(ablation_profiles)
 updsm_add_bench(ablation_async)
 

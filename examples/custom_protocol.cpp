@@ -74,11 +74,13 @@ class EagerBroadcastProtocol final : public dsm::CoherenceProtocol {
         continue;
       }
       // The eager part: one flush to EVERY other node, unconditionally.
+      // Staged records ride the barrier's per-destination batches, reliably:
+      // the release below applies every diff everywhere.
       for (int i = 0; i < rt_->num_nodes(); ++i) {
         const NodeId to{static_cast<std::uint32_t>(i)};
         if (to == n) continue;
         ++rt_->counters().updates_sent;
-        (void)rt_->flush(n, to, diff.wire_bytes(), /*reliable=*/true);
+        rt_->stage_flush(n, to, page, n, diff, /*reliable=*/true, {});
       }
       pending_.push_back(Pending{page, n, std::move(diff)});
     }

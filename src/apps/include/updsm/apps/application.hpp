@@ -33,9 +33,19 @@ struct AppParams {
   std::uint64_t seed = 0x5ca1ab1e;
 };
 
+/// Rejects parameters that would run but report a silently wrong number: a
+/// scale that is not a finite number > 0 (scaled_dim would convert a
+/// negative dimension to size_t), a negative warmup, or an empty
+/// measurement window (run() opens the window at iteration warmup+1, so
+/// without a measured iteration the "steady state" would cover the whole
+/// run, set-up included). Throws UsageError naming the field.
+void validate_app_params(const AppParams& params);
+
 class Application {
  public:
-  explicit Application(const AppParams& params) : params_(params) {}
+  explicit Application(const AppParams& params) : params_(params) {
+    validate_app_params(params_);
+  }
   virtual ~Application() = default;
 
   Application(const Application&) = delete;

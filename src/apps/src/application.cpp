@@ -1,6 +1,10 @@
 #include "updsm/apps/application.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "updsm/common/error.hpp"
 
 namespace updsm::apps {
 
@@ -28,6 +32,21 @@ void Application::run(dsm::NodeContext& ctx) {
     checksum_ = compute_checksum(ctx);
   }
   ctx.barrier();
+}
+
+void validate_app_params(const AppParams& params) {
+  if (!std::isfinite(params.scale) || params.scale <= 0.0) {
+    throw UsageError("scale must be a finite number > 0, got " +
+                     std::to_string(params.scale));
+  }
+  if (params.warmup_iterations < 0) {
+    throw UsageError("warmup_iterations must be >= 0, got " +
+                     std::to_string(params.warmup_iterations));
+  }
+  if (params.measured_iterations < 1) {
+    throw UsageError("measured_iterations must be >= 1, got " +
+                     std::to_string(params.measured_iterations));
+  }
 }
 
 std::size_t scaled_dim(std::size_t base, double scale, std::size_t multiple) {

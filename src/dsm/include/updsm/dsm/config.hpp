@@ -50,8 +50,9 @@ struct ClusterConfig {
   /// `costs = sim::CostModel::from_profile(net_profile)` plus any --cost
   /// overrides. Changing this string alone does NOT change the costs.
   std::string net_profile = "sp2";
-  /// Seed for all stochastic machinery (flush drops; app datasets draw from
-  /// their own seeds).
+  /// Unused: nothing in the simulator reads it. Message loss comes from
+  /// `faults` (seeded by `fault_seed`) and app datasets draw from
+  /// AppParams::seed. Kept because perfbench/bench.cpp still assigns it.
   std::uint64_t seed = 0x1998'0330;
   /// Intra-run node scheduling. Parallel runs all ready nodes concurrently
   /// between barriers (results are bit-identical to Baton -- a ctest pins
@@ -63,13 +64,6 @@ struct ClusterConfig {
   /// with a warning. Results are bit-identical for every worker count --
   /// only host wall-clock changes. `--workers` on the tools.
   int workers = 0;
-  /// Barrier-time message aggregation: stage every barrier flush (diffs to
-  /// home, update pushes) into one FlushBatch per (sender, destination)
-  /// pair per barrier instead of one Flush per page (§2.1.2: "all diffs
-  /// destined for a single node are aggregated into a single message").
-  /// Results are bit-identical either way -- only message counts and times
-  /// differ; a conformance test pins it. `--no-aggregate` on the tools.
-  bool aggregate_flushes = true;
 
   // --- large-cluster topology ---------------------------------------------
   /// Barrier topology: 0 = the paper's flat master barrier (every slave
@@ -95,11 +89,11 @@ struct ClusterConfig {
 
   // --- fault injection ----------------------------------------------------
   /// Adversarial transport behaviour (see sim/fault_plan.hpp). Empty = the
-  /// perfect network (plus the legacy flush_drop_rate knob in costs.net).
+  /// perfect network. Lost update pushes are a plan like
+  /// `kind=flushbatch,drop=0.1`.
   sim::FaultSpec faults;
-  /// Seed for the fault plan's decision streams. Independent of `seed` so a
-  /// fault schedule can be varied while the run's other stochastic inputs
-  /// stay fixed.
+  /// Seed for the fault plan's decision streams, so a fault schedule can be
+  /// varied while the app's dataset stays fixed.
   std::uint64_t fault_seed = 0;
   /// Reliable-channel retry behaviour when `faults` is non-empty.
   RetryPolicy retry;

@@ -41,9 +41,7 @@ inline constexpr std::uint32_t kFlushBatchMagic = 0x55464231;  // 'UFB1'
 inline constexpr std::size_t kFlushBatchHeaderBytes = 16;
 inline constexpr std::size_t kFlushRecordHeaderBytes = 24;
 
-/// One page record viewed in place inside a sealed batch (or built directly
-/// over a live Diff on the non-aggregated path -- the delivery callbacks
-/// cannot tell the difference).
+/// One page record viewed in place inside a sealed batch.
 struct FlushRecordView {
   PageId page;
   NodeId creator;

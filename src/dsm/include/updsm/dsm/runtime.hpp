@@ -140,44 +140,40 @@ class Runtime {
                  std::uint64_t req_bytes, std::uint64_t reply_bytes,
                  sim::SimTime responder_work);
 
-  /// Records and charges one flush message (sender Os traps; receiver Sigio
-  /// recv). Update pushes are unreliable (paper §2.1.2: "flush messages can
-  /// be unreliable, and therefore do not need to be acknowledged"); returns
-  /// false if the network dropped one, in which case the receiver is
-  /// charged nothing and must not see the data. Diff flushes to home nodes
-  /// pass `reliable = true`: they are correctness-critical and ride the
-  /// barrier's reliable channel.
-  [[nodiscard]] bool flush(NodeId from, NodeId to, std::uint64_t bytes,
-                           bool reliable = false);
+  /// Records and charges one fire-and-forget flush outside the barrier
+  /// batches (sender Os trap; receiver Sigio recv). Pushes are unreliable
+  /// (paper §2.1.2: "flush messages can be unreliable, and therefore do not
+  /// need to be acknowledged"): returns false if the fault plan dropped it,
+  /// in which case the receiver is charged nothing and must not see the
+  /// data.
+  [[nodiscard]] bool flush(NodeId from, NodeId to, std::uint64_t bytes);
 
   /// Reliable control message (home-migration directives etc.).
   void control(NodeId from, NodeId to, std::uint64_t bytes);
 
   // --- barrier-time message aggregation ------------------------------------
   /// Delivery callback of one staged flush record: runs on delivery only,
-  /// with a view over the record's wire bytes (aggregated path) or over the
-  /// live diff itself (per-page path) -- the callback cannot tell which.
+  /// with a view over the record's sealed wire bytes.
   using FlushDeliverFn = std::function<void(const FlushRecordView&)>;
 
-  /// Routes one barrier-time flush carrying `diff` for `page` through the
-  /// aggregation layer. With config.aggregate_flushes the record is
-  /// serialized into the (from, to) batch (so `diff` may be recycled as
-  /// soon as this returns) and `on_deliver` is deferred until
-  /// seal_flush_batches() transmits the batch; otherwise a legacy per-page
-  /// flush() is sent immediately and `on_deliver` fires inline if it was
-  /// delivered. A batch containing any reliable record (a diff-to-home
-  /// flush) rides the reliable channel as a whole; piggybacked update
-  /// records are then delivered too, which only *reduces* later recovery
-  /// work and never changes results. Barrier context only (the staging
-  /// loops are node-ordered, so batch contents are deterministic).
+  /// Stages one barrier-time flush carrying `diff` for `page` into the
+  /// (from, to) batch. The record is serialized now, so `diff` may be
+  /// recycled as soon as this returns; `on_deliver` is deferred until
+  /// seal_flush_batches() transmits the batch. A batch containing any
+  /// reliable record (a diff-to-home flush) rides the reliable channel as a
+  /// whole; piggybacked update records are then delivered too, which only
+  /// *reduces* later recovery work and never changes results. Barrier
+  /// context only (the staging loops are node-ordered, so batch contents
+  /// are deterministic).
   void stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                    const mem::Diff& diff, bool reliable,
                    FlushDeliverFn on_deliver);
 
   /// Seals and transmits every non-empty staged batch, one FlushBatch
   /// message per (sender, destination) pair, in (sender asc, destination
-  /// asc) order; invokes the per-record delivery callbacks of delivered
-  /// batches by iterating the sealed bytes in place. Controller context
+  /// asc) order. Once every batch has been transmitted, runs the
+  /// per-record delivery callbacks of the delivered ones in the same
+  /// order, by iterating the sealed bytes in place. Controller context
   /// (Cluster calls it between the arrive loop and the releases). No-op
   /// when nothing is staged.
   ///
@@ -188,12 +184,11 @@ class Runtime {
   /// edge instead of one unicast per destination. Intermediate nodes
   /// forward the sealed wire bytes unmodified; a dropped hop loses every
   /// segment aboard, healing through the usual recovery. Results are
-  /// bit-identical to unicast -- callbacks still fire in (sender,
-  /// destination) order -- only times and the message census change.
+  /// bit-identical to unicast -- only times and the message census change.
   void seal_flush_batches();
 
   /// Records and charges one reliable one-way message (sync arrivals and
-  /// releases, and internally the reliable legs of control/flush): sender
+  /// releases, and internally control messages and reliable batches): sender
   /// pays one send trap per attempt. With no fault plan this is exactly
   /// record + send_trap + count_send. Under faults, drops cost the sender a
   /// full timeout of Wait and a retransmission (bounded exponential backoff
@@ -253,25 +248,50 @@ class Runtime {
 
  private:
   /// Charges `sender` the current retransmission timeout (Wait), grows it
-  /// (bounded exponential backoff) and counts/traces the retry.
-  void retry_wait(NodeId sender, sim::MsgKind kind, NodeId to,
+  /// (bounded exponential backoff) and counts/traces the retry. Throws
+  /// ProtocolError once `attempt` has used up ClusterConfig::retry.
+  void retry_wait(NodeId sender, sim::MsgKind kind, NodeId to, int attempt,
                   sim::SimTime& timeout);
+  /// The fault plan's fate for the next (kind, from, to) message; with no
+  /// plan every message is delivered once, on time.
+  [[nodiscard]] sim::FaultDecision fate(sim::MsgKind kind, NodeId from,
+                                        NodeId to);
   /// Accounts one suppressed duplicate delivery at `to` (the copy is
   /// recorded as wire traffic, the receiver absorbs one recv trap, and the
   /// protocol never sees it).
   void suppress_dup(sim::MsgKind kind, NodeId from, NodeId to,
                     std::uint64_t bytes, sim::SimTime handler_extra = 0);
 
-  /// seal_flush_batches() body when relay dissemination is configured:
-  /// unicasts reliable / below-threshold batches, routes the rest through
-  /// the tree, then runs all delivery callbacks in global (sender,
-  /// destination) order so results match the unicast path bit for bit.
-  void seal_flush_batches_relayed();
-  /// Transmits one unreliable FlushRelay hop (fire-and-forget, like an
-  /// unreliable unicast batch). Returns false if it was dropped, in which
-  /// case every segment aboard is lost.
-  [[nodiscard]] bool relay_hop(NodeId from, NodeId to, std::uint64_t bytes,
-                               std::size_t segments);
+  /// Trace mnemonic of a flush-class message plus its optional count
+  /// field: "flushbatch n0>n1 3r 1072B" carries records, "flushrelay ...
+  /// 2s ..." segments, a one-off "flush" none.
+  struct FlushTag {
+    const char* name;
+    std::uint64_t count = 0;
+    char unit = '\0';  // '\0' = no count field
+  };
+  void trace_flush(const FlushTag& tag, NodeId from, NodeId to,
+                   std::uint64_t bytes, bool delivered);
+  /// Fire-and-forget transmission shared by every unreliable message:
+  /// records it, charges the sender's send trap, draws its fate, accounts a
+  /// drop or delay, traces it and -- unless it was dropped -- charges the
+  /// receiver's recv trap (plus a suppressed duplicate). Returns false if
+  /// the message was dropped.
+  [[nodiscard]] bool send_unreliable(sim::MsgKind kind, NodeId from,
+                                     NodeId to, std::uint64_t bytes,
+                                     const FlushTag& tag);
+
+  /// A relayed (sender, destination) batch travelling the dissemination
+  /// tree: the sealed wire bytes are never re-serialized, intermediate
+  /// hops only account their forwarding.
+  struct RelaySegment {
+    std::size_t slot;     // index into staged_ (encodes sender and dest)
+    std::uint32_t to;     // final destination
+    std::uint64_t bytes;  // sealed batch wire size
+  };
+  /// seal_flush_batches() pass 2: carries `segs` up and down the tree and
+  /// marks the slots of the segments that reached their destination.
+  void relay(const std::vector<RelaySegment>& segs);
 
   /// One aggregation slot per (sender, destination) pair, reused every
   /// barrier (writer buffers keep their capacity across reset()).
@@ -279,7 +299,7 @@ class Runtime {
     FlushBatchWriter writer;
     std::vector<FlushDeliverFn> deliver;  // one per staged record
     bool reliable = false;                // any reliable record upgrades all
-    bool delivered = false;               // transient, relay path only
+    bool delivered = false;               // transient, set during the seal
   };
 
   [[nodiscard]] std::size_t check(NodeId n) const {

@@ -79,7 +79,7 @@ struct ProtocolCounters {
   Cell flush_batch_records_max = 0;
   Cell flush_batch_records_min = 0;
   /// Network header bytes saved by aggregation: (records - 1) * header per
-  /// batch -- the per-message headers the per-page path would have paid.
+  /// batch -- the headers one message per page record would have paid.
   Cell flush_batch_header_bytes_saved = 0;
   /// Sealed batches that travelled the dissemination tree instead of being
   /// unicast (sender crossed relay_threshold distinct destinations).

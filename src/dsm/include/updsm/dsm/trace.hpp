@@ -13,10 +13,11 @@
 //   fault r|w n<node> p<page>   read/write segv on a page
 //   mprot n<node> p<page> none|r|rw
 //   req n<from>>n<to> <req>B <reply>B     request/reply pair
-//   flush n<from>>n<to> <bytes>B [drop]   one-way flush (drop = lost);
-//                                 <bytes> is the diff payload, so summing
-//                                 them (+ header per line) reconciles with
-//                                 NetworkStats' Flush counter
+//   flush n<from>>n<to> <bytes>B [drop]   one-off unreliable flush outside
+//                                 the barrier batches (drop = lost);
+//                                 summing <bytes> (+ header per line)
+//                                 reconciles with NetworkStats' Flush
+//                                 counter
 //   flushbatch n<from>>n<to> <records>r <bytes>B [drop]
 //                                 aggregated per-destination flush batch;
 //                                 <records> page records, <bytes> the whole

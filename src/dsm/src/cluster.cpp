@@ -278,16 +278,15 @@ void Cluster::do_barrier(std::uint64_t index) {
   protocol_->barrier_begin();
 
   // Phase A: every node captures its own epoch modifications. Strict node
-  // order; each hook reads only its own frames and publishes diffs/flushes
-  // (staged into per-destination batches when aggregation is on).
+  // order; each hook reads only its own frames and stages its diffs and
+  // update pushes into per-destination batches.
   for (int i = 0; i < n; ++i) {
     protocol_->barrier_arrive(NodeId{static_cast<std::uint32_t>(i)});
   }
 
-  // Seal and transmit the aggregated flush batches: one FlushBatch per
-  // (sender, destination) pair, in (sender, destination) order -- the same
-  // per-receiver record order the per-page path produced, so results stay
-  // bit-identical. No-op with aggregate_flushes off.
+  // Seal and transmit the flush batches: one FlushBatch per (sender,
+  // destination) pair, in (sender, destination) order, so every receiver
+  // sees its records in a deterministic order.
   rt_.seal_flush_batches();
 
   // Reduction sanity: either nobody reduced at this barrier or everybody
@@ -506,6 +505,10 @@ void Cluster::do_barrier(std::uint64_t index) {
                                  [](bool b) { return b; });
     UPDSM_REQUIRE(all, "end_measurement must be collective: some nodes did "
                        "not request it before this barrier");
+    // Closing a window that never opened would report the whole run,
+    // set-up included, as the steady state.
+    UPDSM_REQUIRE(rt_.measuring(), "end_measurement requested but no "
+                                   "measurement window was opened");
     rt_.end_measurement();
     std::fill(measurement_end_requested_.begin(),
               measurement_end_requested_.end(), false);

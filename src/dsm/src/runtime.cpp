@@ -4,7 +4,6 @@
 #include <string>
 
 #include "updsm/common/log.hpp"
-#include "updsm/common/rng.hpp"
 
 namespace updsm::dsm {
 
@@ -21,8 +20,7 @@ constexpr std::uint64_t kRelaySegmentHeaderBytes = 16;
 Runtime::Runtime(const ClusterConfig& config, std::uint32_t num_pages)
     : config_(config),
       num_pages_(num_pages),
-      net_(config.costs.net, splitmix64(config.seed ^ 0xfeedULL),
-           config.num_nodes) {
+      net_(config.costs.net, config.num_nodes) {
   validate_cluster_config(config);
   const int n = config.num_nodes;
   tables_.reserve(static_cast<std::size_t>(n));
@@ -53,9 +51,13 @@ Runtime::Runtime(const ClusterConfig& config, std::uint32_t num_pages)
                                                    config.fault_seed, n);
   }
   page_stats_.assign(num_pages, PageStats{});
-  if (config.aggregate_flushes) {
-    staged_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  }
+  staged_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  // One active batch per sender up front; the index then keeps whatever
+  // capacity the busiest barrier needed. Not a no-op for memory: peak RSS
+  // of the 8-node fft bar-u benchmark is bimodal under glibc's per-thread
+  // tcache (~65.6 vs ~70 MB), and this allocation keeps it in the lower
+  // mode. Dropping it reads as a ~7 % RSS regression (ROADMAP, peak RSS).
+  staged_active_.reserve(static_cast<std::size_t>(n));
   arrival_payload_.assign(static_cast<std::size_t>(n), 0);
   release_payload_.assign(static_cast<std::size_t>(n), 0);
   measure_mark_.assign(static_cast<std::size_t>(n), 0);
@@ -89,8 +91,15 @@ void Runtime::charge_dsm(NodeId n, SimTime fixed, double per_byte_ns,
   clock(n).advance(sigio ? TimeCat::Sigio : TimeCat::Dsm, cost);
 }
 
-void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to,
+void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to, int attempt,
                          SimTime& timeout) {
+  if (attempt >= config_.retry.max_attempts) {
+    throw ProtocolError("reliable " + std::string(sim::to_string(kind)) +
+                        " n" + std::to_string(sender.value()) + ">n" +
+                        std::to_string(to.value()) + " exhausted " +
+                        std::to_string(config_.retry.max_attempts) +
+                        " attempts");
+  }
   clock(sender).advance(TimeCat::Wait, timeout);
   timeout = std::min(
       static_cast<SimTime>(static_cast<double>(timeout) *
@@ -102,6 +111,11 @@ void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to,
                  std::to_string(sender.value()) + ">n" +
                  std::to_string(to.value()));
   }
+}
+
+sim::FaultDecision Runtime::fate(MsgKind kind, NodeId from, NodeId to) {
+  return fault_plan_ != nullptr ? fault_plan_->next(kind, from, to)
+                                : sim::FaultDecision{};
 }
 
 void Runtime::suppress_dup(MsgKind kind, NodeId from, NodeId to,
@@ -118,6 +132,40 @@ void Runtime::suppress_dup(MsgKind kind, NodeId from, NodeId to,
   }
 }
 
+void Runtime::trace_flush(const FlushTag& tag, NodeId from, NodeId to,
+                          std::uint64_t bytes, bool delivered) {
+  std::string line = std::string(tag.name) + " n" +
+                     std::to_string(from.value()) + ">n" +
+                     std::to_string(to.value()) + " ";
+  if (tag.unit != '\0') line += std::to_string(tag.count) + tag.unit + " ";
+  line += std::to_string(bytes) + "B";
+  if (!delivered) line += " drop";
+  trace_->emit(line);
+}
+
+bool Runtime::send_unreliable(MsgKind kind, NodeId from, NodeId to,
+                              std::uint64_t bytes, const FlushTag& tag) {
+  net_.record(kind, from, to, bytes);
+  clock(from).advance(TimeCat::Os, costs().net.send_trap);
+  os(from).count_send();
+  const sim::FaultDecision f = fate(kind, from, to);
+  if (f.drop) {
+    net_.record_drop(kind);
+  } else if (f.extra_delay > 0) {
+    // Extra delay on a fire-and-forget push has no timing effect in this
+    // model (the receiver absorbs it asynchronously); account it only.
+    net_.note_delay();
+  }
+  if (trace_) trace_flush(tag, from, to, bytes, !f.drop);
+  if (f.drop) return false;
+  clock(to).advance(TimeCat::Sigio, costs().net.recv_trap);
+  os(to).count_recv();
+  // A duplicated push interrupts the receiver a second time but is
+  // suppressed before the protocol sees it: updates apply exactly once.
+  if (f.duplicate) suppress_dup(kind, from, to, bytes);
+  return true;
+}
+
 void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
                         std::uint64_t req_bytes, std::uint64_t reply_bytes,
                         SimTime responder_work) {
@@ -129,55 +177,26 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
                  std::to_string(req_bytes) + "B " +
                  std::to_string(reply_bytes) + "B");
   }
+  // Requester: send trap, then stall in Wait until the reply has been
+  // received; responder: the request interrupts it and everything runs in
+  // sigio context. Under a fault plan this is a retransmission loop with
+  // idempotent service-side handling: a lost request or reply costs the
+  // requester the full timeout in Wait; a retransmitted request arriving
+  // after the original was already served is recognized (dedup) and
+  // re-answered without redoing the work, so the exchange's effect on
+  // protocol state happens exactly once no matter how many copies flew.
   const auto& net_costs = costs().net;
-  if (fault_plan_ == nullptr) {
-    const SimTime req_wire = net_.record(req_kind, requester, responder,
-                                         req_bytes);
-    const SimTime reply_wire =
-        net_.record(MsgKind::DataReply, responder, requester, reply_bytes);
-
-    // Requester: send trap, then stall until the reply has been received.
-    clock(requester).advance(TimeCat::Os, net_costs.send_trap);
-    os(requester).count_send();
-    const SimTime service = net_costs.recv_trap + costs().dsm.handler_fixed +
-                            responder_work + net_costs.send_trap;
-    clock(requester).advance(TimeCat::Wait, req_wire + service + reply_wire);
-    clock(requester).advance(TimeCat::Os, net_costs.recv_trap);
-    os(requester).count_recv();
-
-    // Responder: the request interrupts it; everything runs in sigio context.
-    clock(responder).advance(TimeCat::Sigio, service);
-    os(responder).count_recv();
-    os(responder).count_send();
-    return;
-  }
-
-  // Fault path: retransmission loop with idempotent service-side handling.
-  // A lost request or reply costs the requester the full timeout in Wait;
-  // a retransmitted request arriving after the original was already served
-  // is recognized (dedup) and re-answered without redoing the work, so the
-  // exchange's effect on protocol state happens exactly once no matter how
-  // many copies flew.
-  const RetryPolicy& rp = config_.retry;
-  SimTime timeout = rp.timeout;
+  SimTime timeout = config_.retry.timeout;
   bool served = false;  // responder_work already performed
   for (int attempt = 1;; ++attempt) {
     const SimTime req_wire = net_.record(req_kind, requester, responder,
                                          req_bytes);
     clock(requester).advance(TimeCat::Os, net_costs.send_trap);
     os(requester).count_send();
-    const sim::FaultDecision req_fate =
-        fault_plan_->next(req_kind, requester, responder);
+    const sim::FaultDecision req_fate = fate(req_kind, requester, responder);
     if (req_fate.drop) {
       net_.record_drop(req_kind);
-      if (attempt >= rp.max_attempts) {
-        throw ProtocolError(
-            "reliable " + std::string(sim::to_string(req_kind)) + " n" +
-            std::to_string(requester.value()) + ">n" +
-            std::to_string(responder.value()) + " exhausted " +
-            std::to_string(rp.max_attempts) + " attempts");
-      }
-      retry_wait(requester, req_kind, responder, timeout);
+      retry_wait(requester, req_kind, responder, attempt, timeout);
       continue;
     }
     if (req_fate.extra_delay > 0) net_.note_delay();
@@ -205,17 +224,10 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
     const SimTime reply_wire =
         net_.record(MsgKind::DataReply, responder, requester, reply_bytes);
     const sim::FaultDecision reply_fate =
-        fault_plan_->next(MsgKind::DataReply, responder, requester);
+        fate(MsgKind::DataReply, responder, requester);
     if (reply_fate.drop) {
       net_.record_drop(MsgKind::DataReply);
-      if (attempt >= rp.max_attempts) {
-        throw ProtocolError(
-            "reliable " + std::string(sim::to_string(req_kind)) + " n" +
-            std::to_string(requester.value()) + ">n" +
-            std::to_string(responder.value()) + " exhausted " +
-            std::to_string(rp.max_attempts) + " attempts");
-      }
-      retry_wait(requester, req_kind, responder, timeout);
+      retry_wait(requester, req_kind, responder, attempt, timeout);
       continue;
     }
     if (reply_fate.extra_delay > 0) net_.note_delay();
@@ -232,76 +244,15 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
   }
 }
 
-bool Runtime::flush(NodeId from, NodeId to, std::uint64_t bytes,
-                    bool reliable) {
+bool Runtime::flush(NodeId from, NodeId to, std::uint64_t bytes) {
   UPDSM_CHECK_MSG(from != to, "self-flush on node " << from);
-  const auto& net_costs = costs().net;
-  if (fault_plan_ != nullptr && reliable) {
-    // Correctness-critical diff flush: rides the retried reliable channel.
-    (void)reliable_send(MsgKind::Flush, from, to, bytes);
-    if (trace_) {
-      trace_->emit("flush n" + std::to_string(from.value()) + ">n" +
-                   std::to_string(to.value()) + " " + std::to_string(bytes) +
-                   "B");
-    }
-    clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-    os(to).count_recv();
-    return true;
-  }
-  net_.record(MsgKind::Flush, from, to, bytes);
-  clock(from).advance(TimeCat::Os, net_costs.send_trap);
-  os(from).count_send();
-  bool delivered = reliable || net_.flush_delivered(to);
-  bool duplicate = false;
-  if (fault_plan_ != nullptr) {
-    // The plan's stream is drawn unconditionally (independence from the
-    // legacy flush_drop_rate stream), but a message already dropped by the
-    // legacy knob is not dropped twice in the stats.
-    const sim::FaultDecision fate = fault_plan_->next(MsgKind::Flush, from, to);
-    if (fate.drop) {
-      if (delivered) net_.record_drop(MsgKind::Flush);
-      delivered = false;
-    } else if (delivered) {
-      duplicate = fate.duplicate;
-      // Extra delay on a fire-and-forget push has no timing effect in this
-      // model (the receiver absorbs it asynchronously); account it only.
-      if (fate.extra_delay > 0) net_.note_delay();
-    }
-  }
-  if (trace_) {
-    trace_->emit("flush n" + std::to_string(from.value()) + ">n" +
-                 std::to_string(to.value()) + " " + std::to_string(bytes) +
-                 "B" + (delivered ? "" : " drop"));
-  }
-  if (!delivered) return false;
-  clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-  os(to).count_recv();
-  // A duplicated push interrupts the receiver a second time but is
-  // suppressed before the protocol sees it: updates apply exactly once.
-  if (duplicate) suppress_dup(MsgKind::Flush, from, to, bytes);
-  return true;
+  return send_unreliable(MsgKind::Flush, from, to, bytes, FlushTag{"flush"});
 }
 
 void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                           const mem::Diff& diff, bool reliable,
                           FlushDeliverFn on_deliver) {
   UPDSM_CHECK_MSG(from != to, "self-flush on node " << from);
-  if (staged_.empty()) {
-    // Aggregation off: the legacy per-page path, with the delivery effects
-    // expressed through the same callback interface (the view aliases the
-    // live diff; no serialization happens).
-    const bool delivered = flush(from, to, diff.wire_bytes(), reliable);
-    if (delivered && on_deliver) {
-      FlushRecordView rec;
-      rec.page = page;
-      rec.creator = creator;
-      rec.epoch = epoch_;
-      rec.runs = diff.runs();
-      rec.payload = diff.payload();
-      on_deliver(rec);
-    }
-    return;
-  }
   const std::size_t idx =
       from.index() * static_cast<std::size_t>(num_nodes()) + to.index();
   StagedBatch& slot = staged_[idx];
@@ -319,143 +270,44 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
 }
 
 void Runtime::seal_flush_batches() {
-  if (staged_.empty() || staged_active_.empty()) return;
-  if (config_.relay_threshold > 0) {
-    seal_flush_batches_relayed();
-    return;
-  }
-  const auto& net_costs = costs().net;
+  if (staged_active_.empty()) return;
   const std::size_t n = static_cast<std::size_t>(num_nodes());
+  const int threshold = config_.relay_threshold;
   // Stage order interleaves destinations; transmission and delivery happen
   // in (sender asc, destination asc) order, exactly as a full-grid scan
   // would visit the non-empty slots.
   std::sort(staged_active_.begin(), staged_active_.end());
-  for (const std::size_t idx : staged_active_) {
-    {
-      StagedBatch& slot = staged_[idx];
-      const NodeId from{static_cast<std::uint32_t>(idx / n)};
-      const NodeId to{static_cast<std::uint32_t>(idx % n)};
-      slot.writer.seal();
-      const auto bytes = slot.writer.bytes();
-      const std::uint64_t records = slot.writer.record_count();
-
-      // Record census: once per batch, never per transmission attempt, so
-      // fault-injected retries cannot inflate flush_class_records().
-      net_.note_records(MsgKind::FlushBatch, records);
-      ++counters_.flush_batches;
-      counters_.flush_batch_records += records;
-      if (records > counters_.flush_batch_records_max.load()) {
-        counters_.flush_batch_records_max = records;
-      }
-      const std::uint64_t cur_min = counters_.flush_batch_records_min.load();
-      if (cur_min == 0 || records < cur_min) {
-        counters_.flush_batch_records_min = records;
-      }
-      counters_.flush_batch_header_bytes_saved +=
-          (records - 1) * net_costs.header_bytes;
-
-      bool delivered = true;
-      bool duplicate = false;
-      if (slot.reliable) {
-        // Any diff-to-home record makes the whole batch reliable; with no
-        // fault plan reliable_send degenerates to record + send trap.
-        (void)reliable_send(MsgKind::FlushBatch, from, to, bytes.size());
-      } else {
-        net_.record(MsgKind::FlushBatch, from, to, bytes.size());
-        clock(from).advance(TimeCat::Os, net_costs.send_trap);
-        os(from).count_send();
-        delivered = net_.flush_delivered(to, MsgKind::FlushBatch);
-        if (fault_plan_ != nullptr) {
-          // Drawn unconditionally, mirroring flush(): the plan's stream is
-          // independent of the legacy flush_drop_rate stream.
-          const sim::FaultDecision fate =
-              fault_plan_->next(MsgKind::FlushBatch, from, to);
-          if (fate.drop) {
-            if (delivered) net_.record_drop(MsgKind::FlushBatch);
-            delivered = false;
-          } else if (delivered) {
-            duplicate = fate.duplicate;
-            if (fate.extra_delay > 0) net_.note_delay();
-          }
-        }
-      }
-      if (trace_) {
-        trace_->emit("flushbatch n" + std::to_string(from.value()) + ">n" +
-                     std::to_string(to.value()) + " " +
-                     std::to_string(records) + "r " +
-                     std::to_string(bytes.size()) + "B" +
-                     (delivered ? "" : " drop"));
-      }
-      if (delivered) {
-        clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-        os(to).count_recv();
-        if (duplicate) {
-          suppress_dup(MsgKind::FlushBatch, from, to, bytes.size());
-        }
-        // Iterate the sealed bytes in place: every delivery round-trips
-        // the wire format (the reader's views feed the callbacks directly).
-        FlushBatchReader reader(bytes);
-        UPDSM_CHECK(reader.header_ok());
-        FlushRecordView rec;
-        for (const FlushDeliverFn& fn : slot.deliver) {
-          UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
-          if (fn) fn(rec);
-        }
-        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
-      }
-      // A dropped batch loses *all* its records; the protocols heal through
-      // the same per-record recovery as lost per-page flushes (bar version-
-      // index invalidation, lmw lazy refetch).
-      arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
-      slot.deliver.clear();
-      slot.reliable = false;
-    }
-  }
-  staged_active_.clear();
-}
-
-void Runtime::seal_flush_batches_relayed() {
-  const auto& net_costs = costs().net;
-  const std::size_t n = static_cast<std::size_t>(num_nodes());
-  const std::size_t fanout = static_cast<std::size_t>(config_.relay_fanout);
-  std::sort(staged_active_.begin(), staged_active_.end());
 
   // Route decision per sender: a producer whose unreliable batches target
   // more than relay_threshold distinct destinations ships them through the
-  // tree; reliable (diff-to-home) batches always stay unicast.
-  std::vector<int> unreliable_targets(n, 0);
-  for (const std::size_t idx : staged_active_) {
-    if (!staged_[idx].reliable) ++unreliable_targets[idx / n];
+  // dissemination tree; reliable (diff-to-home) batches always stay
+  // unicast. With relaying off every batch is unicast.
+  std::vector<int> unreliable_targets;
+  if (threshold > 0) {
+    unreliable_targets.assign(n, 0);
+    for (const std::size_t idx : staged_active_) {
+      if (!staged_[idx].reliable) ++unreliable_targets[idx / n];
+    }
   }
+  std::vector<RelaySegment> segs;
 
-  // One traveling segment per relayed (sender, destination) batch: the
-  // sealed wire bytes are never re-serialized, intermediate hops only
-  // account their forwarding.
-  struct Segment {
-    std::size_t slot;     // index into staged_ (encodes sender and dest)
-    std::uint32_t to;     // final destination
-    std::uint64_t bytes;  // sealed batch wire size
-  };
-  std::vector<Segment> segs;
-
-  // Pass A, (sender, destination) order: seal + census every batch and
-  // transmit the unicast ones. Delivery callbacks are deferred to pass C
-  // so the global callback order is independent of routing (clock charges
-  // are additive, fault streams are per-(kind, from, to): deferral cannot
-  // change any outcome).
+  // Pass 1: seal + census every batch and transmit the unicast ones.
+  // Delivery callbacks wait for pass 3 so their global order is independent
+  // of routing (clock charges are additive and fault streams are per-(kind,
+  // from, to), so deferral cannot change any outcome).
   for (const std::size_t idx : staged_active_) {
     StagedBatch& slot = staged_[idx];
     const NodeId from{static_cast<std::uint32_t>(idx / n)};
     const NodeId to{static_cast<std::uint32_t>(idx % n)};
     slot.writer.seal();
-    const auto bytes = slot.writer.bytes();
+    const std::uint64_t bytes = slot.writer.bytes().size();
     const std::uint64_t records = slot.writer.record_count();
-    const bool relayed =
-        !slot.reliable &&
-        unreliable_targets[idx / n] > config_.relay_threshold;
+    const bool relayed = threshold > 0 && !slot.reliable &&
+                         unreliable_targets[idx / n] > threshold;
 
     // Record census: once per batch, never per transmission attempt or
-    // tree hop, so flush_class_records() stays invariant under routing.
+    // tree hop, so fault-injected retries cannot inflate it and
+    // flush_class_records() stays invariant under routing.
     net_.note_records(relayed ? MsgKind::FlushRelay : MsgKind::FlushBatch,
                       records);
     ++counters_.flush_batches;
@@ -468,59 +320,84 @@ void Runtime::seal_flush_batches_relayed() {
       counters_.flush_batch_records_min = records;
     }
     counters_.flush_batch_header_bytes_saved +=
-        (records - 1) * net_costs.header_bytes;
+        (records - 1) * costs().net.header_bytes;
 
+    const FlushTag tag{"flushbatch", records, 'r'};
     if (relayed) {
       ++counters_.relay_batches;
-      segs.push_back(Segment{idx, to.value(), bytes.size()});
-      continue;
-    }
-
-    bool ok = true;
-    bool duplicate = false;
-    if (slot.reliable) {
-      (void)reliable_send(MsgKind::FlushBatch, from, to, bytes.size());
-    } else {
-      net_.record(MsgKind::FlushBatch, from, to, bytes.size());
-      clock(from).advance(TimeCat::Os, net_costs.send_trap);
-      os(from).count_send();
-      ok = net_.flush_delivered(to, MsgKind::FlushBatch);
-      if (fault_plan_ != nullptr) {
-        const sim::FaultDecision fate =
-            fault_plan_->next(MsgKind::FlushBatch, from, to);
-        if (fate.drop) {
-          if (ok) net_.record_drop(MsgKind::FlushBatch);
-          ok = false;
-        } else if (ok) {
-          duplicate = fate.duplicate;
-          if (fate.extra_delay > 0) net_.note_delay();
-        }
-      }
-    }
-    if (trace_) {
-      trace_->emit("flushbatch n" + std::to_string(from.value()) + ">n" +
-                   std::to_string(to.value()) + " " + std::to_string(records) +
-                   "r " + std::to_string(bytes.size()) + "B" +
-                   (ok ? "" : " drop"));
-    }
-    if (ok) {
-      clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
+      segs.push_back(RelaySegment{idx, to.value(), bytes});
+    } else if (slot.reliable) {
+      // Any diff-to-home record makes the whole batch reliable; with no
+      // fault plan reliable_send degenerates to record + send trap.
+      (void)reliable_send(MsgKind::FlushBatch, from, to, bytes);
+      if (trace_) trace_flush(tag, from, to, bytes, /*delivered=*/true);
+      clock(to).advance(TimeCat::Sigio, costs().net.recv_trap);
       os(to).count_recv();
-      if (duplicate) {
-        suppress_dup(MsgKind::FlushBatch, from, to, bytes.size());
-      }
+      slot.delivered = true;
+    } else {
+      slot.delivered =
+          send_unreliable(MsgKind::FlushBatch, from, to, bytes, tag);
     }
-    slot.delivered = ok;
   }
 
-  // Pass B: simulate the shared dissemination tree (heap layout rooted at
-  // node 0, children of i are fanout*i+1 .. fanout*i+fanout). Up phase,
-  // children before parents: each node combines its own batches with its
-  // children's surviving segments, delivers the ones addressed to itself
-  // on the spot, and forwards the rest as ONE FlushRelay message to its
-  // parent. Down phase, parents before children: each hop carries only
-  // the segments whose destination lies in that child's subtree. A
-  // dropped hop loses every segment aboard.
+  // Pass 2: carry the relayed batches through the tree.
+  if (!segs.empty()) relay(segs);
+
+  // Pass 3, (sender, destination) order: run the delivery callbacks of
+  // every batch that arrived -- unicast or relayed -- by iterating the
+  // sealed bytes in place (every delivery round-trips the wire format),
+  // then reset the slots. A lost batch loses *all* its records; the
+  // protocols heal through their per-record recovery (bar version-index
+  // invalidation, lmw lazy refetch).
+  for (const std::size_t idx : staged_active_) {
+    StagedBatch& slot = staged_[idx];
+    if (slot.delivered) {
+      FlushBatchReader reader(slot.writer.bytes());
+      UPDSM_CHECK(reader.header_ok());
+      FlushRecordView rec;
+      for (const FlushDeliverFn& fn : slot.deliver) {
+        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
+        if (fn) fn(rec);
+      }
+      UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
+    }
+    const NodeId from{static_cast<std::uint32_t>(idx / n)};
+    arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
+    slot.deliver.clear();
+    slot.reliable = false;
+    slot.delivered = false;
+  }
+  staged_active_.clear();
+}
+
+void Runtime::relay(const std::vector<RelaySegment>& segs) {
+  const std::size_t n = static_cast<std::size_t>(num_nodes());
+  const std::size_t fanout = static_cast<std::size_t>(config_.relay_fanout);
+  // One FlushRelay message per tree edge, fire-and-forget like an
+  // unreliable unicast batch; a dropped hop loses every segment aboard.
+  const auto hop = [&](std::size_t from, std::size_t to,
+                       const std::vector<std::size_t>& aboard) {
+    std::uint64_t bytes = 0;
+    for (const std::size_t s : aboard) {
+      bytes += segs[s].bytes + kRelaySegmentHeaderBytes;
+    }
+    ++counters_.relay_messages;
+    counters_.relay_forwarded_bytes += bytes;
+    const bool ok = send_unreliable(
+        MsgKind::FlushRelay, NodeId{static_cast<std::uint32_t>(from)},
+        NodeId{static_cast<std::uint32_t>(to)}, bytes,
+        FlushTag{"flushrelay", aboard.size(), 's'});
+    if (!ok) ++counters_.relay_subtree_losses;
+    return ok;
+  };
+
+  // Heap layout rooted at node 0: children of i are fanout*i+1 ..
+  // fanout*i+fanout. Up phase, children before parents: each node combines
+  // its own batches with its children's surviving segments, delivers the
+  // ones addressed to itself on the spot, and forwards the rest as ONE
+  // message to its parent. Down phase, parents before children: each hop
+  // carries only the segments whose destination lies in that child's
+  // subtree.
   std::vector<std::vector<std::size_t>> at(n);
   for (std::size_t s = 0; s < segs.size(); ++s) {
     at[segs[s].slot / n].push_back(s);
@@ -537,13 +414,7 @@ void Runtime::seal_flush_batches_relayed() {
     at[i].clear();
     if (onward.empty()) continue;
     const std::size_t parent = (i - 1) / fanout;
-    std::uint64_t msg_bytes = 0;
-    for (const std::size_t s : onward) {
-      msg_bytes += segs[s].bytes + kRelaySegmentHeaderBytes;
-    }
-    if (relay_hop(NodeId{static_cast<std::uint32_t>(i)},
-                  NodeId{static_cast<std::uint32_t>(parent)}, msg_bytes,
-                  onward.size())) {
+    if (hop(i, parent, onward)) {
       for (const std::size_t s : onward) at[parent].push_back(s);
     }
   }
@@ -559,18 +430,10 @@ void Runtime::seal_flush_batches_relayed() {
     const std::size_t first_child = fanout * i + 1;
     for (std::size_t c = first_child; c < first_child + fanout && c < n; ++c) {
       std::vector<std::size_t> down;
-      std::uint64_t msg_bytes = 0;
       for (const std::size_t s : at[i]) {
-        if (!in_subtree(segs[s].to, c)) continue;
-        down.push_back(s);
-        msg_bytes += segs[s].bytes + kRelaySegmentHeaderBytes;
+        if (in_subtree(segs[s].to, c)) down.push_back(s);
       }
-      if (down.empty()) continue;
-      if (!relay_hop(NodeId{static_cast<std::uint32_t>(i)},
-                     NodeId{static_cast<std::uint32_t>(c)}, msg_bytes,
-                     down.size())) {
-        continue;
-      }
+      if (down.empty() || !hop(i, c, down)) continue;
       for (const std::size_t s : down) {
         if (segs[s].to == c) {
           staged_[segs[s].slot].delivered = true;
@@ -581,66 +444,6 @@ void Runtime::seal_flush_batches_relayed() {
     }
     at[i].clear();
   }
-
-  // Pass C, (sender, destination) order: run the delivery callbacks of
-  // every batch that arrived -- unicast or relayed -- by iterating the
-  // sealed bytes in place, then reset the slots. A lost batch loses *all*
-  // its records; the protocols heal through the same per-record recovery
-  // as lost per-page flushes.
-  for (const std::size_t idx : staged_active_) {
-    StagedBatch& slot = staged_[idx];
-    if (slot.delivered) {
-      FlushBatchReader reader(slot.writer.bytes());
-      UPDSM_CHECK(reader.header_ok());
-      FlushRecordView rec;
-      for (const FlushDeliverFn& fn : slot.deliver) {
-        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
-        if (fn) fn(rec);
-      }
-      UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
-    }
-    const NodeId from{
-        static_cast<std::uint32_t>(idx / static_cast<std::size_t>(num_nodes()))};
-    arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
-    slot.deliver.clear();
-    slot.reliable = false;
-    slot.delivered = false;
-  }
-  staged_active_.clear();
-}
-
-bool Runtime::relay_hop(NodeId from, NodeId to, std::uint64_t bytes,
-                        std::size_t segments) {
-  const auto& net_costs = costs().net;
-  net_.record(MsgKind::FlushRelay, from, to, bytes);
-  clock(from).advance(TimeCat::Os, net_costs.send_trap);
-  os(from).count_send();
-  ++counters_.relay_messages;
-  counters_.relay_forwarded_bytes += bytes;
-  bool ok = net_.flush_delivered(to, MsgKind::FlushRelay);
-  bool duplicate = false;
-  if (fault_plan_ != nullptr) {
-    const sim::FaultDecision fate =
-        fault_plan_->next(MsgKind::FlushRelay, from, to);
-    if (fate.drop) {
-      if (ok) net_.record_drop(MsgKind::FlushRelay);
-      ok = false;
-    } else if (ok) {
-      duplicate = fate.duplicate;
-      if (fate.extra_delay > 0) net_.note_delay();
-    }
-  }
-  if (!ok) ++counters_.relay_subtree_losses;
-  if (trace_) {
-    trace_->emit("flushrelay n" + std::to_string(from.value()) + ">n" +
-                 std::to_string(to.value()) + " " + std::to_string(segments) +
-                 "s " + std::to_string(bytes) + "B" + (ok ? "" : " drop"));
-  }
-  if (!ok) return false;
-  clock(to).advance(TimeCat::Sigio, net_costs.recv_trap);
-  os(to).count_recv();
-  if (duplicate) suppress_dup(MsgKind::FlushRelay, from, to, bytes);
-  return true;
 }
 
 void Runtime::control(NodeId from, NodeId to, std::uint64_t bytes) {
@@ -658,29 +461,20 @@ void Runtime::control(NodeId from, NodeId to, std::uint64_t bytes) {
 SimTime Runtime::reliable_send(MsgKind kind, NodeId from, NodeId to,
                                std::uint64_t bytes) {
   if (from == to) return 0;
-  const auto& net_costs = costs().net;
-  const RetryPolicy& rp = config_.retry;
-  SimTime timeout = rp.timeout;
+  SimTime timeout = config_.retry.timeout;
   for (int attempt = 1;; ++attempt) {
     const SimTime wire = net_.record(kind, from, to, bytes);
-    clock(from).advance(TimeCat::Os, net_costs.send_trap);
+    clock(from).advance(TimeCat::Os, costs().net.send_trap);
     os(from).count_send();
-    if (fault_plan_ == nullptr) return wire;
-    const sim::FaultDecision fate = fault_plan_->next(kind, from, to);
-    if (fate.drop) {
+    const sim::FaultDecision f = fate(kind, from, to);
+    if (f.drop) {
       net_.record_drop(kind);
-      if (attempt >= rp.max_attempts) {
-        throw ProtocolError(
-            "reliable " + std::string(sim::to_string(kind)) + " n" +
-            std::to_string(from.value()) + ">n" + std::to_string(to.value()) +
-            " exhausted " + std::to_string(rp.max_attempts) + " attempts");
-      }
-      retry_wait(from, kind, to, timeout);
+      retry_wait(from, kind, to, attempt, timeout);
       continue;
     }
-    if (fate.duplicate) suppress_dup(kind, from, to, bytes);
-    if (fate.extra_delay > 0) net_.note_delay();
-    return wire + fate.extra_delay;
+    if (f.duplicate) suppress_dup(kind, from, to, bytes);
+    if (f.extra_delay > 0) net_.note_delay();
+    return wire + f.extra_delay;
   }
 }
 

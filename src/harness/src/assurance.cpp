@@ -19,7 +19,6 @@ AssuranceReport assure_overdrive_safety(std::string_view app_name,
     params.seed = splitmix64(base_params.seed + static_cast<std::uint64_t>(t));
 
     dsm::ClusterConfig cfg = config;
-    cfg.seed = params.seed;
     // Revert: an unpredicted write is *handled* (and counted), so a dirty
     // trial still finishes and still validates.
     cfg.overdrive_fallback = dsm::OverdriveFallback::Revert;

@@ -232,7 +232,7 @@ bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
   // and conservative, so a lost report can only delay the *costing* of
   // detection, never un-converge it).
   if (n != rt_->master()) {
-    (void)rt_->flush(n, rt_->master(), 24, /*reliable=*/false);
+    (void)rt_->flush(n, rt_->master(), 24);
   }
   detector_->report(static_cast<int>(n.value()), residual);
   return detector_->converged();

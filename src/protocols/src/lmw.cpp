@@ -293,7 +293,7 @@ void LmwProtocol::barrier_arrive(NodeId n) {
                               rt_->costs().dsm.update_store_per_byte_ns,
                               rec.diff_wire_bytes(), /*sigio=*/true);
               // Materialize into a recycled diff so the stored copy reuses
-              // pooled capacity, exactly like put_copy on the legacy path.
+              // pooled capacity, exactly like DiffStore::put_copy.
               NodeState& dst = node(member);
               Diff stored = dst.stored_updates.take_scratch();
               rec.decode_into(stored);

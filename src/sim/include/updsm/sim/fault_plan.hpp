@@ -7,15 +7,18 @@
 // every reliable-channel exchange (requests/replies, diff flushes to homes,
 // sync and control messages) and reacts with timeout/backoff retries and
 // service-side dedup; barrier-time update pushes stay fire-and-forget and
-// are healed lazily by the protocols' version indices (paper §2.1.2).
+// are healed lazily by the protocols' version indices (paper §2.1.2). The
+// plan is the only source of message loss: `kind=flushbatch,drop=p` is how
+// a run loses update pushes. Without a plan every message is delivered
+// once, on time.
 //
-// Determinism contract (same flavour as Network's flush drop streams): the
-// decision for the k-th message of a given (kind, from, to) triple depends
-// only on (seed, spec, triple, k) -- a stateless splitmix64 hash keyed by
-// the triple's private sequence counter. Every triple's message sequence is
-// issued in one thread's program order (a sender's requests mid-phase, or
-// the controller at barriers), so the injected schedule -- and everything
-// downstream -- is bit-identical across gang modes and host schedules.
+// Determinism contract: the decision for the k-th message of a given (kind,
+// from, to) triple depends only on (seed, spec, triple, k) -- a stateless
+// splitmix64 hash keyed by the triple's private sequence counter. Every
+// triple's message sequence is issued in one thread's program order (a
+// sender's requests mid-phase, or the controller at barriers), so the
+// injected schedule -- and everything downstream -- is bit-identical across
+// gang modes and host schedules.
 // Node stalls are keyed (node, barrier index) and drawn statelessly.
 //
 // Concurrency: next() mutates only the counter of the queried triple.

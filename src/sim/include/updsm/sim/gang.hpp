@@ -242,6 +242,9 @@ class Gang {
   // publishes with the release epoch increment).
   std::atomic<int> phase_remaining_{0};
   std::atomic<std::uint64_t> phase_epoch_{0};
+  /// release_parallel_phase() scratch: the workers it wakes (controller
+  /// only; reserved up front so no barrier allocates).
+  std::vector<int> live_workers_;
 
   // Baton mode: whose turn it is (kController between phases); turn_ and
   // the node statuses are guarded by baton_mu_ there.

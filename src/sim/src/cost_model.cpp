@@ -49,8 +49,6 @@ const CostKey kCostKeys[] = {
      [](CostModel& m, double v) {
        m.net.header_bytes = static_cast<std::uint32_t>(v);
      }},
-    {"net.flush_drop_rate",
-     [](CostModel& m, double v) { m.net.flush_drop_rate = v; }},
     {"os.segv_us", [](CostModel& m, double v) { m.os.segv = usec(v); }},
     {"os.mprotect_us",
      [](CostModel& m, double v) { m.os.mprotect_base = usec(v); }},

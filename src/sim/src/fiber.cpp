@@ -17,8 +17,19 @@
 #endif
 #endif
 
+#if defined(__SANITIZE_ADDRESS__)
+#define UPDSM_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define UPDSM_ASAN_FIBERS 1
+#endif
+#endif
+
 #ifdef UPDSM_TSAN_FIBERS
 #include <sanitizer/tsan_interface.h>
+#endif
+#ifdef UPDSM_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
 #endif
 
 namespace updsm::sim {
@@ -29,6 +40,14 @@ struct Fiber::Impl {
 #ifdef UPDSM_TSAN_FIBERS
   void* tsan_fiber = nullptr;
   void* tsan_host = nullptr;
+#endif
+#ifdef UPDSM_ASAN_FIBERS
+  // Fake-stack slots of each side while the other one runs, and the
+  // resumer's stack bounds (a fiber may be resumed from different threads).
+  void* asan_fiber_fake = nullptr;
+  void* asan_host_fake = nullptr;
+  const void* host_bottom = nullptr;
+  std::size_t host_size = 0;
 #endif
 };
 
@@ -85,6 +104,11 @@ void Fiber::trampoline(unsigned self_hi, unsigned self_lo) {
 }
 
 void Fiber::run_trampoline() {
+#ifdef UPDSM_ASAN_FIBERS
+  // First entry: complete the switch resume() started.
+  __sanitizer_finish_switch_fiber(nullptr, &impl_->host_bottom,
+                                  &impl_->host_size);
+#endif
   fn_();
   live_ = false;
   switch_out();
@@ -97,7 +121,15 @@ bool Fiber::resume() {
   impl_->tsan_host = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(impl_->tsan_fiber, 0);
 #endif
+#ifdef UPDSM_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(&impl_->asan_host_fake,
+                                 map_base_ + (map_bytes_ - stack_bytes_),
+                                 stack_bytes_);
+#endif
   ::swapcontext(&impl_->host_ctx, &impl_->fiber_ctx);
+#ifdef UPDSM_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(impl_->asan_host_fake, nullptr, nullptr);
+#endif
   return !live_;
 }
 
@@ -107,7 +139,18 @@ void Fiber::switch_out() {
 #ifdef UPDSM_TSAN_FIBERS
   __tsan_switch_to_fiber(impl_->tsan_host, 0);
 #endif
+#ifdef UPDSM_ASAN_FIBERS
+  // A finished fiber never comes back: a null slot lets ASan drop its fake
+  // stack instead of saving it.
+  __sanitizer_start_switch_fiber(live_ ? &impl_->asan_fiber_fake : nullptr,
+                                 impl_->host_bottom, impl_->host_size);
+#endif
   ::swapcontext(&impl_->fiber_ctx, &impl_->host_ctx);
+#ifdef UPDSM_ASAN_FIBERS
+  // Resumed, possibly from another thread: refresh the resumer's bounds.
+  __sanitizer_finish_switch_fiber(impl_->asan_fiber_fake, &impl_->host_bottom,
+                                  &impl_->host_size);
+#endif
 }
 
 }  // namespace updsm::sim

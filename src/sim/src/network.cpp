@@ -5,17 +5,10 @@
 
 namespace updsm::sim {
 
-Network::Network(const NetworkCosts& costs, std::uint64_t drop_seed,
-                 int num_nodes)
-    : costs_(costs), drop_seed_(drop_seed) {
+Network::Network(const NetworkCosts& costs, int num_nodes) : costs_(costs) {
   UPDSM_REQUIRE(num_nodes >= 1,
                 "network needs at least one node, got " << num_nodes);
   shards_.resize(static_cast<std::size_t>(num_nodes) + 1);
-  drop_rngs_.reserve(static_cast<std::size_t>(num_nodes));
-  for (int d = 0; d < num_nodes; ++d) {
-    drop_rngs_.emplace_back(
-        splitmix64(drop_seed ^ splitmix64(static_cast<std::uint64_t>(d) + 1)));
-  }
 }
 
 Network::Shard& Network::my_shard() {
@@ -34,14 +27,6 @@ SimTime Network::record(MsgKind kind, NodeId from, NodeId to,
   ++counter.count;
   counter.bytes += payload_bytes + costs_.header_bytes;
   return costs_.wire_time(payload_bytes);
-}
-
-bool Network::flush_delivered(NodeId to, MsgKind kind) {
-  if (costs_.flush_drop_rate <= 0.0) return true;
-  auto& rng = drop_rngs_[to.value() % drop_rngs_.size()];
-  const bool delivered = rng.uniform() >= costs_.flush_drop_rate;
-  if (!delivered) record_drop(kind);
-  return delivered;
 }
 
 void Network::note_records(MsgKind kind, std::uint64_t records) {
@@ -69,14 +54,6 @@ const NetworkStats& Network::stats() const {
     merged_.injected_delays += shard.stats.injected_delays;
   }
   return merged_;
-}
-
-std::uint64_t Network::dropped_flushes() const {
-  std::uint64_t sum = 0;
-  for (const Shard& shard : shards_) {
-    sum += shard.stats.by_kind[static_cast<std::size_t>(MsgKind::Flush)].dropped;
-  }
-  return sum;
 }
 
 void Network::reset_stats() {

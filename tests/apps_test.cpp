@@ -2,6 +2,9 @@
 // checksums across node counts, and the framework's run() skeleton.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "updsm/apps/application.hpp"
 #include "updsm/apps/grid.hpp"
 #include "updsm/apps/jacobi.hpp"
@@ -96,6 +99,41 @@ TEST(AppFrameworkTest, RunsExpectedBarrierStructure) {
   const auto run = harness::run_app("sor", protocols::ProtocolKind::LmwI,
                                     cfg, params);
   EXPECT_EQ(run.barriers, 1u + 5u * 2u + 1u + 1u);
+}
+
+// Parameters that would run but report a silently wrong number are
+// rejected up front, by every app, with the offending field named.
+TEST(AppFrameworkTest, RejectsParamsThatYieldSilentWrongNumbers) {
+  struct Bad {
+    const char* field;
+    void (*apply)(AppParams&);
+  };
+  const Bad cases[] = {
+      {"measured_iterations", [](AppParams& p) { p.measured_iterations = 0; }},
+      {"measured_iterations", [](AppParams& p) { p.measured_iterations = -3; }},
+      {"warmup_iterations", [](AppParams& p) { p.warmup_iterations = -1; }},
+      {"scale", [](AppParams& p) { p.scale = -1.0; }},
+      {"scale", [](AppParams& p) { p.scale = 0.0; }},
+      {"scale", [](AppParams& p) { p.scale = std::nan(""); }},
+      {"scale", [](AppParams& p) { p.scale = HUGE_VAL; }},
+  };
+  for (const Bad& bad : cases) {
+    AppParams params;
+    bad.apply(params);
+    for (const auto name : app_names()) {
+      try {
+        (void)make_app(name, params);
+        ADD_FAILURE() << name << " accepted a bad " << bad.field;
+      } catch (const UsageError& e) {
+        EXPECT_NE(std::string(e.what()).find(bad.field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  AppParams edge;
+  edge.warmup_iterations = 0;
+  edge.measured_iterations = 1;
+  EXPECT_NO_THROW(validate_app_params(edge)) << "the smallest valid window";
 }
 
 TEST(AppFrameworkTest, ShalIsFinerGrainedThanItsBarrierTwin) {

@@ -53,8 +53,8 @@ std::string make_plan(int i) {
       return "drop=" + p + ",dup=0.05,delay=0.1,delay_us=300";
     case 2:
       // Update pushes ride aggregated batches: kind=flushbatch is the
-      // rule that actually targets them (kind=flush is the legacy
-      // per-page path).
+      // rule that actually targets them (kind=flush only matches the
+      // residual reports).
       return "kind=flushbatch,drop=0.4;drop=0.05";
     default:
       return "from=0,to=1,drop=0.3;node=1,stall=0.4,stall_us=2000;drop=" + p;

@@ -150,6 +150,27 @@ TEST(ClusterTest, MeasurementWindowIsCollective) {
                UsageError);
 }
 
+TEST(ClusterTest, MeasurementWindowMustOpenBeforeItCloses) {
+  // Closing a window that never opened would report the whole run as the
+  // steady state; the cluster refuses instead.
+  const ClusterConfig cfg = small_config(2);
+  mem::SharedHeap heap(cfg.page_size);
+  heap.alloc_page_aligned(64, "x");
+  Cluster cluster(cfg, heap, protocols::make_protocol(ProtocolKind::BarU));
+  try {
+    cluster.run([&](NodeContext& ctx) {
+      ctx.compute(sim::msec(5));
+      ctx.end_measurement();
+      ctx.barrier();
+    });
+    ADD_FAILURE() << "end without begin was accepted";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("no measurement window"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ClusterTest, MeasurementWindowExcludesWarmupAndTail) {
   const ClusterConfig cfg = small_config(2);
   mem::SharedHeap heap(cfg.page_size);

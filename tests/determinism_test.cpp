@@ -23,7 +23,6 @@ harness::RunResult run_fixture(ProtocolKind kind, std::uint64_t seed) {
   params.seed = seed;
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 8;
-  cfg.seed = seed;
   return harness::run_app("expl", kind, cfg, params);
 }
 
@@ -44,21 +43,21 @@ TEST(DeterminismTest, IdenticalRunsAreBitIdentical) {
 TEST(DeterminismTest, SeedChangesDataNotStructure) {
   const auto a = run_fixture(ProtocolKind::BarU, 1);
   const auto b = run_fixture(ProtocolKind::BarU, 2);
-  // expl's initial field does not depend on the seed, but the simulator's
-  // internals (drop RNG with rate 0) must not either: structure identical.
+  // expl's initial field does not depend on the seed, and nothing in the
+  // simulator does either: structure identical.
   EXPECT_EQ(a.counters.diffs_created, b.counters.diffs_created);
   EXPECT_EQ(a.net.table_messages(), b.net.table_messages());
 }
 
-TEST(DeterminismTest, DropRateRunsAreSeedDeterministic) {
+TEST(DeterminismTest, LossyRunsAreSeedDeterministic) {
   apps::AppParams params;
   params.scale = 0.2;
   params.warmup_iterations = 3;
   params.measured_iterations = 3;
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 4;
-  cfg.costs.net.flush_drop_rate = 0.3;
-  cfg.seed = 7;
+  cfg.faults = sim::FaultSpec::parse("kind=flushbatch,drop=0.3");
+  cfg.fault_seed = 7;
   const auto a = harness::run_app("sor", ProtocolKind::BarU, cfg, params);
   const auto b = harness::run_app("sor", ProtocolKind::BarU, cfg, params);
   EXPECT_EQ(a.elapsed, b.elapsed);

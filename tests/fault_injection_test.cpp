@@ -2,17 +2,12 @@
 // (seed, spec, traffic), rules must target exactly what their filters say,
 // and the text form must round-trip losslessly -- these three properties
 // are what make a fault plan a *reproducible* adversary rather than noise.
-// Also pins the flush-drop accounting: a flush lost to the legacy
-// flush_drop_rate knob must show up both in NetworkStats and in the trace.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "updsm/common/error.hpp"
-#include "updsm/dsm/cluster.hpp"
-#include "updsm/dsm/node_context.hpp"
-#include "updsm/protocols/factory.hpp"
 #include "updsm/sim/fault_plan.hpp"
 
 namespace updsm {
@@ -212,96 +207,6 @@ TEST(FaultPlanTest, SerializeRoundTripsSeedAndSchedule) {
   for (std::uint64_t bar = 0; bar < 16; ++bar) {
     EXPECT_EQ(a.stall(nid(1), bar), b.stall(nid(1), bar));
   }
-}
-
-// Regression: the legacy flush_drop_rate knob used to vanish into thin air
-// -- flushes were lost without any NetworkStats evidence. Every dropped
-// flush must now increment the Flush drop counter and leave a trace line.
-TEST(FlushDropAccountingTest, LegacyDropRateFeedsStatsAndTrace) {
-  dsm::ClusterConfig cfg;
-  cfg.num_nodes = 2;
-  cfg.page_size = 1024;
-  cfg.trace = true;
-  cfg.aggregate_flushes = false;  // this test pins the per-page path
-  cfg.costs.net.flush_drop_rate = 1.0;  // lose every update push
-  mem::SharedHeap heap(cfg.page_size);
-  const GlobalAddr a = heap.alloc_page_aligned(256 * 8, "x");
-  dsm::Cluster cluster(cfg, heap,
-                       protocols::make_protocol(protocols::ProtocolKind::BarU));
-  cluster.run([&](dsm::NodeContext& ctx) {
-    auto x = ctx.array<double>(a, 256);
-    for (int iter = 1; iter <= 3; ++iter) {
-      ctx.iteration_begin();
-      if (ctx.node() == 0) {
-        auto w = x.write_view(0, 256);
-        for (std::size_t i = 0; i < 256; ++i) w[i] = iter * 100.0 + i;
-      }
-      ctx.barrier();
-      if (ctx.node() == 1) {
-        EXPECT_EQ(x.get(0), iter * 100.0) << "stale read after lost flush";
-      }
-      ctx.barrier();
-    }
-  });
-  const sim::NetworkStats& net = cluster.runtime().net().stats();
-  EXPECT_GT(net.of(MsgKind::Flush).dropped, 0u);
-  EXPECT_EQ(net.of(MsgKind::Flush).dropped,
-            cluster.runtime().net().dropped_flushes());
-  EXPECT_EQ(net.total_dropped(), net.of(MsgKind::Flush).dropped)
-      << "only flushes ride the lossy legacy channel";
-  std::uint64_t trace_drops = 0;
-  for (const std::string& line : cluster.runtime().trace()->lines()) {
-    if (line.size() >= 5 && line.compare(0, 5, "flush") == 0 &&
-        line.size() >= 4 && line.compare(line.size() - 4, 4, "drop") == 0) {
-      ++trace_drops;
-    }
-  }
-  EXPECT_EQ(trace_drops, net.of(MsgKind::Flush).dropped);
-}
-
-// The same knob with aggregation on: losses land on FlushBatch (the whole
-// per-destination batch vanishes), with matching flushbatch trace lines,
-// and the computation still survives (version-index recovery).
-TEST(FlushDropAccountingTest, LegacyDropRateDropsWholeBatches) {
-  dsm::ClusterConfig cfg;
-  cfg.num_nodes = 2;
-  cfg.page_size = 1024;
-  cfg.trace = true;
-  cfg.aggregate_flushes = true;
-  cfg.costs.net.flush_drop_rate = 1.0;  // lose every update batch
-  mem::SharedHeap heap(cfg.page_size);
-  const GlobalAddr a = heap.alloc_page_aligned(256 * 8, "x");
-  dsm::Cluster cluster(cfg, heap,
-                       protocols::make_protocol(protocols::ProtocolKind::BarU));
-  cluster.run([&](dsm::NodeContext& ctx) {
-    auto x = ctx.array<double>(a, 256);
-    for (int iter = 1; iter <= 3; ++iter) {
-      ctx.iteration_begin();
-      if (ctx.node() == 0) {
-        auto w = x.write_view(0, 256);
-        for (std::size_t i = 0; i < 256; ++i) w[i] = iter * 100.0 + i;
-      }
-      ctx.barrier();
-      if (ctx.node() == 1) {
-        EXPECT_EQ(x.get(0), iter * 100.0) << "stale read after lost batch";
-      }
-      ctx.barrier();
-    }
-  });
-  const sim::NetworkStats& net = cluster.runtime().net().stats();
-  EXPECT_GT(net.of(MsgKind::FlushBatch).dropped, 0u);
-  EXPECT_EQ(net.of(MsgKind::Flush).count, 0u)
-      << "aggregation leaves no per-page flushes";
-  EXPECT_EQ(net.total_dropped(), net.of(MsgKind::FlushBatch).dropped)
-      << "only flush batches ride the lossy legacy channel";
-  std::uint64_t trace_drops = 0;
-  for (const std::string& line : cluster.runtime().trace()->lines()) {
-    if (line.compare(0, 10, "flushbatch") == 0 && line.size() >= 4 &&
-        line.compare(line.size() - 4, 4, "drop") == 0) {
-      ++trace_drops;
-    }
-  }
-  EXPECT_EQ(trace_drops, net.of(MsgKind::FlushBatch).dropped);
 }
 
 }  // namespace

@@ -206,7 +206,6 @@ TEST(FlushBatchTest, RejectsCorruptedHeadersAndBodies) {
 TEST(FlushBatchTest, EmptyBatchesAreElided) {
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 4;
-  cfg.aggregate_flushes = true;
   dsm::Runtime rt(cfg, 8);
 
   // Nothing staged: sealing transmits nothing at all.
@@ -246,7 +245,6 @@ TEST(FlushBatchTest, EmptyBatchesAreElided) {
 TEST(FlushBatchTest, BatchCostAccountingMatchesWireLayout) {
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 2;
-  cfg.aggregate_flushes = true;
   dsm::Runtime rt(cfg, 8);
   const Diff a = random_diff(41, 2);
   const Diff b = random_diff(42, 5);

@@ -358,20 +358,32 @@ TEST(GangWorkersTest, BatonOrderIdenticalForEveryWorkerCount) {
 }
 
 TEST(GangWorkersTest, ParallelPhasesCompleteForEveryWorkerCount) {
-  for (const int workers : {1, 2, 3, 7}) {
-    Gang gang(7, GangMode::Parallel, workers);
-    EXPECT_EQ(gang.workers(), workers);
-    std::vector<std::atomic<int>> counts(7);
-    gang.run(
-        [&](int node) {
-          for (int i = 0; i < 10; ++i) {
-            counts[static_cast<std::size_t>(node)].fetch_add(1);
-            gang.barrier_wait(node);
-          }
-        },
-        [](std::uint64_t) {});
-    for (const auto& c : counts) EXPECT_EQ(c.load(), 10);
-    EXPECT_EQ(gang.barriers_completed(), 10u);
+  struct Case {
+    int nodes;
+    int workers;
+    int rounds;
+  };
+  // The last input runs many empty phases on a shared pool, twice: there a
+  // worker that saw the release early used to race the controller's wake
+  // scan over the node statuses (a ThreadSanitizer report).
+  for (const Case c : {Case{7, 1, 10}, Case{7, 2, 10}, Case{7, 3, 10},
+                       Case{7, 7, 10}, Case{16, 4, 2000}}) {
+    Gang gang(c.nodes, GangMode::Parallel, c.workers);
+    EXPECT_EQ(gang.workers(), c.workers);
+    for (int run = 1; run <= 2; ++run) {
+      std::vector<std::atomic<int>> counts(static_cast<std::size_t>(c.nodes));
+      gang.run(
+          [&](int node) {
+            for (int i = 0; i < c.rounds; ++i) {
+              counts[static_cast<std::size_t>(node)].fetch_add(1);
+              gang.barrier_wait(node);
+            }
+          },
+          [](std::uint64_t) {});
+      for (const auto& n : counts) EXPECT_EQ(n.load(), c.rounds);
+      EXPECT_EQ(gang.barriers_completed(),
+                static_cast<std::uint64_t>(run * c.rounds));
+    }
   }
 }
 

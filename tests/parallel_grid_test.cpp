@@ -25,7 +25,6 @@ apps::AppParams tiny_params() {
 dsm::ClusterConfig tiny_config() {
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 4;
-  cfg.seed = 42;
   return cfg;
 }
 

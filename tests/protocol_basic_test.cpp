@@ -156,10 +156,12 @@ TEST_P(ProtocolMatrixTest, Reductions) {
 
 TEST_P(ProtocolMatrixTest, UnreliableFlushesNeverBreakCorrectness) {
   // Paper §2.1.2: "lost flush messages do not affect correctness, only
-  // performance". Drop 40% of all update pushes and re-run the stencil
-  // pattern; results must be identical.
+  // performance". Drop 40% of all flush batches (update pushes are lost,
+  // diffs to home are retried) and re-run the stencil pattern; results
+  // must be identical.
   ClusterConfig cfg = config();
-  cfg.costs.net.flush_drop_rate = 0.4;
+  cfg.faults = sim::FaultSpec::parse("kind=flushbatch,drop=0.4");
+  cfg.fault_seed = 3;
   mem::SharedHeap heap(cfg.page_size);
   constexpr std::size_t kCount = 800;
   const GlobalAddr base =

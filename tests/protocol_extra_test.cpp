@@ -1,5 +1,5 @@
 // Additional protocol-level coverage: the factory, the sc-sw baseline,
-// drop-rate robustness sweeps, and page-size sweeps over the full
+// loss-rate robustness sweeps, and page-size sweeps over the full
 // correctness matrix.
 #include <gtest/gtest.h>
 
@@ -118,7 +118,7 @@ TEST(ScSwTest, FalseSharingForcesArbitrationTraffic) {
   EXPECT_GT(traffic(ProtocolKind::ScSw), traffic(ProtocolKind::BarU));
 }
 
-// --- drop-rate robustness sweep -------------------------------------------------
+// --- loss-rate robustness sweep ------------------------------------------------
 
 class DropRateTest : public ::testing::TestWithParam<double> {};
 
@@ -129,9 +129,20 @@ TEST_P(DropRateTest, UpdateProtocolsSurviveAnyLossRate) {
   params.measured_iterations = 3;
   dsm::ClusterConfig cfg;
   cfg.num_nodes = 4;
-  cfg.costs.net.flush_drop_rate = GetParam();
+  cfg.faults = sim::FaultSpec::parse("kind=flushbatch,drop=" +
+                                     std::to_string(GetParam()));
+  cfg.fault_seed = 5;
+  // bar-u's diffs to home ride the same batches as its pushes, but
+  // reliably: give them enough retries to get through at 95 % loss
+  // (0.95^1000 is nil) while nearly every push is still lost.
+  cfg.retry.max_attempts = 1000;
 
-  for (const auto kind : {ProtocolKind::LmwU, ProtocolKind::BarU}) {
+  // lmw-u stages only unreliable pushes, so it survives any loss rate.
+  // At 100 % loss a reliable batch can never arrive, so bar-u sweeps
+  // everything short of that.
+  std::vector<ProtocolKind> kinds{ProtocolKind::LmwU};
+  if (GetParam() < 1.0) kinds.push_back(ProtocolKind::BarU);
+  for (const auto kind : kinds) {
     const auto seq = harness::run_sequential("expl", cfg, params);
     const auto par = harness::run_app("expl", kind, cfg, params);
     EXPECT_EQ(par.checksum, seq.checksum)
@@ -142,6 +153,13 @@ TEST_P(DropRateTest, UpdateProtocolsSurviveAnyLossRate) {
       // fall back to demand misses.
       EXPECT_GT(par.counters.remote_misses, 0u);
     }
+  }
+  if (GetParam() == 1.0) {
+    // ...and a reliable batch that can never get through fails loudly
+    // instead of leaving a home stale.
+    EXPECT_THROW(
+        (void)harness::run_app("expl", ProtocolKind::BarU, cfg, params),
+        ProtocolError);
   }
 }
 

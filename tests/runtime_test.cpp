@@ -71,14 +71,16 @@ TEST(RuntimeTest, FlushChargesSenderAndReceiver) {
 
 TEST(RuntimeTest, DroppedFlushChargesSenderOnly) {
   ClusterConfig cfg = tiny_config();
-  cfg.costs.net.flush_drop_rate = 1.0;  // drop everything
+  cfg.faults = sim::FaultSpec::parse("kind=flush,drop=1");  // drop every flush
   Runtime rt(cfg, 8);
   ASSERT_FALSE(rt.flush(NodeId{0}, NodeId{1}, 512));
-  EXPECT_GT(rt.clock(NodeId{0}).in(TimeCat::Os), 0);
+  EXPECT_EQ(rt.clock(NodeId{0}).in(TimeCat::Os), rt.costs().net.send_trap);
   EXPECT_EQ(rt.clock(NodeId{1}).in(TimeCat::Sigio), 0)
       << "a dropped message never reaches the receiver";
-  // Reliable flushes ignore the drop rate.
-  ASSERT_TRUE(rt.flush(NodeId{0}, NodeId{1}, 512, /*reliable=*/true));
+  EXPECT_EQ(rt.net().stats().of(MsgKind::Flush).count, 1u);
+  EXPECT_EQ(rt.net().stats().of(MsgKind::Flush).dropped, 1u);
+  EXPECT_EQ(rt.counters().reliable_retries.load(), 0u)
+      << "fire-and-forget: a lost flush is never retransmitted";
 }
 
 TEST(RuntimeTest, ChargeDsmScalesPerByte) {

@@ -39,11 +39,9 @@ struct Options {
   std::string net_profile = "sp2";
   std::vector<std::string> cost_overrides;
   int adaptive_window = 4;
-  double drop_rate = 0.0;
   std::string faults;  // fault-spec text or a file containing one
   std::uint64_t fault_seed = 0;
   bool migration = true;
-  bool aggregate = true;
   int fanout = 0;           // 0 = flat barrier
   int relay_threshold = 0;  // 0 = relay off
   int relay_fanout = 4;
@@ -81,15 +79,12 @@ struct Options {
       "                    (pass an unknown key to list the valid ones)\n"
       "  --adaptive-window=W  sliding-window length (written epochs) for\n"
       "                    --protocol=adaptive (default 4)\n"
-      "  --drop-rate=F     fraction of update flushes dropped (default 0)\n"
       "  --faults=SPEC     fault-injection plan (inline spec or a file);\n"
-      "                    e.g. 'drop=0.1' or 'kind=flush,to=2,drop=0.5'\n"
+      "                    e.g. 'drop=0.1', or 'kind=flushbatch,drop=0.3' to\n"
+      "                    lose update pushes\n"
       "                    (see sim/fault_plan.hpp for the grammar)\n"
       "  --fault-seed=N    seed for the fault plan's decision streams\n"
       "  --no-migration    disable runtime home migration\n"
-      "  --no-aggregate    send one flush per page instead of one\n"
-      "                    aggregated batch per (sender, destination)\n"
-      "                    pair per barrier (results are bit-identical)\n"
       "  --fanout=K        k-ary tree barrier (0 = flat master barrier,\n"
       "                    the default; results are bit-identical)\n"
       "  --relay-threshold=N  relay a producer's update batches through a\n"
@@ -109,7 +104,7 @@ struct Options {
       "  --workers=M       OS threads multiplexing the simulated nodes\n"
       "                    (default: host cores, clamped to N; output is\n"
       "                    byte-identical for every M)\n"
-      "  --seed=N          RNG seed\n"
+      "  --seed=N          dataset seed for the synthetic workloads\n"
       "  --breakdown       print the Figure-3 style time breakdown\n"
       "  --hot-pages=N     print the N busiest pages with their owners\n"
       "  --per-node        print per-node times\n"
@@ -156,8 +151,6 @@ Options parse(int argc, char** argv) {
       opt.cost_overrides.emplace_back(v);
     } else if (const char* v = value("--adaptive-window=")) {
       opt.adaptive_window = std::atoi(v);
-    } else if (const char* v = value("--drop-rate=")) {
-      opt.drop_rate = std::atof(v);
     } else if (const char* v = value("--faults=")) {
       opt.faults = v;
     } else if (const char* v = value("--fault-seed=")) {
@@ -194,8 +187,6 @@ Options parse(int argc, char** argv) {
       opt.relay_fanout = std::atoi(v);
     } else if (arg == "--no-migration") {
       opt.migration = false;
-    } else if (arg == "--no-aggregate") {
-      opt.aggregate = false;
     } else if (const char* v = value("--hot-pages=")) {
       opt.hot_pages = std::atoi(v);
     } else if (arg == "--breakdown") {
@@ -220,23 +211,18 @@ dsm::ClusterConfig cluster_config(const Options& opt) {
   dsm::ClusterConfig cfg;
   cfg.num_nodes = opt.nodes;
   cfg.page_size = opt.page_size;
-  cfg.seed = opt.seed;
   cfg.gang = opt.gang;
   cfg.workers = opt.workers;
   cfg.home_migration = opt.migration;
-  cfg.aggregate_flushes = opt.aggregate;
   cfg.barrier_fanout = opt.fanout;
   cfg.relay_threshold = opt.relay_threshold;
   cfg.relay_fanout = opt.relay_fanout;
-  // Profile first, overrides second, then the local knobs that also live in
-  // the cost model -- so --drop-rate composes with either profile.
   cfg.net_profile = opt.net_profile;
   cfg.costs = sim::CostModel::from_profile(opt.net_profile);
   sim::apply_cost_overrides(cfg.costs, opt.cost_overrides);
   cfg.adaptive_window = opt.adaptive_window;
   cfg.staleness_bound = opt.staleness;
   cfg.async_tolerance = opt.tolerance;
-  cfg.costs.net.flush_drop_rate = opt.drop_rate;
   if (!opt.faults.empty()) {
     cfg.faults = sim::FaultSpec::parse(load_fault_spec(opt.faults));
     cfg.fault_seed = opt.fault_seed;
