@@ -67,8 +67,9 @@ struct FlushRecordView {
 /// Builds one per-destination batch. Records serialize at stage time (the
 /// protocol recycles its diff immediately after staging), so the writer owns
 /// the only copy of the bytes between barrier arrival and seal. reset()
-/// keeps the buffer capacity: in steady state a run's whole aggregation
-/// traffic is serialized through n*n retained buffers with no allocation.
+/// keeps the buffer capacity, and the runtime lends each live batch a
+/// pooled buffer (adopt_buffer/release_buffer): in steady state a run's
+/// whole aggregation traffic is serialized with no allocation.
 class FlushBatchWriter {
  public:
   void begin(NodeId sender);

@@ -42,7 +42,6 @@ class NullProtocol final : public CoherenceProtocol {
   [[nodiscard]] bool parallel_safe() const override { return true; }
   void barrier_arrive(NodeId) override {}
   void barrier_master() override {}
-  void barrier_release(NodeId) override {}
 };
 
 }  // namespace updsm::dsm

@@ -6,10 +6,13 @@
 // allocation path of every barrier. Instead each gang worker owns one
 // PoolArena, and every node's allocations route to the arena of the worker
 // that *owns the node* (Gang::owner_worker) -- not whichever thread happens
-// to run -- so the routing is deterministic and, since mid-phase only the
-// owning worker executes a node and barrier hooks run on the controller
-// with all workers parked (the phase barrier provides the happens-before),
-// completely uncontended: no pool is ever touched by two threads at once.
+// to run -- so the routing is deterministic and completely uncontended: no
+// pool is ever touched by two threads at once. Mid-phase only the owning
+// worker executes a node; a barrier fan-out (Gang::for_each_node) runs each
+// node's share on that same worker, except that the controller runs worker
+// 0's share while worker 0 is parked; and the controller's serial barrier
+// work runs only while no node and no share does (the phase barrier and
+// the fan-out's completion count provide the happens-before).
 //
 // Pool state can never affect simulation results: takers clear or
 // fully overwrite recycled buffers (Diff::create_into clears, twin create
@@ -31,9 +34,9 @@ struct alignas(64) PoolArena {
   mem::DiffPool diffs{256};
   /// Page-sized buffers: twins and service snapshots.
   mem::BufferPool pages{256};
-  /// FlushBatchWriter backing stores, borrowed when a (from, to) batch
-  /// slot goes live at stage time and returned at seal -- retained batch
-  /// capacity is O(active pairs through bounded pools), not O(n^2).
+  /// FlushBatchWriter backing stores, borrowed when a sender opens a
+  /// batch for a destination at stage time and returned at seal --
+  /// retained batch capacity is O(active pairs through bounded pools).
   mem::BufferPool batch_buffers{64};
 };
 

@@ -21,20 +21,40 @@
 //      barrier_begin()    -- (optional) replay per-node deferred-work logs
 //                            from the finished phase, in node order, before
 //                            any arrival processing;
-//      barrier_arrive(n)  -- capture node n's modifications (diff creation,
-//                            flush sends); must not touch other nodes'
-//                            frames;
+//      barrier_arrive(n)  -- node n's arrival: capture its modifications
+//                            (diff creation, flush staging); must not touch
+//                            other nodes' frames;
 //      barrier_master()   -- apply queued diffs at homes, bump versions,
 //                            aggregate write notices, decide migrations;
-//      barrier_release(n) -- node-n-side release work: invalidations,
-//                            applying received updates, re-arming write
-//                            traps, overdrive pre-twinning;
-//      barrier_finish()   -- (optional) refresh barrier-frozen shadow state
-//                            (e.g. frozen copysets) after all release work.
+//      barrier_release(n) -- (optional, default no-op) serial node-n-side
+//                            release work: invalidations, applying received
+//                            updates, re-arming write traps, overdrive
+//                            pre-twinning;
+//      barrier_finish()   -- (optional) release work fanned out, then
+//                            refresh barrier-frozen shadow state (e.g.
+//                            frozen copysets).
 //    The phase split mirrors the real message flow and guarantees that diff
 //    creation always reads frames that contain exactly the creator's own
-//    epoch modifications. Because every hook here is controller-context and
-//    node-ordered, barrier effects are deterministic in both gang modes.
+//    epoch modifications.
+//
+//  * Node-local barrier work may run on the gang workers: from inside
+//    barrier_begin() or barrier_finish() a protocol calls
+//    Runtime::for_each_node(fn), which runs fn(n) for every node as a
+//    share of the worker that owns n (worker 0's on the controller) --
+//    concurrently under GangMode::Parallel. Such a
+//    share follows the fault handlers' rule (b) strictly: it reads state
+//    frozen for the barrier, writes only node n's own state (frames,
+//    clock, arena, outbox, per-node logs) plus commutative counters, and
+//    emits trace lines only into node n's buffer. Every cross-node write
+//    is logged per node and *published* by the serial hook. bar and lmw
+//    split arrival this way: barrier_begin() fans the capture out, and
+//    barrier_arrive(n) replays node n's log in node order (note_writer,
+//    write notices, queued diffs, arrival payload), emitting no trace
+//    lines; their release is node-local already, so barrier_finish() fans
+//    it out and barrier_release(n) stays the default no-op. Hooks that are
+//    themselves serial and node-ordered (async-*, sc-sw) need no split.
+//    Either way every barrier effect, counter and trace line is identical
+//    in every gang mode and for every worker count.
 #pragma once
 
 #include <cstdint>
@@ -78,10 +98,14 @@ class CoherenceProtocol {
 
   virtual void barrier_arrive(NodeId n) = 0;
   virtual void barrier_master() = 0;
-  virtual void barrier_release(NodeId n) = 0;
 
-  /// Runs last at every barrier, after all release work: the place to
-  /// refresh shadow copies of state that the next phase reads mid-phase.
+  /// Serial per-node release work; a no-op for protocols that fan their
+  /// release out from barrier_finish().
+  virtual void barrier_release(NodeId n) { (void)n; }
+
+  /// Runs last at every barrier, after every barrier_release: the place to
+  /// fan release work out and to refresh shadow copies of state that the
+  /// next phase reads mid-phase.
   virtual void barrier_finish() {}
 
   /// SUIF-style annotation: node `n` is starting the body of a new

@@ -90,12 +90,28 @@ class Runtime {
   [[nodiscard]] PoolArena& arena(int w) { return *arenas_[w]; }
   /// The arena of the worker that *owns* node `n` (Gang::owner_worker) --
   /// not whichever thread happens to call. Deterministic routing keeps the
-  /// loan accounting exact and the pools uncontended (only the owning
-  /// worker touches a node mid-phase; barrier hooks run with workers
-  /// parked).
+  /// loan accounting exact and the pools uncontended: only the owning
+  /// worker touches a node mid-phase and in a for_each_node share, and the
+  /// controller's serial barrier work runs while no share does.
   [[nodiscard]] PoolArena& arena_for_node(NodeId n) {
     return *arenas_[node_arena_[check(n)]];
   }
+
+  // --- barrier-time fan-out -------------------------------------------------
+  /// Wires the gang whose barrier callback drives this runtime (Cluster
+  /// does it before the protocol's init). Its worker count must match.
+  void bind_gang(sim::Gang& gang);
+
+  /// Runs `fn(n)` once for every node as a share of the gang worker that
+  /// owns n (sim::Gang::for_each_node: concurrently under the parallel
+  /// gang, in node order under the baton and async gangs; worker 0's share
+  /// on the calling controller), then appends the lines the shares traced,
+  /// in node order. For the node-local part of a protocol's barrier work:
+  /// a share may touch only node n's frames, clocks, arena and outbox plus
+  /// commutative counters, and must leave every cross-node write to the
+  /// controller. Only from a barrier hook of a Cluster run; rethrows the
+  /// lowest-numbered node's exception once every share has finished.
+  void for_each_node(const std::function<void(NodeId)>& fn);
 
   [[nodiscard]] sim::Network& net() { return net_; }
   [[nodiscard]] const sim::Network& net() const { return net_; }
@@ -157,14 +173,17 @@ class Runtime {
   using FlushDeliverFn = std::function<void(const FlushRecordView&)>;
 
   /// Stages one barrier-time flush carrying `diff` for `page` into the
-  /// (from, to) batch. The record is serialized now, so `diff` may be
-  /// recycled as soon as this returns; `on_deliver` is deferred until
-  /// seal_flush_batches() transmits the batch. A batch containing any
-  /// reliable record (a diff-to-home flush) rides the reliable channel as a
-  /// whole; piggybacked update records are then delivered too, which only
-  /// *reduces* later recovery work and never changes results. Barrier
-  /// context only (the staging loops are node-ordered, so batch contents
-  /// are deterministic).
+  /// (from, to) batch of `from`'s outbox. The record is serialized now, so
+  /// `diff` may be recycled as soon as this returns; `on_deliver` is
+  /// deferred until seal_flush_batches() transmits the batch. A batch
+  /// containing any reliable record (a diff-to-home flush) rides the
+  /// reliable channel as a whole; piggybacked update records are then
+  /// delivered too, which only *reduces* later recovery work and never
+  /// changes results. Touches only the sender's outbox, arena and
+  /// destination hints, so the owners of different senders may stage
+  /// concurrently (for_each_node shares stage as their own node); each
+  /// sender's stage calls are ordered, so batch contents are
+  /// deterministic.
   void stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                    const mem::Diff& diff, bool reliable,
                    FlushDeliverFn on_deliver);
@@ -173,9 +192,10 @@ class Runtime {
   /// message per (sender, destination) pair, in (sender asc, destination
   /// asc) order. Once every batch has been transmitted, runs the
   /// per-record delivery callbacks of the delivered ones in the same
-  /// order, by iterating the sealed bytes in place. Controller context
-  /// (Cluster calls it between the arrive loop and the releases). No-op
-  /// when nothing is staged.
+  /// order, by iterating the sealed bytes in place. Serial context, with
+  /// no stage_flush in flight: the controller (Cluster calls it between
+  /// the arrive loop and the releases) or a node holding the async turn.
+  /// No-op when nothing is staged.
   ///
   /// With config.relay_threshold > 0, a sender whose unreliable batches
   /// target more than relay_threshold distinct destinations ships them as
@@ -285,21 +305,43 @@ class Runtime {
   /// tree: the sealed wire bytes are never re-serialized, intermediate
   /// hops only account their forwarding.
   struct RelaySegment {
-    std::size_t slot;     // index into staged_ (encodes sender and dest)
+    std::uint32_t from;   // original sender (its outbox holds the batch)
+    std::uint32_t batch;  // index into that outbox's batches
     std::uint32_t to;     // final destination
     std::uint64_t bytes;  // sealed batch wire size
   };
   /// seal_flush_batches() pass 2: carries `segs` up and down the tree and
-  /// marks the slots of the segments that reached their destination.
+  /// marks the batches of the segments that reached their destination.
   void relay(const std::vector<RelaySegment>& segs);
 
-  /// One aggregation slot per (sender, destination) pair, reused every
-  /// barrier (writer buffers keep their capacity across reset()).
+  /// The aggregation slot of one (sender, destination) pair for the
+  /// barrier in flight. Its backing buffer is borrowed from the sender's
+  /// arena at the first record and returned at the seal; the slot itself
+  /// (and its deliver vector's capacity) is kept for later barriers.
   struct StagedBatch {
+    NodeId to;
     FlushBatchWriter writer;
     std::vector<FlushDeliverFn> deliver;  // one per staged record
     bool reliable = false;                // any reliable record upgrades all
     bool delivered = false;               // transient, set during the seal
+  };
+  /// One sender's batches: batches[0, live) are staged this barrier (first
+  /// stage order; the seal sorts them by destination), the rest are idle
+  /// slots kept for their capacity. Memory follows the destinations each
+  /// sender actually uses, not num_nodes^2.
+  struct Outbox {
+    std::vector<StagedBatch> batches;
+    std::size_t live = 0;
+  };
+  /// Destination -> batch-index hints of one worker's senders. `hint` is
+  /// only a guess and every lookup checks the batch's destination; it is
+  /// authoritative for "absent" while `sender` is the outbox it was built
+  /// for, and is rebuilt when staging switches to another of the worker's
+  /// senders. Keyed by the sender's owner worker, like the arenas, so
+  /// concurrent shares never share one.
+  struct DestHints {
+    std::uint32_t sender = ~0U;
+    std::vector<std::uint32_t> hint;  // [destination]
   };
 
   [[nodiscard]] std::size_t check(NodeId n) const {
@@ -323,12 +365,9 @@ class Runtime {
   std::unique_ptr<TraceLog> trace_;
   std::vector<PageStats> page_stats_;
   EpochId epoch_{0};
-  std::vector<StagedBatch> staged_;  // [from * num_nodes + to]
-  /// Slot indices touched since the last seal: seal iterates (and sorts)
-  /// this instead of scanning all num_nodes^2 slots -- at 1024 nodes the
-  /// full scan would dominate every barrier. Staging is barrier/controller
-  /// context only, so plain vector appends are race-free.
-  std::vector<std::size_t> staged_active_;
+  sim::Gang* gang_ = nullptr;  // set by bind_gang
+  std::vector<Outbox> outboxes_;       // [sender]
+  std::vector<DestHints> dest_hints_;  // [owner worker of the sender]
   std::vector<std::uint64_t> arrival_payload_;
   std::vector<std::uint64_t> release_payload_;
   bool measuring_ = false;

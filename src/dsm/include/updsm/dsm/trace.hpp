@@ -41,8 +41,12 @@
 // run end. Since every mid-phase line is emitted by the acting node's own
 // thread, the flushed order -- node 0's phase events, then node 1's, ... --
 // is exactly the order the serializing baton produced, so golden traces are
-// identical across gang modes. Controller-context lines (barrier work)
-// append directly.
+// identical across gang modes. Barrier work fanned out to the workers
+// (Runtime::for_each_node) runs with the share's node as exec node, so its
+// lines land in the same per-node buffers, and the fan-out flushes them in
+// node order before the controller's next line: the order a node-ordered
+// serial loop emits. Controller-context lines (the rest of the barrier
+// work) append directly.
 #pragma once
 
 #include <cstdint>

@@ -61,6 +61,8 @@ Cluster::Cluster(const ClusterConfig& config, const mem::SharedHeap& heap,
     const SimTime now = rt_.clock(NodeId{static_cast<std::uint32_t>(node)}).now();
     return now < 0 ? 0u : static_cast<std::uint64_t>(now);
   });
+  // Barrier hooks fan their node-local work out to the gang's workers.
+  rt_.bind_gang(gang_);
   protocol_->init(rt_);
 }
 
@@ -274,12 +276,13 @@ void Cluster::do_barrier(std::uint64_t index) {
   const NodeId master = rt_.master();
   const auto& net_costs = rt_.costs().net;
 
-  // Replay of mid-phase deferred work (per-node logs), in node order.
+  // Replay of mid-phase deferred work (per-node logs), in node order; a
+  // protocol may also fan its per-node arrival capture out here.
   protocol_->barrier_begin();
 
-  // Phase A: every node captures its own epoch modifications. Strict node
-  // order; each hook reads only its own frames and stages its diffs and
-  // update pushes into per-destination batches.
+  // Phase A: every node's arrival, in strict node order. Each hook reads
+  // only its own frames and stages its diffs and update pushes into its
+  // own outbox (or publishes what barrier_begin captured for it).
   for (int i = 0; i < n; ++i) {
     protocol_->barrier_arrive(NodeId{static_cast<std::uint32_t>(i)});
   }
@@ -453,7 +456,8 @@ void Cluster::do_barrier(std::uint64_t index) {
     protocol_->barrier_release(NodeId{static_cast<std::uint32_t>(i)});
   }
 
-  // Refresh barrier-frozen shadow state for the next phase's readers.
+  // Release work fanned out over all nodes, then refresh barrier-frozen
+  // shadow state for the next phase's readers.
   protocol_->barrier_finish();
 
   if (auto* trace = rt_.trace()) {

@@ -1,5 +1,7 @@
 #include "updsm/dsm/flush_batch.hpp"
 
+#include <algorithm>
+
 #include "updsm/common/error.hpp"
 
 namespace updsm::dsm {
@@ -53,6 +55,14 @@ void FlushBatchWriter::begin(NodeId sender) {
 void FlushBatchWriter::add(PageId page, NodeId creator, EpochId epoch,
                            const mem::Diff& diff) {
   UPDSM_CHECK(!buf_.empty());  // begin() first
+  // Grow once per record, not once per field: staging runs on the gang
+  // workers, where every reallocation lands in a per-thread malloc arena.
+  const std::size_t need =
+      buf_.size() + kFlushRecordHeaderBytes +
+      diff.run_count() * sizeof(mem::DiffRun) + pad4(diff.payload().size());
+  if (need > buf_.capacity()) {
+    buf_.reserve(std::max(need, 2 * buf_.capacity()));
+  }
   put_u32(buf_, page.value());
   put_u32(buf_, creator.value());
   put_u64(buf_, epoch.value());

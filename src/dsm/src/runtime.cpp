@@ -1,9 +1,11 @@
 #include "updsm/dsm/runtime.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "updsm/common/log.hpp"
+#include "updsm/sim/exec_context.hpp"
 
 namespace updsm::dsm {
 
@@ -51,13 +53,11 @@ Runtime::Runtime(const ClusterConfig& config, std::uint32_t num_pages)
                                                    config.fault_seed, n);
   }
   page_stats_.assign(num_pages, PageStats{});
-  staged_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  // One active batch per sender up front; the index then keeps whatever
-  // capacity the busiest barrier needed. Not a no-op for memory: peak RSS
-  // of the 8-node fft bar-u benchmark is bimodal under glibc's per-thread
-  // tcache (~65.6 vs ~70 MB), and this allocation keeps it in the lower
-  // mode. Dropping it reads as a ~7 % RSS regression (ROADMAP, peak RSS).
-  staged_active_.reserve(static_cast<std::size_t>(n));
+  outboxes_.resize(static_cast<std::size_t>(n));
+  dest_hints_.resize(static_cast<std::size_t>(workers_));
+  for (DestHints& hints : dest_hints_) {
+    hints.hint.assign(static_cast<std::size_t>(n), 0);
+  }
   arrival_payload_.assign(static_cast<std::size_t>(n), 0);
   release_payload_.assign(static_cast<std::size_t>(n), 0);
   measure_mark_.assign(static_cast<std::size_t>(n), 0);
@@ -249,94 +249,134 @@ bool Runtime::flush(NodeId from, NodeId to, std::uint64_t bytes) {
   return send_unreliable(MsgKind::Flush, from, to, bytes, FlushTag{"flush"});
 }
 
+void Runtime::bind_gang(sim::Gang& gang) {
+  UPDSM_CHECK_MSG(gang.size() == num_nodes() && gang.workers() == workers_,
+                  "gang of " << gang.size() << " nodes / " << gang.workers()
+                             << " workers bound to a runtime of "
+                             << num_nodes() << " / " << workers_);
+  gang_ = &gang;
+}
+
+void Runtime::for_each_node(const std::function<void(NodeId)>& fn) {
+  UPDSM_REQUIRE(gang_ != nullptr,
+                "Runtime::for_each_node needs a gang: call it from a "
+                "barrier hook of a Cluster run");
+  gang_->for_each_node(
+      [&fn](int n) { fn(NodeId{static_cast<std::uint32_t>(n)}); });
+  // The shares traced into their nodes' buffers; merging them here, in
+  // node order, reproduces the lines a node-ordered serial loop emits.
+  if (trace_) trace_->flush_node_buffers();
+}
+
 void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                           const mem::Diff& diff, bool reliable,
                           FlushDeliverFn on_deliver) {
   UPDSM_CHECK_MSG(from != to, "self-flush on node " << from);
-  const std::size_t idx =
-      from.index() * static_cast<std::size_t>(num_nodes()) + to.index();
-  StagedBatch& slot = staged_[idx];
-  if (slot.writer.bytes().empty()) {
-    // Borrow the backing buffer from the sender-owner's arena for the
-    // lifetime of this barrier's batch; seal returns it. Retained batch
-    // capacity is thus bounded by the arenas, not by n^2 live slots.
-    slot.writer.adopt_buffer(arena_for_node(from).batch_buffers.take());
-    slot.writer.begin(from);
-    staged_active_.push_back(idx);
+  const int owner = node_arena_[check(from)];
+  UPDSM_CHECK_MSG(sim::current_exec_worker() == sim::kControllerContext ||
+                      sim::current_exec_worker() == owner,
+                  "node " << from << " staged on worker "
+                          << sim::current_exec_worker() << ", owner is "
+                          << owner);
+  Outbox& box = outboxes_[from.index()];
+  DestHints& hints = dest_hints_[static_cast<std::size_t>(owner)];
+  if (hints.sender != from.value()) {
+    // Staging switched senders on this worker: re-point the hints at this
+    // outbox's live batches (none at a sender's first record of a barrier).
+    hints.sender = from.value();
+    for (std::size_t i = 0; i < box.live; ++i) {
+      hints.hint[box.batches[i].to.index()] = static_cast<std::uint32_t>(i);
+    }
   }
-  slot.writer.add(page, creator, epoch_, diff);
-  slot.deliver.push_back(std::move(on_deliver));
-  slot.reliable = slot.reliable || reliable;
+  std::uint32_t& hint = hints.hint[check(to)];
+  if (hint >= box.live || box.batches[hint].to != to) {
+    // First record for this destination: open a batch, borrowing its
+    // backing buffer from the sender-owner's arena until the seal returns
+    // it. Retained batch capacity is thus bounded by the arenas.
+    if (box.live == box.batches.size()) box.batches.emplace_back();
+    hint = static_cast<std::uint32_t>(box.live++);
+    StagedBatch& fresh = box.batches[hint];
+    fresh.to = to;
+    fresh.writer.adopt_buffer(arena_for_node(from).batch_buffers.take());
+    fresh.writer.begin(from);
+  }
+  StagedBatch& batch = box.batches[hint];
+  batch.writer.add(page, creator, epoch_, diff);
+  batch.deliver.push_back(std::move(on_deliver));
+  batch.reliable = batch.reliable || reliable;
 }
 
 void Runtime::seal_flush_batches() {
-  if (staged_active_.empty()) return;
-  const std::size_t n = static_cast<std::size_t>(num_nodes());
   const int threshold = config_.relay_threshold;
-  // Stage order interleaves destinations; transmission and delivery happen
-  // in (sender asc, destination asc) order, exactly as a full-grid scan
-  // would visit the non-empty slots.
-  std::sort(staged_active_.begin(), staged_active_.end());
-
-  // Route decision per sender: a producer whose unreliable batches target
-  // more than relay_threshold distinct destinations ships them through the
-  // dissemination tree; reliable (diff-to-home) batches always stay
-  // unicast. With relaying off every batch is unicast.
-  std::vector<int> unreliable_targets;
-  if (threshold > 0) {
-    unreliable_targets.assign(n, 0);
-    for (const std::size_t idx : staged_active_) {
-      if (!staged_[idx].reliable) ++unreliable_targets[idx / n];
-    }
-  }
   std::vector<RelaySegment> segs;
 
-  // Pass 1: seal + census every batch and transmit the unicast ones.
-  // Delivery callbacks wait for pass 3 so their global order is independent
-  // of routing (clock charges are additive and fault streams are per-(kind,
-  // from, to), so deferral cannot change any outcome).
-  for (const std::size_t idx : staged_active_) {
-    StagedBatch& slot = staged_[idx];
-    const NodeId from{static_cast<std::uint32_t>(idx / n)};
-    const NodeId to{static_cast<std::uint32_t>(idx % n)};
-    slot.writer.seal();
-    const std::uint64_t bytes = slot.writer.bytes().size();
-    const std::uint64_t records = slot.writer.record_count();
-    const bool relayed = threshold > 0 && !slot.reliable &&
-                         unreliable_targets[idx / n] > threshold;
+  // Pass 1, (sender asc, destination asc): seal + census every batch and
+  // transmit the unicast ones. Delivery callbacks wait for pass 3 so their
+  // global order is independent of routing (clock charges are additive and
+  // fault streams are per-(kind, from, to), so deferral cannot change any
+  // outcome).
+  for (std::size_t f = 0; f < outboxes_.size(); ++f) {
+    Outbox& box = outboxes_[f];
+    if (box.live == 0) continue;
+    const auto staged = std::span(box.batches).first(box.live);
+    // Stage order follows the sender's pages; transmission follows
+    // destinations.
+    std::sort(staged.begin(), staged.end(),
+              [](const StagedBatch& a, const StagedBatch& b) {
+                return a.to < b.to;
+              });
+    // Route decision: a producer whose unreliable batches target more than
+    // relay_threshold distinct destinations ships them through the
+    // dissemination tree; reliable (diff-to-home) batches always stay
+    // unicast. With relaying off every batch is unicast.
+    const bool relay_sender =
+        threshold > 0 &&
+        std::count_if(staged.begin(), staged.end(),
+                      [](const StagedBatch& b) { return !b.reliable; }) >
+            threshold;
+    const NodeId from{static_cast<std::uint32_t>(f)};
+    for (std::size_t b = 0; b < staged.size(); ++b) {
+      StagedBatch& slot = staged[b];
+      const NodeId to = slot.to;
+      slot.writer.seal();
+      const std::uint64_t bytes = slot.writer.bytes().size();
+      const std::uint64_t records = slot.writer.record_count();
+      const bool relayed = relay_sender && !slot.reliable;
 
-    // Record census: once per batch, never per transmission attempt or
-    // tree hop, so fault-injected retries cannot inflate it and
-    // flush_class_records() stays invariant under routing.
-    net_.note_records(relayed ? MsgKind::FlushRelay : MsgKind::FlushBatch,
-                      records);
-    ++counters_.flush_batches;
-    counters_.flush_batch_records += records;
-    if (records > counters_.flush_batch_records_max.load()) {
-      counters_.flush_batch_records_max = records;
-    }
-    const std::uint64_t cur_min = counters_.flush_batch_records_min.load();
-    if (cur_min == 0 || records < cur_min) {
-      counters_.flush_batch_records_min = records;
-    }
-    counters_.flush_batch_header_bytes_saved +=
-        (records - 1) * costs().net.header_bytes;
+      // Record census: once per batch, never per transmission attempt or
+      // tree hop, so fault-injected retries cannot inflate it and
+      // flush_class_records() stays invariant under routing.
+      net_.note_records(relayed ? MsgKind::FlushRelay : MsgKind::FlushBatch,
+                        records);
+      ++counters_.flush_batches;
+      counters_.flush_batch_records += records;
+      if (records > counters_.flush_batch_records_max.load()) {
+        counters_.flush_batch_records_max = records;
+      }
+      const std::uint64_t cur_min = counters_.flush_batch_records_min.load();
+      if (cur_min == 0 || records < cur_min) {
+        counters_.flush_batch_records_min = records;
+      }
+      counters_.flush_batch_header_bytes_saved +=
+          (records - 1) * costs().net.header_bytes;
 
-    const FlushTag tag{"flushbatch", records, 'r'};
-    if (relayed) {
-      ++counters_.relay_batches;
-      segs.push_back(RelaySegment{idx, to.value(), bytes});
-    } else if (slot.reliable) {
-      // Any diff-to-home record makes the whole batch reliable; with no
-      // fault plan reliable_send degenerates to record + send trap.
-      (void)reliable_send(MsgKind::FlushBatch, from, to, bytes);
-      if (trace_) trace_flush(tag, from, to, bytes, /*delivered=*/true);
-      clock(to).advance(TimeCat::Sigio, costs().net.recv_trap);
-      os(to).count_recv();
-      slot.delivered = true;
-    } else {
-      slot.delivered =
-          send_unreliable(MsgKind::FlushBatch, from, to, bytes, tag);
+      const FlushTag tag{"flushbatch", records, 'r'};
+      if (relayed) {
+        ++counters_.relay_batches;
+        segs.push_back(RelaySegment{from.value(), static_cast<std::uint32_t>(b),
+                                    to.value(), bytes});
+      } else if (slot.reliable) {
+        // Any diff-to-home record makes the whole batch reliable; with no
+        // fault plan reliable_send degenerates to record + send trap.
+        (void)reliable_send(MsgKind::FlushBatch, from, to, bytes);
+        if (trace_) trace_flush(tag, from, to, bytes, /*delivered=*/true);
+        clock(to).advance(TimeCat::Sigio, costs().net.recv_trap);
+        os(to).count_recv();
+        slot.delivered = true;
+      } else {
+        slot.delivered =
+            send_unreliable(MsgKind::FlushBatch, from, to, bytes, tag);
+      }
     }
   }
 
@@ -346,33 +386,38 @@ void Runtime::seal_flush_batches() {
   // Pass 3, (sender, destination) order: run the delivery callbacks of
   // every batch that arrived -- unicast or relayed -- by iterating the
   // sealed bytes in place (every delivery round-trips the wire format),
-  // then reset the slots. A lost batch loses *all* its records; the
+  // then reset the batches. A lost batch loses *all* its records; the
   // protocols heal through their per-record recovery (bar version-index
   // invalidation, lmw lazy refetch).
-  for (const std::size_t idx : staged_active_) {
-    StagedBatch& slot = staged_[idx];
-    if (slot.delivered) {
-      FlushBatchReader reader(slot.writer.bytes());
-      UPDSM_CHECK(reader.header_ok());
-      FlushRecordView rec;
-      for (const FlushDeliverFn& fn : slot.deliver) {
-        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
-        if (fn) fn(rec);
+  for (std::size_t f = 0; f < outboxes_.size(); ++f) {
+    Outbox& box = outboxes_[f];
+    for (StagedBatch& slot : std::span(box.batches).first(box.live)) {
+      if (slot.delivered) {
+        FlushBatchReader reader(slot.writer.bytes());
+        UPDSM_CHECK(reader.header_ok());
+        FlushRecordView rec;
+        for (const FlushDeliverFn& fn : slot.deliver) {
+          UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
+          if (fn) fn(rec);
+        }
+        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
       }
-      UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
+      arena_for_node(NodeId{static_cast<std::uint32_t>(f)})
+          .batch_buffers.recycle(slot.writer.release_buffer());
+      slot.deliver.clear();
+      slot.reliable = false;
+      slot.delivered = false;
     }
-    const NodeId from{static_cast<std::uint32_t>(idx / n)};
-    arena_for_node(from).batch_buffers.recycle(slot.writer.release_buffer());
-    slot.deliver.clear();
-    slot.reliable = false;
-    slot.delivered = false;
+    box.live = 0;
   }
-  staged_active_.clear();
 }
 
 void Runtime::relay(const std::vector<RelaySegment>& segs) {
   const std::size_t n = static_cast<std::size_t>(num_nodes());
   const std::size_t fanout = static_cast<std::size_t>(config_.relay_fanout);
+  const auto arrived = [&](std::size_t s) {
+    outboxes_[segs[s].from].batches[segs[s].batch].delivered = true;
+  };
   // One FlushRelay message per tree edge, fire-and-forget like an
   // unreliable unicast batch; a dropped hop loses every segment aboard.
   const auto hop = [&](std::size_t from, std::size_t to,
@@ -400,13 +445,13 @@ void Runtime::relay(const std::vector<RelaySegment>& segs) {
   // subtree.
   std::vector<std::vector<std::size_t>> at(n);
   for (std::size_t s = 0; s < segs.size(); ++s) {
-    at[segs[s].slot / n].push_back(s);
+    at[segs[s].from].push_back(s);
   }
   for (std::size_t i = n; i-- > 1;) {
     std::vector<std::size_t> onward;
     for (const std::size_t s : at[i]) {
       if (segs[s].to == i) {
-        staged_[segs[s].slot].delivered = true;
+        arrived(s);
       } else {
         onward.push_back(s);
       }
@@ -419,7 +464,7 @@ void Runtime::relay(const std::vector<RelaySegment>& segs) {
     }
   }
   for (const std::size_t s : at[0]) {
-    if (segs[s].to == 0) staged_[segs[s].slot].delivered = true;
+    if (segs[s].to == 0) arrived(s);
   }
   const auto in_subtree = [fanout](std::size_t t, std::size_t c) {
     while (t > c) t = (t - 1) / fanout;
@@ -436,7 +481,7 @@ void Runtime::relay(const std::vector<RelaySegment>& segs) {
       if (down.empty() || !hop(i, c, down)) continue;
       for (const std::size_t s : down) {
         if (segs[s].to == c) {
-          staged_[segs[s].slot].delivered = true;
+          arrived(s);
         } else {
           at[c].push_back(s);
         }

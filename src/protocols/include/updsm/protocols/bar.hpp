@@ -85,9 +85,13 @@ class BarProtocol : public dsm::CoherenceProtocol {
     }
     return live;
   }
+  /// Fans capture_arrival out over all nodes (Runtime::for_each_node).
+  void barrier_begin() override;
+  /// Publishes node n's captured writes, in node order; no trace lines.
   void barrier_arrive(NodeId n) override;
   void barrier_master() override;
-  void barrier_release(NodeId n) override;
+  /// Fans release_node out over all nodes, then refreshes the frozen
+  /// copysets and the service snapshots. barrier_release stays a no-op.
   void barrier_finish() override;
   void iteration_begin(NodeId n, std::uint64_t iteration) override;
 
@@ -131,7 +135,8 @@ class BarProtocol : public dsm::CoherenceProtocol {
     return false;
   }
   /// A non-empty diff of `bytes` payload was created at barrier arrival
-  /// (controller context, node order -- plain state is safe).
+  /// (called when barrier_arrive publishes the capture: controller
+  /// context, node order -- plain state is safe).
   virtual void observe_diff(NodeId, PageId, std::uint64_t /*bytes*/) {}
   /// A whole-page fetch was served (MID-PHASE: may run concurrently under
   /// the parallel gang -- implementations must use commutative updates).
@@ -179,6 +184,23 @@ class BarProtocol : public dsm::CoherenceProtocol {
     std::vector<QueuedDiff> queued;  // foreign diffs flushed to the home
   };
 
+  /// One cross-node write of a node's arrival capture. capture_arrival
+  /// runs concurrently on the gang workers, so instead of performing these
+  /// it logs them; barrier_arrive replays the log in node order, which
+  /// reproduces the serial order of every shared mutation exactly.
+  struct Captured {
+    enum class Op : std::uint8_t {
+      Writer,     // note_writer(n, page)
+      HomeWrote,  // the page's home_wrote flag
+      Diff,       // observe_diff(n, page, bytes)
+      Queue,      // `diff` joins the page's queue at the home
+    };
+    Op op;
+    PageId page;
+    std::uint64_t bytes = 0;
+    mem::Diff diff;
+  };
+
   struct InboxEntry {
     PageId page{0};
     NodeId creator{0};
@@ -217,6 +239,9 @@ class BarProtocol : public dsm::CoherenceProtocol {
     /// pages that gained a consumer -- the retrack decision the baton used
     /// to take inline at fetch time.
     std::vector<PageId> fetched_log;
+    /// This barrier's capture, published by barrier_arrive (capacity kept,
+    /// so steady-state barriers do not allocate it).
+    std::vector<Captured> captured;
     // --- learning state ------------------------------------------------
     std::uint64_t iteration = 0;
     /// rt.epoch() at each iteration_begin call (index = iteration number).
@@ -238,6 +263,15 @@ class BarProtocol : public dsm::CoherenceProtocol {
 
   void note_dirty(NodeId n, PageId page);
   void note_writer(NodeId n, PageId page);
+  /// Node n's side of arrival, run as its gang worker's share: audit,
+  /// home-effect re-arm, diff creation, twin discard/refresh, flush
+  /// staging and write-set learning. Writes only node n's state;
+  /// cross-node writes go to node(n).captured.
+  void capture_arrival(NodeId n);
+  /// Node n's release, run as its gang worker's share: invalidations,
+  /// update application, update-set learning and overdrive preparation,
+  /// all node-local.
+  void release_node(NodeId n);
   void run_migration();
   void engage_overdrive();
   /// Predicted write set of node `n` for epoch `e` (od must be active).
@@ -254,9 +288,9 @@ class BarProtocol : public dsm::CoherenceProtocol {
   /// Diff scratch routes through the per-worker arenas of the runtime
   /// (rt_->arena_for_node): creators take from -- and spent diffs recycle
   /// to -- the arena of the worker owning the node named in the call, so
-  /// mid-phase pool traffic is single-threaded by construction and the
-  /// barrier hooks (controller context, workers parked) drain the loans
-  /// deterministically.
+  /// pool traffic mid-phase and in capture/release shares (which run on
+  /// that worker) is single-threaded by construction, and the serial
+  /// barrier work drains the loans deterministically.
   std::vector<PageGlobal> global_;
   /// Pages touched this epoch (set at first write note; master consumes).
   std::vector<PageId> epoch_touched_;

@@ -48,10 +48,16 @@ class LmwProtocol final : public dsm::CoherenceProtocol {
   /// snapshots), mutations are node-local or commutative, and exclusivity
   /// exits are deferred to barrier_begin().
   [[nodiscard]] bool parallel_safe() const override { return true; }
+  /// Replays the exclusivity exits, then fans capture_arrival out over all
+  /// nodes (Runtime::for_each_node).
   void barrier_begin() override;
+  /// Publishes node n's write notices, in node order; no trace lines.
   void barrier_arrive(NodeId n) override;
   void barrier_master() override;
-  void barrier_release(NodeId n) override;
+  /// Fans release_node out over all nodes, then drops the epoch's notices
+  /// and runs a requested garbage collection. barrier_release stays a
+  /// no-op.
+  void barrier_finish() override;
   void iteration_begin(NodeId n, std::uint64_t iteration) override;
 
   /// Total bytes of diffs currently retained across all nodes (creators'
@@ -111,6 +117,9 @@ class LmwProtocol final : public dsm::CoherenceProtocol {
     /// which performs the creator-side exclusivity exit that the serializing
     /// baton used to do inline at fetch time.
     std::vector<std::pair<NodeId, PageId>> fast_fetches;
+    /// Write notices of this barrier's capture, in page order; published
+    /// into epoch_notices_ by barrier_arrive.
+    dsm::NoticeList notices;
   };
 
   /// Ensures node n has a current copy of `page` by fetching and applying
@@ -124,6 +133,14 @@ class LmwProtocol final : public dsm::CoherenceProtocol {
   /// Forces every node current on every page, then drops all diff state:
   /// the explicit global garbage collection homeless protocols need.
   void garbage_collect();
+
+  /// Node n's side of arrival, run as its gang worker's share: snapshot
+  /// refresh, diff creation, trap re-arm and update staging. Its notices
+  /// go to node(n).notices.
+  void capture_arrival(NodeId n);
+  /// Node n's release, run as its gang worker's share: pending notices,
+  /// invalidations and single-writer entry, all node-local.
+  void release_node(NodeId n);
 
   [[nodiscard]] NodeState& node(NodeId n) { return nodes_[n.index()]; }
 

@@ -35,7 +35,6 @@ class ScSwProtocol final : public dsm::CoherenceProtocol {
   // be deferred to the barrier. The cluster runs sc-sw under the baton.
   void barrier_arrive(NodeId) override {}
   void barrier_master() override {}
-  void barrier_release(NodeId) override {}
 
   [[nodiscard]] NodeId owner(PageId p) const { return pages_[p.index()].owner; }
 

@@ -259,11 +259,47 @@ void BarProtocol::write_fault(NodeId n, PageId page) {
   note_dirty(n, page);
 }
 
+void BarProtocol::barrier_begin() {
+  rt_->for_each_node([this](NodeId n) { capture_arrival(n); });
+}
+
 void BarProtocol::barrier_arrive(NodeId n) {
+  NodeState& st = node(n);
+  for (Captured& c : st.captured) {
+    PageGlobal& gp = gpage(c.page);
+    switch (c.op) {
+      case Captured::Op::Writer:
+        note_writer(n, c.page);
+        break;
+      case Captured::Op::HomeWrote:
+        gp.home_wrote = true;
+        break;
+      case Captured::Op::Diff:
+        observe_diff(n, c.page, c.bytes);
+        break;
+      case Captured::Op::Queue:
+        gp.queued.push_back(QueuedDiff{n, std::move(c.diff)});
+        break;
+    }
+  }
+  st.captured.clear();
+  // Arrival message metadata, meant as the ids of the pages this node
+  // modified. Model defect (ROADMAP, correctness): epoch_touched_ holds
+  // the distinct pages written by nodes 0..n so far, so the payload grows
+  // with the node id, and tree barriers sum it again per subtree. Kept
+  // as is so every result stays comparable with earlier runs.
+  rt_->add_arrival_payload(n, 8 * epoch_touched_.size());
+}
+
+void BarProtocol::capture_arrival(NodeId n) {
   NodeState& st = node(n);
   const EpochId epoch = rt_->epoch();
   const auto& dsm_costs = rt_->costs().dsm;
   const bool od_m_active = od_active_ && mode_ == BarMode::OverdriveM;
+  const auto log = [&st](Captured::Op op, PageId page,
+                         std::uint64_t bytes = 0) {
+    st.captured.push_back(Captured{op, page, bytes, {}});
+  };
 
   if (rt_->config().overdrive_audit && od_m_active) {
     audit_unpredicted_writes(n);
@@ -273,10 +309,9 @@ void BarProtocol::barrier_arrive(NodeId n) {
   // bump and trap re-arm, no diff anywhere. Must run before twin
   // processing so "has no twin" still distinguishes these pages.
   for (const PageId page : st.dirty_pages) {
-    PageGlobal& gp = gpage(page);
-    if (n == gp.home && !st.twins.has(page)) {
-      note_writer(n, page);
-      gp.home_wrote = true;
+    if (n == gpage(page).home && !st.twins.has(page)) {
+      log(Captured::Op::Writer, page);
+      log(Captured::Op::HomeWrote, page);
       if (!od_m_active) rt_->mprotect(n, page, Protect::Read);
     }
   }
@@ -341,8 +376,8 @@ void BarProtocol::barrier_arrive(NodeId n) {
       continue;
     }
     // A real modification exists: this node is a writer of the page.
-    note_writer(n, page);
-    observe_diff(n, page, diff.payload_bytes());
+    log(Captured::Op::Writer, page);
+    log(Captured::Op::Diff, page, diff.payload_bytes());
 
     if (n != gp.home) {
       // Flush the diff to the home: reliable (rides the barrier channel).
@@ -350,7 +385,7 @@ void BarProtocol::barrier_arrive(NodeId n) {
       // carries the cost, so no delivery callback is needed.
       rt_->stage_flush(n, gp.home, page, n, diff, /*reliable=*/true, {});
     } else {
-      gp.home_wrote = true;
+      log(Captured::Op::HomeWrote, page);
     }
 
     if (page_pushes_updates(page)) {
@@ -378,7 +413,8 @@ void BarProtocol::barrier_arrive(NodeId n) {
     }
 
     if (n != gp.home) {
-      gp.queued.push_back(QueuedDiff{n, std::move(diff)});
+      st.captured.push_back(
+          Captured{Captured::Op::Queue, page, 0, std::move(diff)});
     } else {
       rt_->arena_for_node(n).diffs.recycle(std::move(diff));
     }
@@ -393,9 +429,6 @@ void BarProtocol::barrier_arrive(NodeId n) {
 
   for (const PageId page : st.dirty_pages) st.dirty[page.index()] = false;
   st.dirty_pages.clear();
-
-  // Arrival message metadata: ids of pages this node modified.
-  rt_->add_arrival_payload(n, 8 * epoch_touched_.size());
 }
 
 void BarProtocol::barrier_master() {
@@ -673,7 +706,7 @@ void BarProtocol::audit_unpredicted_writes(NodeId n) {
   }
 }
 
-void BarProtocol::barrier_release(NodeId n) {
+void BarProtocol::release_node(NodeId n) {
   NodeState& st = node(n);
   const auto& dsm_costs = rt_->costs().dsm;
   const bool od_m_active = od_active_ && mode_ == BarMode::OverdriveM;
@@ -774,6 +807,7 @@ void BarProtocol::barrier_release(NodeId n) {
 }
 
 void BarProtocol::barrier_finish() {
+  rt_->for_each_node([this](NodeId n) { release_node(n); });
   // Refresh the barrier-frozen copyset shadows that mid-phase decisions
   // read: runs after all release work, with every node parked, so the next
   // phase sees one consistent, deterministic value per page.

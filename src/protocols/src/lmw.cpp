@@ -195,7 +195,6 @@ void LmwProtocol::barrier_begin() {
     exits.insert(exits.end(), st.fast_fetches.begin(), st.fast_fetches.end());
     st.fast_fetches.clear();
   }
-  if (exits.empty()) return;
   std::sort(exits.begin(), exits.end());
   exits.erase(std::unique(exits.begin(), exits.end()), exits.end());
 
@@ -224,9 +223,20 @@ void LmwProtocol::barrier_begin() {
     ++rt_->counters().private_exits;
     cs.snapshots.discard(page);
   }
+
+  rt_->for_each_node([this](NodeId n) { capture_arrival(n); });
 }
 
 void LmwProtocol::barrier_arrive(NodeId n) {
+  NodeState& st = node(n);
+  // Each notice rides this node's barrier arrival message.
+  rt_->add_arrival_payload(n, WriteNotice::kWireBytes * st.notices.size());
+  epoch_notices_.insert(epoch_notices_.end(), st.notices.begin(),
+                        st.notices.end());
+  st.notices.clear();
+}
+
+void LmwProtocol::capture_arrival(NodeId n) {
   NodeState& st = node(n);
   const EpochId epoch = rt_->epoch();
   const auto& dsm_costs = rt_->costs().dsm;
@@ -255,10 +265,9 @@ void LmwProtocol::barrier_arrive(NodeId n) {
       ++rt_->counters().zero_diffs;
       PageLocal& pl = st.pages[page.index()];
       if (pl.copyset.empty() && !pl.exclusive) {
-        epoch_notices_.push_back(WriteNotice{page, n, epoch});
+        st.notices.push_back(WriteNotice{page, n, epoch});
         st.epoch_diffed.push_back(page);
         pl.last_notice_epoch = epoch;
-        rt_->add_arrival_payload(n, WriteNotice::kWireBytes);
         st.created.squash_put(DiffStore::Key{page, epoch, n},
                               std::move(diff));
       } else {
@@ -267,12 +276,9 @@ void LmwProtocol::barrier_arrive(NodeId n) {
       continue;
     }
 
-    const WriteNotice notice{page, n, epoch};
-    epoch_notices_.push_back(notice);
+    st.notices.push_back(WriteNotice{page, n, epoch});
     st.epoch_diffed.push_back(page);
     st.pages[page.index()].last_notice_epoch = epoch;
-    // The notice itself rides this node's barrier arrival message.
-    rt_->add_arrival_payload(n, WriteNotice::kWireBytes);
 
     if (use_updates_) {
       // Push the diff, unreliably, to every known consumer; storage happens
@@ -330,7 +336,16 @@ void LmwProtocol::barrier_master() {
   }
 }
 
-void LmwProtocol::barrier_release(NodeId n) {
+void LmwProtocol::barrier_finish() {
+  rt_->for_each_node([this](NodeId n) { release_node(n); });
+  epoch_notices_.clear();
+  if (gc_requested_) {
+    gc_requested_ = false;
+    garbage_collect();
+  }
+}
+
+void LmwProtocol::release_node(NodeId n) {
   NodeState& st = node(n);
   std::vector<PageId> touched;
   for (const WriteNotice& wn : epoch_notices_) {
@@ -375,16 +390,6 @@ void LmwProtocol::barrier_release(NodeId n) {
     ++rt_->counters().private_entries;
   }
   st.epoch_diffed.clear();
-
-  const bool last_node =
-      n.value() + 1 == static_cast<std::uint32_t>(rt_->num_nodes());
-  if (last_node) {
-    epoch_notices_.clear();
-    if (gc_requested_) {
-      gc_requested_ = false;
-      garbage_collect();
-    }
-  }
 }
 
 void LmwProtocol::iteration_begin(NodeId /*n*/, std::uint64_t iteration) {

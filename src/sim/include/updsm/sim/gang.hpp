@@ -17,9 +17,10 @@
 //    or locks are needed anywhere in protocol or application code.
 //
 //  - GangMode::Parallel: between barriers ALL ready nodes run concurrently
-//    (up to M at a time, one per worker); the controller still runs barrier
-//    callbacks alone, with every worker parked. Determinism is preserved by
-//    the DSM layer's discipline, not by scheduling: mid-phase code may only
+//    (up to M at a time, one per worker); the controller runs the barrier
+//    callback, and the workers run only the per-node shares it fans out
+//    through for_each_node. Determinism is preserved by the DSM layer's
+//    discipline, not by scheduling: mid-phase code may only
 //    (a) read state frozen at the previous barrier, (b) perform commutative
 //    accounting (relaxed atomic adds), or (c) append to its own per-node
 //    logs, which the barrier callback merges in node order. See
@@ -49,6 +50,17 @@
 // nodes execute their part of the same epoch. Publishing new state happens
 // exclusively inside the barrier callback, which runs on the controller
 // thread while every node is parked.
+//
+// Workers inside the barrier callback: for_each_node(fn) runs fn(n) for
+// every node as its owner worker's share and returns once all shares are
+// done -- concurrently under Parallel, one share after another (ascending
+// node order) under Baton and Async. Worker 0's share runs on the caller,
+// which would otherwise sit idle, while that worker stays parked; so each
+// node's work, and each per-worker allocation arena, is still touched by
+// one thread at a time. It is how a protocol runs the node-local part of
+// its barrier work (diff capture, release-side application) on all
+// workers at once, the way every CVM node does it on its own CPU; the
+// callback keeps every cross-node write on the controller, in node order.
 //
 // Lifecycle:
 //   Gang gang(8, GangMode::Parallel, /*workers=*/4);
@@ -117,6 +129,20 @@ class Gang {
   /// returns once the barrier callback has completed and this node may run
   /// again (its baton turn, or the next phase in parallel mode).
   void barrier_wait(int node);
+
+  /// Barrier-callback fan-out: runs `fn(n)` once for every node, with
+  /// current_exec_node() == n inside the call (restored afterwards). The
+  /// nodes of worker w > 0 run on that worker; worker 0's nodes run on the
+  /// caller while worker 0 stays parked. That keeps what a node's share
+  /// allocates in the same heap every run (one worker's large share would
+  /// otherwise land in whichever malloc arena its new thread drew) and
+  /// saves a wake-up. Under Parallel the shares run concurrently; under
+  /// Baton and Async one at a time, in ascending node order. Returns once
+  /// every share has finished; if any fn(n) threw, every other share still
+  /// ran and the exception of the lowest such n is rethrown. Only the
+  /// controller may call it, from inside the barrier callback (never from
+  /// fn itself); any other call throws UsageError.
+  void for_each_node(const NodeFn& fn);
 
   /// Async mode only: yields this node's turn without parking it at a
   /// barrier. The scheduler re-admits the Ready node with the minimum
@@ -200,8 +226,21 @@ class Gang {
   };
 
   void worker_main(int worker);
-  void run_job_baton(int worker);
-  void run_job_parallel(int worker);
+  void run_job_baton(int worker, std::uint64_t& task_seen);
+  void run_job_parallel(int worker, std::uint64_t& task_seen);
+  /// True when a for_each_node share is posted for `worker` (never 0) and
+  /// it is its turn (always, under Parallel) -- the workers' parking loops
+  /// check it.
+  [[nodiscard]] bool task_ready(int worker, std::uint64_t task_seen) const;
+  /// Runs fn(n) for every node of `worker`'s span, in node order, keeping
+  /// the span's first exception in task_errors_[worker].
+  void run_share(int worker);
+  /// Baton and Async: lets the next worker run its share.
+  void pass_turn(int worker);
+  /// Runs `worker`'s share of the posted fan-out and reports it done.
+  void run_task(int worker, std::uint64_t& task_seen);
+  /// controller_*: barrier_cb(barriers_) with for_each_node enabled.
+  void run_barrier_cb(const BarrierFn& barrier_cb);
   [[nodiscard]] bool run_node_fiber(int node);  // true when node finished
   void unwind_owned(int worker);
   void detach_worker();
@@ -245,6 +284,22 @@ class Gang {
   /// release_parallel_phase() scratch: the workers it wakes (controller
   /// only; reserved up front so no barrier allocates).
   std::vector<int> live_workers_;
+
+  // for_each_node hand-off: the controller publishes task_fn_ with the
+  // task_epoch_ bump; each worker w > 0 runs its share once per epoch and
+  // counts down task_remaining_ (the last one wakes the controller). Under
+  // Baton and Async, task_turn_ passes the share from worker w to w + 1
+  // (0 = the caller, running worker 0's share). task_errors_[w] holds the
+  // first exception of w's share, which is its lowest-numbered throwing
+  // node (shares run in node order).
+  const NodeFn* task_fn_ = nullptr;
+  std::atomic<std::uint64_t> task_epoch_{0};
+  std::atomic<int> task_remaining_{0};
+  std::atomic<int> task_turn_{0};
+  std::vector<std::exception_ptr> task_errors_;  // [worker]
+  /// Set by the controller around barrier_cb; for_each_node's guard.
+  std::atomic<bool> in_barrier_cb_{false};
+  std::thread::id controller_thread_;  // the caller of run()
 
   // Baton mode: whose turn it is (kController between phases); turn_ and
   // the node statuses are guarded by baton_mu_ there.

@@ -1,15 +1,19 @@
 // Tests for the deterministic gang scheduler: strict node ordering, barrier
 // callback sequencing, error propagation and misuse detection -- plus the
 // parallel mode's contracts (concurrent phase admission, callback isolation,
-// pool reuse, and the same misuse/error behaviour as the baton).
+// pool reuse, and the same misuse/error behaviour as the baton) and the
+// barrier-callback fan-out (for_each_node) in every mode.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "updsm/sim/exec_context.hpp"
 #include "updsm/sim/gang.hpp"
 
 namespace updsm::sim {
@@ -410,6 +414,177 @@ TEST(GangWorkersTest, ErrorsPropagateWithSharedWorkers) {
         },
         [](std::uint64_t) {});
     EXPECT_EQ(visits.load(), 4);
+  }
+}
+
+// ---- for_each_node: the barrier-callback fan-out ------------------------
+
+struct FanOutCase {
+  GangMode mode;
+  int workers;
+};
+
+/// Every mode with one worker, a shared pool (uneven spans: 3+2+2 nodes)
+/// and one worker per node.
+std::vector<FanOutCase> fan_out_cases(int nodes) {
+  std::vector<FanOutCase> cases;
+  for (const auto mode : {GangMode::Parallel, GangMode::Baton, GangMode::Async}) {
+    for (const int workers : {1, 3, nodes}) cases.push_back({mode, workers});
+  }
+  return cases;
+}
+
+TEST(GangForEachNodeTest, RunsEveryNodeOnceOnItsOwnerInNodeOrder) {
+  constexpr int kNodes = 7;
+  constexpr int kBarriers = 3;
+  for (const FanOutCase c : fan_out_cases(kNodes)) {
+    SCOPED_TRACE(std::string(to_string(c.mode)) + " workers=" +
+                 std::to_string(c.workers));
+    Gang gang(kNodes, c.mode, c.workers);
+    // Each share writes only its own node's cells and its thread's log, so
+    // the parallel gang needs no locks here. The caller stands in for
+    // worker 0 (log 0).
+    std::vector<int> calls(kNodes, 0);
+    std::vector<int> exec(kNodes, -2);
+    std::vector<int> worker_of(kNodes, -2);
+    std::vector<std::vector<int>> per_worker(
+        static_cast<std::size_t>(gang.workers()));
+    const auto log_of = [](int exec_worker) {
+      return static_cast<std::size_t>(exec_worker < 0 ? 0 : exec_worker);
+    };
+    std::vector<int> serial_order;  // one share at a time in serial modes
+    std::atomic<int> stamp_errors{0};
+    int caller_exec_after = -2;
+    gang.run(
+        [&](int node) {
+          for (int b = 0; b < kBarriers; ++b) {
+            if (current_exec_node() != node) stamp_errors.fetch_add(1);
+            gang.barrier_wait(node);
+          }
+          if (current_exec_node() != node) stamp_errors.fetch_add(1);
+        },
+        [&](std::uint64_t) {
+          gang.for_each_node([&](int n) {
+            const auto i = static_cast<std::size_t>(n);
+            ++calls[i];
+            exec[i] = current_exec_node();
+            worker_of[i] = current_exec_worker();
+            per_worker[log_of(current_exec_worker())].push_back(n);
+            if (c.mode != GangMode::Parallel) serial_order.push_back(n);
+          });
+          caller_exec_after = current_exec_node();
+        });
+    EXPECT_EQ(stamp_errors.load(), 0)
+        << "node fibers keep their stamp across fan-outs";
+    EXPECT_EQ(caller_exec_after, kControllerContext);
+    for (int n = 0; n < kNodes; ++n) {
+      const auto i = static_cast<std::size_t>(n);
+      EXPECT_EQ(calls[i], kBarriers) << "node " << n;
+      EXPECT_EQ(exec[i], n);
+      // Worker 0 stays parked: its nodes run on the caller.
+      const int owner = Gang::owner_worker(n, kNodes, gang.workers());
+      EXPECT_EQ(worker_of[i], owner == 0 ? kControllerContext : owner);
+    }
+    for (int w = 0; w < gang.workers(); ++w) {
+      std::vector<int> expected;
+      for (int b = 0; b < kBarriers; ++b) {
+        for (int n = 0; n < kNodes; ++n) {
+          if (Gang::owner_worker(n, kNodes, gang.workers()) == w) {
+            expected.push_back(n);
+          }
+        }
+      }
+      EXPECT_EQ(per_worker[static_cast<std::size_t>(w)], expected)
+          << "worker " << w << " runs its nodes in ascending order";
+    }
+    if (c.mode != GangMode::Parallel) {
+      std::vector<int> expected;
+      for (int b = 0; b < kBarriers; ++b) {
+        for (int n = 0; n < kNodes; ++n) expected.push_back(n);
+      }
+      EXPECT_EQ(serial_order, expected);
+    }
+  }
+}
+
+TEST(GangForEachNodeTest, RethrowsLowestThrowingNodeAfterEveryShare) {
+  constexpr int kNodes = 7;
+  for (const FanOutCase c : fan_out_cases(kNodes)) {
+    SCOPED_TRACE(std::string(to_string(c.mode)) + " workers=" +
+                 std::to_string(c.workers));
+    Gang gang(kNodes, c.mode, c.workers);
+    std::vector<int> ran(kNodes, 0);
+    std::string caught;
+    gang.run([&](int node) { gang.barrier_wait(node); },
+             [&](std::uint64_t) {
+               try {
+                 gang.for_each_node([&](int n) {
+                   ran[static_cast<std::size_t>(n)] = 1;
+                   if (n == 3 || n == 5) {
+                     throw std::runtime_error("node " + std::to_string(n));
+                   }
+                 });
+               } catch (const std::runtime_error& e) {
+                 caught = e.what();
+               }
+             });
+    EXPECT_EQ(caught, "node 3");
+    EXPECT_EQ(ran, std::vector<int>(kNodes, 1))
+        << "a throwing share does not cancel the others";
+
+    // Uncaught, the exception leaves run() like any callback error, and
+    // the pool stays usable.
+    EXPECT_THROW(gang.run([&](int node) { gang.barrier_wait(node); },
+                          [&](std::uint64_t) {
+                            gang.for_each_node([](int n) {
+                              if (n == 5) throw std::logic_error("late");
+                            });
+                          }),
+                 std::logic_error);
+    std::atomic<int> shares{0};
+    gang.run([&](int node) { gang.barrier_wait(node); },
+             [&](std::uint64_t) {
+               gang.for_each_node([&](int) { shares.fetch_add(1); });
+             });
+    EXPECT_EQ(shares.load(), kNodes);
+  }
+}
+
+TEST(GangForEachNodeTest, RefusedOutsideTheBarrierCallback) {
+  constexpr int kNodes = 5;
+  for (const FanOutCase c : fan_out_cases(kNodes)) {
+    SCOPED_TRACE(std::string(to_string(c.mode)) + " workers=" +
+                 std::to_string(c.workers));
+    Gang gang(kNodes, c.mode, c.workers);
+    const auto noop = [](int) {};
+    EXPECT_THROW(gang.for_each_node(noop), UsageError) << "before any run";
+    std::atomic<int> refused_mid_phase{0};
+    std::atomic<int> refused_nested{0};
+    int shares = 0;
+    gang.run(
+        [&](int node) {
+          try {
+            gang.for_each_node(noop);
+          } catch (const UsageError&) {
+            refused_mid_phase.fetch_add(1);
+          }
+          gang.barrier_wait(node);
+        },
+        [&](std::uint64_t) {
+          gang.for_each_node([&](int) {
+            try {
+              gang.for_each_node(noop);
+            } catch (const UsageError&) {
+              refused_nested.fetch_add(1);
+            }
+          });
+          gang.for_each_node([&](int) {});
+          ++shares;
+        });
+    EXPECT_EQ(refused_mid_phase.load(), kNodes);
+    EXPECT_EQ(refused_nested.load(), kNodes);
+    EXPECT_EQ(shares, 1);
+    EXPECT_THROW(gang.for_each_node(noop), UsageError) << "after the run";
   }
 }
 

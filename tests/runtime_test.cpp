@@ -3,6 +3,12 @@
 // here against hand-computed values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "updsm/dsm/flush_batch.hpp"
 #include "updsm/dsm/runtime.hpp"
 #include "updsm/dsm/write_notice.hpp"
 
@@ -128,6 +134,102 @@ TEST(RuntimeTest, RejectsAbsurdClusterSizes) {
   cfg.barrier_fanout = 0;
   cfg.relay_fanout = 1;
   EXPECT_THROW(Runtime(cfg, 8), UsageError);
+}
+
+TEST(RuntimeTest, ScrambledStagingSealsInSenderDestinationOrder) {
+  // Six nodes on two workers: senders 0 and 1 share worker 0's destination
+  // hints (and are staged interleaved), sender 4 belongs to worker 1.
+  ClusterConfig cfg = tiny_config();
+  cfg.num_nodes = 6;
+  cfg.workers = 2;
+  cfg.trace = true;
+  Runtime rt(cfg, 8);
+  ASSERT_EQ(rt.workers(), 2);
+
+  struct Rec {
+    std::uint32_t from, to, page;
+  };
+  // A distinct small diff per record.
+  const auto diff_of = [&](const Rec& r) {
+    std::vector<std::byte> twin(cfg.page_size, std::byte{0});
+    std::vector<std::byte> cur = twin;
+    cur[8 * r.page] = static_cast<std::byte>(r.from + 1);
+    cur[8 * r.page + 1 + r.to] = static_cast<std::byte>(r.to + 1);
+    return mem::Diff::create(twin, cur);
+  };
+  const auto tag = [](const Rec& r) {
+    return std::to_string(r.from) + ">" + std::to_string(r.to) + " p" +
+           std::to_string(r.page);
+  };
+  const auto barrier = [&](const std::vector<Rec>& stage_order) {
+    const std::size_t first_line = rt.trace()->size();
+    std::vector<std::string> delivered;
+    for (const Rec& r : stage_order) {
+      const mem::Diff diff = diff_of(r);
+      rt.stage_flush(
+          NodeId{r.from}, NodeId{r.to}, PageId{r.page}, NodeId{r.from}, diff,
+          /*reliable=*/false,
+          [&, r, diff](const FlushRecordView& rec) {
+            EXPECT_EQ(rec.page, PageId{r.page});
+            EXPECT_EQ(rec.creator, NodeId{r.from});
+            EXPECT_EQ(rec.epoch, rt.epoch());
+            EXPECT_EQ(rec.diff_wire_bytes(), diff.wire_bytes());
+            EXPECT_EQ(std::memcmp(rec.payload.data(), diff.payload().data(),
+                                  diff.payload().size()),
+                      0);
+            delivered.push_back(tag(r));
+          });
+    }
+    rt.seal_flush_batches();
+
+    // Expected: batches in (sender, destination) order, records in stage
+    // order inside each batch, each sealed exactly as a fresh writer would.
+    std::vector<Rec> sorted = stage_order;
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Rec& a, const Rec& b) {
+                       return a.from != b.from ? a.from < b.from : a.to < b.to;
+                     });
+    std::vector<std::string> want_delivered;
+    std::vector<std::string> want_lines;
+    for (std::size_t i = 0; i < sorted.size();) {
+      FlushBatchWriter writer;
+      writer.begin(NodeId{sorted[i].from});
+      std::size_t j = i;
+      for (; j < sorted.size() && sorted[j].from == sorted[i].from &&
+             sorted[j].to == sorted[i].to;
+           ++j) {
+        writer.add(PageId{sorted[j].page}, NodeId{sorted[j].from}, rt.epoch(),
+                   diff_of(sorted[j]));
+        want_delivered.push_back(tag(sorted[j]));
+      }
+      writer.seal();
+      want_lines.push_back("flushbatch n" + std::to_string(sorted[i].from) +
+                           ">n" + std::to_string(sorted[i].to) + " " +
+                           std::to_string(j - i) + "r " +
+                           std::to_string(writer.bytes().size()) + "B");
+      i = j;
+    }
+    EXPECT_EQ(delivered, want_delivered);
+    const auto& lines = rt.trace()->lines();
+    EXPECT_EQ(std::vector<std::string>(
+                  lines.begin() + static_cast<std::ptrdiff_t>(first_line),
+                  lines.end()),
+              want_lines);
+    rt.advance_epoch();
+  };
+
+  barrier({{1, 3, 0}, {0, 5, 1}, {4, 0, 2}, {0, 2, 3}, {1, 0, 4},
+           {0, 5, 5}, {4, 1, 6}, {1, 3, 7}, {0, 2, 0}, {4, 0, 1}});
+  // A later barrier reuses 0>5 and 1>3, opens 0>1 and 1>2, and stages
+  // them in yet another interleaving.
+  barrier({{0, 1, 2}, {1, 3, 3}, {0, 5, 4}, {1, 2, 5}, {0, 5, 6},
+           {1, 3, 0}, {0, 1, 7}});
+  EXPECT_EQ(rt.counters().flush_batches.load(), 10u);
+}
+
+TEST(RuntimeTest, FanOutNeedsAGang) {
+  Runtime rt(tiny_config(), 8);
+  EXPECT_THROW(rt.for_each_node([](NodeId) {}), UsageError);
 }
 
 TEST(WriteNoticeTest, OrderIsEpochThenCreator) {
