@@ -63,23 +63,17 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --fault-seed is this bench's own knob; everything else is shared. The
-  // gang mode is part of each cell, so a user --gang= is ignored here.
-  std::uint64_t fault_seed = 42;
-  std::vector<char*> passthrough{argv, argv + 1};
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char* kPrefix = "--fault-seed=";
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      fault_seed = std::strtoull(argv[i] + std::strlen(kPrefix), nullptr, 0);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  auto opt = bench::BenchOptions::parse(static_cast<int>(passthrough.size()),
-                                        passthrough.data());
-  // Convergence runs sweep until the residual settles; keep the default
-  // grid small enough that the full 32-cell matrix stays snappy.
-  if (opt.scale == 1.0) opt.scale = 0.25;
+  // Every cell sets its own gang mode and fault plan, seeded by
+  // --fault-seed. Convergence runs sweep until the residual settles; keep
+  // the default grid small enough that the full 32-cell matrix stays
+  // snappy.
+  bench::BenchOptions opt;
+  opt.app.scale = 0.25;
+  opt.cluster.fault_seed = 42;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)},
+       .owned = {"gang", "faults"}});
 
   std::vector<Cell> cells;
   std::vector<std::function<harness::RunResult()>> tasks;
@@ -88,15 +82,13 @@ int main(int argc, char** argv) {
       for (const Severity& sev : kSeverities) {
         cells.push_back(Cell{app, &mode, &sev});
         const bench::BenchOptions o = opt;
-        tasks.push_back([o, app = std::string(app), &mode, &sev,
-                         fault_seed] {
+        tasks.push_back([o, app = std::string(app), &mode, &sev] {
           dsm::ClusterConfig cfg = o.cluster_config();
           cfg.gang = mode.gang;
           if (sev.plan[0] != '\0') {
             cfg.faults = sim::FaultSpec::parse(sev.plan);
-            cfg.fault_seed = fault_seed;
           }
-          return harness::run_app(app, mode.kind, cfg, o.app_params());
+          return harness::run_app(app, mode.kind, cfg, o.app);
         });
       }
     }
@@ -106,25 +98,22 @@ int main(int argc, char** argv) {
 
   std::printf("Ablation X8: barrier-free async iteration vs barrier "
               "execution (fault seed %llu, scale %.2f, %d nodes)\n\n",
-              static_cast<unsigned long long>(fault_seed), opt.scale,
-              opt.nodes);
+              static_cast<unsigned long long>(opt.cluster.fault_seed),
+              opt.app.scale, opt.cluster.num_nodes);
 
-  std::FILE* json = std::fopen("BENCH_async.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_async.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"async_ablation\",\n"
-               "  \"fault_seed\": %llu,\n  \"scale\": %.3f,\n"
-               "  \"nodes\": %d,\n",
-               static_cast<unsigned long long>(fault_seed), opt.scale,
-               opt.nodes);
-  bench::write_host_env_json(json, opt);
-  std::fprintf(json, "  \"runs\": [");
+  bench::Provenance prov = bench::provenance(opt);
+  prov.gang = "sweep";
+  bench::BenchJson json("BENCH_async.json", prov);
+  json.text("bench", "async_ablation");
+  json.field("fault_seed", "%llu",
+             static_cast<unsigned long long>(opt.cluster.fault_seed));
+  json.field("scale", "%.3f", opt.app.scale);
+  json.field("nodes", "%d", opt.cluster.num_nodes);
+  json.text("net_profile", opt.cluster.net_profile);
+  json.texts("cost_overrides", opt.cost_overrides);
+  json.begin_rows("runs");
 
   bool all_converged = true;
-  bool first_json = true;
   // elapsed per (app, severity) for the best sync and best async mode,
   // for the summary's who-wins table.
   constexpr std::size_t kNumSev =
@@ -180,33 +169,35 @@ int main(int argc, char** argv) {
                              : &best_sync[a][s];
     if (*best == 0 || run.elapsed < *best) *best = run.elapsed;
 
-    std::fprintf(json,
-                 "%s\n    {\"app\": \"%s\", \"mode\": \"%s\", "
-                 "\"protocol\": \"%s\", \"gang\": \"%s\", "
-                 "\"severity\": \"%s\", \"plan\": \"%s\", "
-                 "\"elapsed_ms\": %.3f, \"iterations\": %llu, "
-                 "\"converged\": %s, \"final_residual\": %.6e, "
-                 "\"messages\": %llu, \"data_kb\": %llu, "
-                 "\"async_steps\": %llu, \"async_refreshes\": %llu, "
-                 "\"async_invalidations\": %llu, \"async_throttles\": %llu}",
-                 first_json ? "" : ",", cell.app, cell.mode->label,
-                 protocols::to_string(cell.mode->kind),
-                 sim::to_string(cell.mode->gang), cell.severity->label,
-                 cell.severity->plan, sim::to_msec(run.elapsed),
-                 static_cast<unsigned long long>(run.app_iterations),
-                 converged ? "true" : "false", run.final_residual,
-                 static_cast<unsigned long long>(run.net.table_messages()),
-                 static_cast<unsigned long long>(run.net.total_bytes() /
-                                                 1024),
-                 static_cast<unsigned long long>(
-                     run.counters.async_steps.load()),
-                 static_cast<unsigned long long>(
-                     run.counters.async_refreshes.load()),
-                 static_cast<unsigned long long>(
-                     run.counters.async_invalidations.load()),
-                 static_cast<unsigned long long>(
-                     run.counters.async_throttles.load()));
-    first_json = false;
+    json.begin_row();
+    json.text("app", cell.app);
+    json.text("mode", cell.mode->label);
+    json.text("protocol", protocols::to_string(cell.mode->kind));
+    json.text("gang", sim::to_string(cell.mode->gang));
+    json.text("severity", cell.severity->label);
+    json.text("plan", cell.severity->plan);
+    json.field("elapsed_ms", "%.3f", sim::to_msec(run.elapsed));
+    json.field("iterations", "%llu",
+               static_cast<unsigned long long>(run.app_iterations));
+    json.field("converged", "%s", converged ? "true" : "false");
+    json.field("final_residual", "%.6e", run.final_residual);
+    json.field("messages", "%llu",
+               static_cast<unsigned long long>(run.net.table_messages()));
+    json.field("data_kb", "%llu",
+               static_cast<unsigned long long>(run.net.total_bytes() / 1024));
+    json.field("async_steps", "%llu",
+               static_cast<unsigned long long>(
+                   run.counters.async_steps.load()));
+    json.field("async_refreshes", "%llu",
+               static_cast<unsigned long long>(
+                   run.counters.async_refreshes.load()));
+    json.field("async_invalidations", "%llu",
+               static_cast<unsigned long long>(
+                   run.counters.async_invalidations.load()));
+    json.field("async_throttles", "%llu",
+               static_cast<unsigned long long>(
+                   run.counters.async_throttles.load()));
+    json.end_row();
   }
 
   // Summary: where does asynchrony win? The paper's claim is the
@@ -237,13 +228,10 @@ int main(int argc, char** argv) {
               async_wins_straggler, straggler_cells, cells.size(),
               all_converged ? "converged" : "-- SOME DID NOT CONVERGE");
 
-  std::fprintf(json,
-               "\n  ],\n  \"all_converged\": %s,\n"
-               "  \"async_wins_straggler_cells\": %d,\n"
-               "  \"straggler_cells\": %d\n}\n",
-               all_converged ? "true" : "false", async_wins_straggler,
-               straggler_cells);
-  std::fclose(json);
+  json.end_rows();
+  json.field("all_converged", "%s", all_converged ? "true" : "false");
+  json.field("async_wins_straggler_cells", "%d", async_wins_straggler);
+  json.field("straggler_cells", "%d", straggler_cells);
   std::printf("wrote BENCH_async.json (%zu runs)\n", cells.size());
   return all_converged ? 0 : 1;
 }

@@ -9,7 +9,6 @@
 // (workload, config, --fault-seed), never on --jobs or wall clock; the
 // bench_faults_determinism ctest pins byte-identical output.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -34,20 +33,15 @@ struct Cell {
 int main(int argc, char** argv) {
   using protocols::ProtocolKind;
 
-  // --fault-seed is this bench's own knob; everything else is shared.
-  std::uint64_t fault_seed = 42;
-  std::vector<char*> passthrough{argv, argv + 1};
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char* kPrefix = "--fault-seed=";
-    if (std::strncmp(argv[i], kPrefix, std::strlen(kPrefix)) == 0) {
-      fault_seed = std::strtoull(argv[i] + std::strlen(kPrefix), nullptr, 0);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  auto opt = bench::BenchOptions::parse(static_cast<int>(passthrough.size()),
-                                        passthrough.data());
-  if (opt.scale == 1.0) opt.scale = 0.4;  // curves need 72 runs; keep it snappy
+  // Every cell sets its own fault plan, seeded by --fault-seed. The
+  // curves need 72 runs; keep the default scale snappy.
+  bench::BenchOptions opt;
+  opt.app.scale = 0.4;
+  opt.cluster.fault_seed = 42;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)},
+       .owned = {"faults"}});
 
   // Plan every run up front and execute on the --jobs worker pool; results
   // land in task order, so output is identical at any worker count.
@@ -57,7 +51,7 @@ int main(int argc, char** argv) {
   for (const char* app : kApps) {
     const bench::BenchOptions o = opt;
     tasks.push_back([o, app = std::string(app)] {
-      return harness::run_sequential(app, o.cluster_config(), o.app_params());
+      return harness::run_sequential(app, o.cluster_config(), o.app);
     });
     seq_apps.push_back(app);
     for (const ProtocolKind kind : protocols::all_paper_protocols()) {
@@ -67,15 +61,14 @@ int main(int argc, char** argv) {
       }
       for (const double rate : kDropRates) {
         cells.push_back(Cell{app, kind, rate});
-        tasks.push_back([o, app = std::string(app), kind, rate, fault_seed] {
+        tasks.push_back([o, app = std::string(app), kind, rate] {
           dsm::ClusterConfig cfg = o.cluster_config();
           if (rate > 0) {
             char spec[32];
             std::snprintf(spec, sizeof(spec), "drop=%g", rate);
             cfg.faults = sim::FaultSpec::parse(spec);
-            cfg.fault_seed = fault_seed;
           }
-          return harness::run_app(app, kind, cfg, o.app_params());
+          return harness::run_app(app, kind, cfg, o.app);
         });
       }
     }
@@ -107,25 +100,20 @@ int main(int argc, char** argv) {
 
   std::printf("Ablation X6: degradation vs reliable-channel drop rate "
               "(fault seed %llu, scale %.2f)\n\n",
-              static_cast<unsigned long long>(fault_seed), opt.scale);
+              static_cast<unsigned long long>(opt.cluster.fault_seed),
+              opt.app.scale);
 
-  std::FILE* json = std::fopen("BENCH_faults.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_faults.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"fault_injection\",\n"
-               "  \"fault_seed\": %llu,\n  \"scale\": %.3f,\n"
-               "  \"nodes\": %d,\n",
-               static_cast<unsigned long long>(fault_seed), opt.scale,
-               opt.nodes);
-  bench::write_host_env_json(json, opt);
-  std::fprintf(json,
-               "  \"drop_rates\": [0, 0.01, 0.05, 0.1],\n"
-               "  \"runs\": [");
+  bench::BenchJson json("BENCH_faults.json", bench::provenance(opt));
+  json.text("bench", "fault_injection");
+  json.field("fault_seed", "%llu",
+             static_cast<unsigned long long>(opt.cluster.fault_seed));
+  json.field("scale", "%.3f", opt.app.scale);
+  json.field("nodes", "%d", opt.cluster.num_nodes);
+  json.text("net_profile", opt.cluster.net_profile);
+  json.texts("cost_overrides", opt.cost_overrides);
+  json.field("drop_rates", "[0, 0.01, 0.05, 0.1]");
+  json.begin_rows("runs");
 
-  bool first_json = true;
   std::string cur_header;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
@@ -166,29 +154,28 @@ int main(int argc, char** argv) {
       std::printf("\n");
     }
 
-    std::fprintf(json,
-                 "%s\n    {\"app\": \"%s\", \"protocol\": \"%s\", "
-                 "\"drop_rate\": %g, \"elapsed_ms\": %.3f, "
-                 "\"runtime_overhead\": %.4f, \"messages\": %llu, "
-                 "\"data_kb\": %llu, \"dropped\": %llu, \"retries\": %llu, "
-                 "\"dups_suppressed\": %llu, \"recovery_faults\": %llu, "
-                 "\"correct\": true}",
-                 first_json ? "" : ",", cell.app.c_str(),
-                 protocols::to_string(cell.kind), cell.drop_rate,
-                 sim::to_msec(run.elapsed), overhead,
-                 static_cast<unsigned long long>(run.net.table_messages()),
-                 static_cast<unsigned long long>(run.net.total_bytes() /
-                                                 1024),
-                 static_cast<unsigned long long>(run.net.total_dropped()),
-                 static_cast<unsigned long long>(
-                     run.counters.reliable_retries),
-                 static_cast<unsigned long long>(run.counters.dup_suppressed),
-                 static_cast<unsigned long long>(
-                     run.counters.recovery_faults));
-    first_json = false;
+    json.begin_row();
+    json.text("app", cell.app);
+    json.text("protocol", protocols::to_string(cell.kind));
+    json.field("drop_rate", "%g", cell.drop_rate);
+    json.field("elapsed_ms", "%.3f", sim::to_msec(run.elapsed));
+    json.field("runtime_overhead", "%.4f", overhead);
+    json.field("messages", "%llu",
+               static_cast<unsigned long long>(run.net.table_messages()));
+    json.field("data_kb", "%llu",
+               static_cast<unsigned long long>(run.net.total_bytes() / 1024));
+    json.field("dropped", "%llu",
+               static_cast<unsigned long long>(run.net.total_dropped()));
+    json.field("retries", "%llu",
+               static_cast<unsigned long long>(run.counters.reliable_retries));
+    json.field("dups_suppressed", "%llu",
+               static_cast<unsigned long long>(run.counters.dup_suppressed));
+    json.field("recovery_faults", "%llu",
+               static_cast<unsigned long long>(run.counters.recovery_faults));
+    json.field("correct", "true");
+    json.end_row();
   }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
+  json.end_rows();
   std::printf("wrote BENCH_faults.json (%zu runs, all bit-exact vs "
               "sequential)\n",
               cells.size());

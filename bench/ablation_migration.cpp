@@ -43,7 +43,10 @@ std::vector<std::uint32_t> learn_homes(std::string_view app_name,
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::quick_flag(opt)}, .owned = {"no-migration"}});
 
   std::cout << "Ablation X4: home assignment strategies under bar-u\n\n";
   // (Migration itself happens during warm-up, outside the measurement
@@ -51,7 +54,7 @@ int main(int argc, char** argv) {
   harness::TextTable table({"app", "migrated", "naive static",
                             "annotated", "misses naive/migrated"});
   for (const auto app : apps::app_names()) {
-    const auto params = opt.app_params();
+    const auto params = opt.app;
     dsm::ClusterConfig cfg_migrate = opt.cluster_config();
     dsm::ClusterConfig cfg_naive = opt.cluster_config();
     cfg_naive.home_migration = false;

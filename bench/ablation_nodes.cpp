@@ -4,18 +4,16 @@
 // communication-heavy app (fft), running every point twice -- flat master
 // barrier with unicast flushes, then tree barrier (fanout 4) with relayed
 // flush dissemination -- and verifying bit-exactness against the
-// sequential baseline at every point. Emits BENCH_nodes.json (recording
-// host_cores like BENCH_gang.json) with per-node-count barrier wait time,
-// flush message counts, and the flat-vs-tree speedup.
+// sequential baseline at every point. Emits BENCH_nodes.json with
+// per-node-count barrier wait time, flush message counts, and the
+// flat-vs-tree speedup.
 //
 // Deterministic by construction: virtual-time results depend only on
 // (workload, config), never on --jobs or wall clock; the
 // bench_nodes_determinism ctest pins byte-identical output.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,66 +30,32 @@ struct Cell {
   int nodes;
 };
 
-std::vector<int> parse_node_list(const char* spec) {
-  std::vector<int> nodes;
-  int value = 0;
-  bool have = false;
-  for (const char* p = spec;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      value = value * 10 + (*p - '0');
-      have = true;
-    } else if (*p == ',' || *p == '\0') {
-      if (have) nodes.push_back(value);
-      value = 0;
-      have = false;
-      if (*p == '\0') break;
-    } else {
-      std::fprintf(stderr, "bad --nodes-list entry: %s\n", spec);
-      std::exit(2);
-    }
-  }
-  return nodes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using protocols::ProtocolKind;
 
-  // --nodes-list is specific to this bench; strip it before the shared
-  // parser (which rejects unknown options).
-  std::vector<int> node_list = {8, 64, 256, 1024};
-  std::vector<char*> rest{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes-list=", 13) == 0) {
-      node_list = parse_node_list(argv[i] + 13);
-    } else {
-      if (std::strcmp(argv[i], "--help") == 0) {
-        std::printf("extra option: --nodes-list=N,N,... "
-                    "(default 8,64,256,1024)\n");
-      }
-      rest.push_back(argv[i]);
-    }
-  }
-  auto opt =
-      bench::BenchOptions::parse(static_cast<int>(rest.size()), rest.data());
-  if (node_list.empty()) {
-    std::fprintf(stderr, "--nodes-list must name at least one node count\n");
-    return 2;
-  }
-  for (const int n : node_list) {
-    if (n < 1 || n > static_cast<int>(dsm::kMaxNodes)) {
-      std::fprintf(stderr, "--nodes-list entry %d outside [1, %d]\n", n,
-                   static_cast<int>(dsm::kMaxNodes));
-      return 2;
-    }
-  }
   // 2 apps x |nodes| x 4 protocols x {flat, tree}; keep the sweep snappy
   // (the interesting signal is message/time scaling, not problem size).
-  if (opt.scale == 1.0) opt.scale = 0.5;
-  const int tree_fanout = opt.fanout >= 2 ? opt.fanout : 4;
-  const int relay_threshold =
-      opt.relay_threshold > 0 ? opt.relay_threshold : 4;
+  // Every cell sets its own node count; --fanout and --relay-threshold
+  // configure the tree column.
+  bench::BenchOptions opt;
+  opt.app.scale = 0.5;
+  opt.cluster.barrier_fanout = 4;
+  opt.cluster.relay_threshold = 4;
+  std::vector<int> node_list = {8, 64, 256, 1024};
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {{"nodes-list", "N,N,...",
+                  "node counts to sweep (default 8,64,256,1024)",
+                  [&](std::string_view v) {
+                    node_list = harness::parse_int_list(
+                        v, 1, static_cast<int>(dsm::kMaxNodes));
+                  }},
+                 bench::jobs_flag(opt), bench::quick_flag(opt)},
+       .owned = {"nodes"}});
+  const int tree_fanout = opt.cluster.barrier_fanout;
+  const int relay_threshold = opt.cluster.relay_threshold;
 
   // Plan every run up front and execute on the --jobs worker pool; results
   // land in task order, so output is identical at any worker count. Each
@@ -104,7 +68,7 @@ int main(int argc, char** argv) {
   for (const char* app : kApps) {
     const bench::BenchOptions o = opt;
     tasks.push_back([o, app = std::string(app)] {
-      return harness::run_sequential(app, o.cluster_config(), o.app_params());
+      return harness::run_sequential(app, o.cluster_config(), o.app);
     });
     seq_apps.push_back(app);
     for (const ProtocolKind kind : protocols::base_protocols()) {
@@ -117,7 +81,7 @@ int main(int argc, char** argv) {
             cfg.num_nodes = nodes;
             cfg.barrier_fanout = tree ? tree_fanout : 0;
             cfg.relay_threshold = tree ? relay_threshold : 0;
-            return harness::run_app(app, kind, cfg, o.app_params());
+            return harness::run_app(app, kind, cfg, o.app);
           });
         }
       }
@@ -152,25 +116,17 @@ int main(int argc, char** argv) {
 
   std::printf("Ablation X3: scaling to 1024 nodes, flat vs tree(%d)+relay(%d) "
               "(scale %.2f)\n\n",
-              tree_fanout, relay_threshold, opt.scale);
+              tree_fanout, relay_threshold, opt.app.scale);
 
-  std::FILE* json = std::fopen("BENCH_nodes.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_nodes.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"node_scaling\",\n"
-               "  \"scale\": %.3f,\n  \"tree_fanout\": %d,\n"
-               "  \"relay_threshold\": %d,\n",
-               opt.scale, tree_fanout, relay_threshold);
-  // The sweep varies node counts, so the per-run resolved worker count can
-  // be lower (clamped to the cell's nodes); the header records the
-  // requested setting resolved against the default cluster size.
-  bench::write_host_env_json(json, opt);
-  std::fprintf(json, "  \"runs\": [");
+  bench::BenchJson json("BENCH_nodes.json", bench::provenance(opt));
+  json.text("bench", "node_scaling");
+  json.field("scale", "%.3f", opt.app.scale);
+  json.field("tree_fanout", "%d", tree_fanout);
+  json.field("relay_threshold", "%d", relay_threshold);
+  json.text("net_profile", opt.cluster.net_profile);
+  json.texts("cost_overrides", opt.cost_overrides);
+  json.begin_rows("runs");
 
-  bool first_json = true;
   std::string cur_header;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
@@ -211,32 +167,36 @@ int main(int argc, char** argv) {
                 sim::to_msec(wait_tree),
                 static_cast<unsigned long long>(msgs_flat), reduction);
 
-    std::fprintf(
-        json,
-        "%s\n    {\"app\": \"%s\", \"protocol\": \"%s\", \"nodes\": %d, "
-        "\"elapsed_flat_ms\": %.3f, \"elapsed_tree_ms\": %.3f, "
-        "\"speedup_flat_vs_tree\": %.4f, "
-        "\"barrier_wait_flat_ms\": %.3f, \"barrier_wait_tree_ms\": %.3f, "
-        "\"flush_messages_flat\": %llu, \"flush_messages_tree\": %llu, "
-        "\"flush_message_reduction\": %.4f, \"relay_batches\": %llu, "
-        "\"relay_messages\": %llu, \"total_messages_flat\": %llu, "
-        "\"total_messages_tree\": %llu, \"barriers\": %llu, "
-        "\"correct\": true}",
-        first_json ? "" : ",", cell.app.c_str(),
-        protocols::to_string(cell.kind), cell.nodes,
-        sim::to_msec(flat.elapsed), sim::to_msec(tree.elapsed), speedup,
-        sim::to_msec(wait_flat), sim::to_msec(wait_tree),
-        static_cast<unsigned long long>(msgs_flat),
-        static_cast<unsigned long long>(msgs_tree), reduction,
-        static_cast<unsigned long long>(tree.counters.relay_batches.load()),
-        static_cast<unsigned long long>(tree.counters.relay_messages.load()),
-        static_cast<unsigned long long>(flat.net.table_messages()),
-        static_cast<unsigned long long>(tree.net.table_messages()),
-        static_cast<unsigned long long>(tree.barriers));
-    first_json = false;
+    json.begin_row();
+    json.text("app", cell.app);
+    json.text("protocol", protocols::to_string(cell.kind));
+    json.field("nodes", "%d", cell.nodes);
+    json.field("elapsed_flat_ms", "%.3f", sim::to_msec(flat.elapsed));
+    json.field("elapsed_tree_ms", "%.3f", sim::to_msec(tree.elapsed));
+    json.field("speedup_flat_vs_tree", "%.4f", speedup);
+    json.field("barrier_wait_flat_ms", "%.3f", sim::to_msec(wait_flat));
+    json.field("barrier_wait_tree_ms", "%.3f", sim::to_msec(wait_tree));
+    json.field("flush_messages_flat", "%llu",
+               static_cast<unsigned long long>(msgs_flat));
+    json.field("flush_messages_tree", "%llu",
+               static_cast<unsigned long long>(msgs_tree));
+    json.field("flush_message_reduction", "%.4f", reduction);
+    json.field("relay_batches", "%llu",
+               static_cast<unsigned long long>(
+                   tree.counters.relay_batches.load()));
+    json.field("relay_messages", "%llu",
+               static_cast<unsigned long long>(
+                   tree.counters.relay_messages.load()));
+    json.field("total_messages_flat", "%llu",
+               static_cast<unsigned long long>(flat.net.table_messages()));
+    json.field("total_messages_tree", "%llu",
+               static_cast<unsigned long long>(tree.net.table_messages()));
+    json.field("barriers", "%llu",
+               static_cast<unsigned long long>(tree.barriers));
+    json.field("correct", "true");
+    json.end_row();
   }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
+  json.end_rows();
   std::printf("\nwrote BENCH_nodes.json (%zu cells x {flat, tree}, "
               "all bit-exact vs sequential)\n",
               cells.size());

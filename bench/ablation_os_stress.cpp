@@ -11,7 +11,9 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(argc, argv, opt,
+                               {.flags = {bench::quick_flag(opt)}});
 
   auto run_gain = [&](std::string_view app, bool stressed, double* os_pct) {
     dsm::ClusterConfig cfg = opt.cluster_config();
@@ -19,7 +21,7 @@ int main(int argc, char** argv) {
       cfg.costs.os.stress_multiplier = 1.0;
       cfg.costs.os.slow_page_fraction = 0.0;
     }
-    const auto params = opt.app_params();
+    const auto params = opt.app;
     const auto bar_u =
         harness::run_app(app, ProtocolKind::BarU, cfg, params);
     const auto bar_m =

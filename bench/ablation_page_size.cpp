@@ -11,7 +11,10 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::quick_flag(opt)}, .owned = {"page-size"}});
 
   std::cout << "Ablation X2: page-size sensitivity of bar-u\n\n";
   harness::TextTable table({"app", "4kB speedup", "8kB speedup",
@@ -23,7 +26,7 @@ int main(int argc, char** argv) {
     for (const std::uint32_t page_size : {4096u, 8192u, 16384u}) {
       dsm::ClusterConfig cfg = opt.cluster_config();
       cfg.page_size = page_size;
-      const auto params = opt.app_params();
+      const auto params = opt.app;
       const auto par = harness::run_app(app, ProtocolKind::BarU, cfg, params);
       const auto seq = harness::run_sequential(app, cfg, params);
       if (par.checksum != seq.checksum) {

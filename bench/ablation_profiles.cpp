@@ -30,7 +30,11 @@ constexpr const char* kProfiles[] = {"sp2", "rdma"};
 
 int main(int argc, char** argv) {
   using protocols::ProtocolKind;
-  auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)},
+       .owned = {"net-profile"}});
 
   const std::vector<ProtocolKind> fixed = protocols::all_paper_protocols();
   const std::vector<ProtocolKind> grid = protocols::all_protocols_with_adaptive();
@@ -52,7 +56,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::map<std::string, std::uint64_t>> switches;
   for (const char* profile : kProfiles) {
     bench::BenchOptions popt = opt;
-    popt.net_profile = profile;
+    popt.cluster.net_profile = profile;
     bench::RunCache cache(popt);
     cache.warm(cells);
     for (const bench::GridCell& cell : cells) {
@@ -72,7 +76,8 @@ int main(int argc, char** argv) {
   // Per-profile speedup tables.
   std::printf("Ablation X4: cost profiles (sp2 vs rdma), %d nodes, scale %.2f, "
               "%d iters\n",
-              opt.nodes, opt.scale, opt.iterations);
+              opt.cluster.num_nodes, opt.app.scale,
+              opt.app.measured_iterations);
   for (const char* profile : kProfiles) {
     std::printf("\n%s profile (speedup vs sequential):\n  %-10s", profile,
                 "protocol");
@@ -174,70 +179,63 @@ int main(int argc, char** argv) {
               max_gap_pct, max_safe_gap_pct);
 
   // --- BENCH_profiles.json ---------------------------------------------
-  std::FILE* json = std::fopen("BENCH_profiles.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_profiles.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"cost_profiles\",\n  \"scale\": %.3f,\n"
-               "  \"iters\": %d,\n  \"nodes\": %d,\n",
-               opt.scale, opt.iterations, opt.nodes);
-  // This bench sweeps both profiles itself, so the uniform header key
-  // records the sweep (per-run cells carry their own profile).
-  bench::write_host_env_json(json,
-                             sim::Gang::resolve_workers(opt.workers, opt.nodes),
-                             opt.gang, "sweep", opt.cost_overrides);
-  std::fprintf(json, "  \"runs\": [");
-  bool first = true;
-  for (const char* profile : kProfiles) {
-    for (const char* app : kApps) {
-      for (const ProtocolKind kind : grid) {
-        const char* proto = protocols::to_string(kind);
-        std::fprintf(json,
-                     "%s\n    {\"profile\": \"%s\", \"app\": \"%s\", "
-                     "\"protocol\": \"%s\", \"speedup\": %.4f, "
-                     "\"elapsed_ms\": %.3f, \"correct\": true}",
-                     first ? "" : ",", profile, app, proto,
-                     speedup[profile][app][proto],
-                     elapsed_ms[profile][app][proto]);
-        first = false;
+  {
+    bench::BenchJson json("BENCH_profiles.json", bench::provenance(opt));
+    json.text("bench", "cost_profiles");
+    json.field("scale", "%.3f", opt.app.scale);
+    json.field("iters", "%d", opt.app.measured_iterations);
+    json.field("nodes", "%d", opt.cluster.num_nodes);
+    // This bench sweeps both profiles itself, so the uniform key records
+    // the sweep (per-run cells carry their own profile).
+    json.text("net_profile", "sweep");
+    json.texts("cost_overrides", opt.cost_overrides);
+    json.begin_rows("runs");
+    for (const char* profile : kProfiles) {
+      for (const char* app : kApps) {
+        for (const ProtocolKind kind : grid) {
+          const char* proto = protocols::to_string(kind);
+          json.begin_row();
+          json.text("profile", profile);
+          json.text("app", app);
+          json.text("protocol", proto);
+          json.field("speedup", "%.4f", speedup[profile][app][proto]);
+          json.field("elapsed_ms", "%.3f", elapsed_ms[profile][app][proto]);
+          json.field("correct", "true");
+          json.end_row();
+        }
       }
     }
-  }
-  std::fprintf(json, "\n  ],\n  \"adaptive\": [");
-  first = true;
-  for (const GapRow& g : gaps) {
-    std::fprintf(json,
-                 "%s\n    {\"profile\": \"%s\", \"app\": \"%s\", "
-                 "\"best_fixed\": \"%s\", \"best_speedup\": %.4f, "
-                 "\"adaptive_speedup\": %.4f, \"gap_pct\": %.3f, "
-                 "\"best_safe_fixed\": \"%s\", \"best_safe_speedup\": %.4f, "
-                 "\"safe_gap_pct\": %.3f, "
-                 "\"adaptive_switches\": %llu}",
-                 first ? "" : ",", g.profile.c_str(), g.app.c_str(),
-                 g.best_fixed.c_str(), g.best_speedup, g.adaptive_speedup,
-                 g.gap_pct, g.best_safe.c_str(), g.best_safe_speedup,
-                 g.safe_gap_pct,
+    json.end_rows();
+    json.begin_rows("adaptive");
+    for (const GapRow& g : gaps) {
+      json.begin_row();
+      json.text("profile", g.profile);
+      json.text("app", g.app);
+      json.text("best_fixed", g.best_fixed);
+      json.field("best_speedup", "%.4f", g.best_speedup);
+      json.field("adaptive_speedup", "%.4f", g.adaptive_speedup);
+      json.field("gap_pct", "%.3f", g.gap_pct);
+      json.text("best_safe_fixed", g.best_safe);
+      json.field("best_safe_speedup", "%.4f", g.best_safe_speedup);
+      json.field("safe_gap_pct", "%.3f", g.safe_gap_pct);
+      json.field("adaptive_switches", "%llu",
                  static_cast<unsigned long long>(g.switches));
-    first = false;
+      json.end_row();
+    }
+    json.end_rows();
+    json.begin_rows("inversions");
+    for (const Inversion& inv : inversions) {
+      json.begin_row();
+      json.text("app", inv.app);
+      json.text("faster_on_sp2", inv.faster_sp2);
+      json.text("faster_on_rdma", inv.faster_rdma);
+      json.end_row();
+    }
+    json.end_rows();
+    json.field("ranking_inversions", "%zu", inversions.size());
+    json.field("max_adaptive_gap_pct", "%.3f", max_gap_pct);
+    json.field("max_adaptive_safe_gap_pct", "%.3f", max_safe_gap_pct);
   }
-  std::fprintf(json, "\n  ],\n  \"inversions\": [");
-  first = true;
-  for (const Inversion& inv : inversions) {
-    std::fprintf(json,
-                 "%s\n    {\"app\": \"%s\", \"faster_on_sp2\": \"%s\", "
-                 "\"faster_on_rdma\": \"%s\"}",
-                 first ? "" : ",", inv.app.c_str(), inv.faster_sp2.c_str(),
-                 inv.faster_rdma.c_str());
-    first = false;
-  }
-  std::fprintf(json,
-               "\n  ],\n  \"ranking_inversions\": %zu,\n"
-               "  \"max_adaptive_gap_pct\": %.3f,\n"
-               "  \"max_adaptive_safe_gap_pct\": %.3f\n}\n",
-               inversions.size(), max_gap_pct, max_safe_gap_pct);
-  std::fclose(json);
   std::printf("wrote BENCH_profiles.json (%zu cells x 2 profiles, all "
               "bit-exact vs sequential)\n",
               cells.size());

@@ -1,20 +1,21 @@
-// Shared plumbing for the table/figure bench binaries: command-line
-// parsing, the canonical experiment grid (8 apps x protocols at paper
-// scale), and result caching so one binary can build several views of the
-// same runs.
+// Shared plumbing for the table/figure bench binaries: the bench flags on
+// top of the shared flag table, the BENCH_*.json writer, the canonical
+// experiment grid (8 apps x protocols at paper scale), and result caching
+// so one binary can build several views of the same runs.
 #pragma once
 
 #include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "updsm/harness/cli.hpp"
 #include "updsm/harness/experiment.hpp"
 #include "updsm/harness/parallel_grid.hpp"
 #include "updsm/harness/report.hpp"
@@ -22,159 +23,124 @@
 
 namespace updsm::bench {
 
-struct BenchOptions {
-  int nodes = 8;            // the paper's 8-node SP-2
-  double scale = 1.0;       // linear problem-size factor
-  int warmup = 5;           // covers migration + overdrive learning
-  int iterations = 10;      // measured steady-state time-steps
-  std::uint64_t seed = 0x1998'0330;
+/// A bench's command line: the shared flag table plus --jobs and --quick.
+struct BenchOptions : harness::RunOptions {
   /// Experiment-grid worker count; 1 reproduces the serial behavior.
   /// Output is byte-identical for every value (results are collected by
   /// grid index, and each cell is an independent deterministic simulation).
   int jobs = harness::default_jobs();
-  /// Intra-run node scheduling (--gang=parallel|baton|async). Output is
-  /// byte-identical across parallel/baton (and across worker counts in
-  /// every mode); async changes the iteration structure itself, so its
-  /// numbers form their own column. A ctest pins both properties.
-  sim::GangMode gang = sim::GangMode::Parallel;
-  /// OS threads the gang multiplexes the simulated nodes over
-  /// (--workers=M; 0 = auto). Output is byte-identical for every value;
-  /// a ctest pins it.
-  int workers = 0;
-  /// Tree-barrier fanout (--fanout=K; 0 = the flat master barrier).
-  /// Checksums are bit-identical either way; barrier times differ.
-  int fanout = 0;
-  /// Relayed flush dissemination (--relay-threshold=N; 0 = off) and its
-  /// tree fanout (--relay-fanout=K). Checksums are bit-identical.
-  int relay_threshold = 0;
-  int relay_fanout = 4;
-  /// Interconnect cost profile (--net-profile=sp2|rdma) plus free-form
-  /// key=value overrides (--cost=K=V, repeatable). Stamped into every
-  /// BENCH_*.json so numbers from different platforms never get compared
-  /// silently.
-  std::string net_profile = "sp2";
-  std::vector<std::string> cost_overrides;
-  /// Sliding-window length for the adaptive protocol (--adaptive-window=W).
-  int adaptive_window = 4;
-
-  static BenchOptions parse(int argc, char** argv) {
-    BenchOptions opt;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&](const char* prefix) -> const char* {
-        const std::size_t len = std::strlen(prefix);
-        return arg.compare(0, len, prefix) == 0 ? arg.c_str() + len : nullptr;
-      };
-      if (const char* v = value("--nodes=")) {
-        opt.nodes = std::atoi(v);
-      } else if (const char* v = value("--scale=")) {
-        opt.scale = std::atof(v);
-      } else if (const char* v = value("--iters=")) {
-        opt.iterations = std::atoi(v);
-      } else if (const char* v = value("--warmup=")) {
-        opt.warmup = std::atoi(v);
-      } else if (const char* v = value("--jobs=")) {
-        opt.jobs = std::max(1, std::atoi(v));
-      } else if (const char* v = value("--gang=")) {
-        const std::string mode = v;
-        if (mode == "parallel") {
-          opt.gang = sim::GangMode::Parallel;
-        } else if (mode == "baton") {
-          opt.gang = sim::GangMode::Baton;
-        } else if (mode == "async") {
-          opt.gang = sim::GangMode::Async;
-        } else {
-          std::fprintf(stderr, "unknown gang mode: %s\n", v);
-          std::exit(2);
-        }
-      } else if (const char* v = value("--workers=")) {
-        opt.workers = std::atoi(v);
-        if (opt.workers < 1) {
-          std::fprintf(stderr, "--workers must be >= 1, got %s\n", v);
-          std::exit(2);
-        }
-      } else if (const char* v = value("--fanout=")) {
-        opt.fanout = std::atoi(v);
-      } else if (const char* v = value("--relay-threshold=")) {
-        opt.relay_threshold = std::atoi(v);
-      } else if (const char* v = value("--relay-fanout=")) {
-        opt.relay_fanout = std::atoi(v);
-      } else if (const char* v = value("--net-profile=")) {
-        opt.net_profile = v;
-      } else if (const char* v = value("--cost=")) {
-        opt.cost_overrides.emplace_back(v);
-      } else if (const char* v = value("--adaptive-window=")) {
-        opt.adaptive_window = std::atoi(v);
-      } else if (arg == "--quick") {
-        opt.scale = 0.25;
-        opt.iterations = 4;
-      } else if (arg == "--help") {
-        std::printf(
-            "options: --nodes=N --scale=F --iters=N --warmup=N --jobs=N "
-            "--gang=parallel|baton|async --workers=M --fanout=K "
-            "--relay-threshold=N --relay-fanout=K --net-profile=sp2|rdma "
-            "--cost=K=V --adaptive-window=W --quick\n");
-        std::exit(0);
-      } else {
-        std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-        std::exit(2);
-      }
-    }
-    return opt;
-  }
-
-  [[nodiscard]] apps::AppParams app_params() const {
-    apps::AppParams p;
-    p.scale = scale;
-    p.warmup_iterations = warmup;
-    p.measured_iterations = iterations;
-    p.seed = seed;
-    return p;
-  }
-
-  [[nodiscard]] dsm::ClusterConfig cluster_config() const {
-    dsm::ClusterConfig cfg;
-    cfg.num_nodes = nodes;
-    cfg.gang = gang;
-    cfg.workers = workers;
-    cfg.barrier_fanout = fanout;
-    cfg.relay_threshold = relay_threshold;
-    cfg.relay_fanout = relay_fanout;
-    cfg.net_profile = net_profile;
-    cfg.costs = sim::CostModel::from_profile(net_profile);
-    sim::apply_cost_overrides(cfg.costs, cost_overrides);
-    cfg.adaptive_window = adaptive_window;
-    // Friendly parse-time rejection of out-of-range sizes / fanouts.
-    dsm::validate_cluster_config(cfg);
-    return cfg;
-  }
+  /// Set by --quick (wallclock_scaling also sweeps fewer node counts).
+  bool quick = false;
 };
 
-/// Host-execution provenance recorded uniformly in every BENCH_*.json so
-/// perf trajectories across machines, worker counts and cost profiles stay
-/// comparable: physical core count, the gang's *resolved* worker count, the
-/// gang mode, the interconnect profile, and any per-key cost overrides.
-/// Emits `"key": value,` lines (caller is mid-object).
-inline void write_host_env_json(std::FILE* json, int resolved_workers,
-                                sim::GangMode mode,
-                                const std::string& net_profile = "sp2",
-                                const std::vector<std::string>& overrides = {}) {
-  std::fprintf(json,
-               "  \"host_cores\": %u,\n  \"workers\": %d,\n"
-               "  \"gang\": \"%s\",\n  \"net_profile\": \"%s\",\n",
-               std::thread::hardware_concurrency(), resolved_workers,
-               sim::to_string(mode), net_profile.c_str());
-  std::fprintf(json, "  \"cost_overrides\": [");
-  for (std::size_t i = 0; i < overrides.size(); ++i) {
-    std::fprintf(json, "%s\"%s\"", i == 0 ? "" : ", ", overrides[i].c_str());
-  }
-  std::fprintf(json, "],\n");
+/// --quick: quarter-scale problems and 4 measured iterations. It applies
+/// where it stands, so a later --scale or --iters still wins.
+inline harness::ToolFlag quick_flag(BenchOptions& opt) {
+  return {"quick", "", "quarter-scale problems, 4 measured iterations",
+          [&opt](std::string_view) {
+            opt.app.scale = 0.25;
+            opt.app.measured_iterations = 4;
+            opt.quick = true;
+          }};
 }
 
-inline void write_host_env_json(std::FILE* json, const BenchOptions& opt) {
-  write_host_env_json(json, sim::Gang::resolve_workers(opt.workers, opt.nodes),
-                      opt.gang, opt.net_profile, opt.cost_overrides);
+/// --jobs, for the benches that run their cells on a grid.
+inline harness::ToolFlag jobs_flag(BenchOptions& opt) {
+  return {"jobs", "N",
+          "experiment-grid workers (default: host cores; output is\n"
+          "byte-identical for every N)",
+          [&opt](std::string_view v) { opt.jobs = harness::parse_int(v, 1); }};
 }
+
+/// Host provenance of one BENCH file: what ran the numbers, not what they
+/// are, so determinism checks skip it. `workers` is the gang's resolved
+/// worker count; `gang` is the mode, or "sweep" when the bench varies it.
+struct Provenance {
+  int workers;
+  int jobs;
+  const char* gang;
+};
+
+inline Provenance provenance(const BenchOptions& opt) {
+  return {sim::Gang::resolve_workers(opt.cluster.workers,
+                                     opt.cluster.num_nodes),
+          opt.jobs, sim::to_string(opt.cluster.gang)};
+}
+
+/// Writes one BENCH_*.json as
+///   {"provenance": {host_cores, workers, jobs, gang}, "results": {...}}.
+/// Results are written field by field, each value with its own printf
+/// format, so its text is the bench's choice. A rows array holds one
+/// object per line. The destructor closes the results and the file.
+class BenchJson {
+ public:
+  BenchJson(const char* path, const Provenance& p)
+      : f_(std::fopen(path, "w")) {
+    if (f_ == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", path);
+      std::exit(1);
+    }
+    std::fprintf(f_,
+                 "{\n  \"provenance\": {\"host_cores\": %u, \"workers\": %d, "
+                 "\"jobs\": %d, \"gang\": \"%s\"},\n  \"results\": {",
+                 std::thread::hardware_concurrency(), p.workers, p.jobs,
+                 p.gang);
+  }
+  ~BenchJson() {
+    std::fputs("\n  }\n}\n", f_);
+    std::fclose(f_);
+  }
+  BenchJson(const BenchJson&) = delete;
+  BenchJson& operator=(const BenchJson&) = delete;
+
+  /// "key": value, the value printed with `fmt`.
+  __attribute__((format(printf, 3, 4))) void field(const char* key,
+                                                   const char* fmt, ...) {
+    std::fputs(in_row_ ? (first_ ? "" : ", ") : (first_ ? "\n    " : ",\n    "),
+               f_);
+    first_ = false;
+    std::fprintf(f_, "\"%s\": ", key);
+    std::va_list args;
+    va_start(args, fmt);
+    std::vfprintf(f_, fmt, args);
+    va_end(args);
+  }
+  void text(const char* key, std::string_view value) {
+    field(key, "\"%.*s\"", static_cast<int>(value.size()), value.data());
+  }
+  void texts(const char* key, const std::vector<std::string>& values) {
+    std::string list;
+    for (const std::string& v : values) {
+      list += (list.empty() ? "\"" : ", \"") + v + "\"";
+    }
+    field(key, "[%s]", list.c_str());
+  }
+  /// "key": [ then begin_row() ... end_row() per row, then end_rows(): ].
+  void begin_rows(const char* key) {
+    field(key, "[");
+    first_row_ = true;
+  }
+  void end_rows() {
+    std::fputs("\n    ]", f_);
+    first_ = false;
+  }
+  void begin_row() {
+    std::fputs(first_row_ ? "\n      {" : ",\n      {", f_);
+    first_row_ = false;
+    in_row_ = true;
+    first_ = true;
+  }
+  void end_row() {
+    std::fputc('}', f_);
+    in_row_ = false;
+  }
+
+ private:
+  std::FILE* f_;
+  bool in_row_ = false;
+  bool first_ = true;  // no field yet in the current object
+  bool first_row_ = true;
+};
 
 /// One cell of the experiment grid: an application under a protocol.
 struct GridCell {
@@ -211,13 +177,11 @@ class RunCache {
     for (const GridCell& cell : cells) {
       const BenchOptions opt = opt_;
       plan(cell.app + "/seq", [opt, app = cell.app] {
-        return harness::run_sequential(app, opt.cluster_config(),
-                                       opt.app_params());
+        return harness::run_sequential(app, opt.cluster_config(), opt.app);
       });
       plan(cell.app + "/" + protocols::to_string(cell.kind),
            [opt, app = cell.app, kind = cell.kind] {
-             return harness::run_app(app, kind, opt.cluster_config(),
-                                     opt.app_params());
+             return harness::run_app(app, kind, opt.cluster_config(), opt.app);
            });
     }
     std::vector<harness::RunResult> results =
@@ -236,7 +200,7 @@ class RunCache {
       it = cache_
                .emplace(key, harness::run_app(app, kind,
                                               opt_.cluster_config(),
-                                              opt_.app_params()))
+                                              opt_.app))
                .first;
     }
     return it->second;
@@ -249,7 +213,7 @@ class RunCache {
       it = cache_
                .emplace(key, harness::run_sequential(app,
                                                      opt_.cluster_config(),
-                                                     opt_.app_params()))
+                                                     opt_.app))
                .first;
     }
     return it->second;

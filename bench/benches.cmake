@@ -1,6 +1,6 @@
 # One binary per paper table/figure plus ablations; all runnable without
 # arguments ("for b in build/bench/*; do $b; done") with paper-scale
-# defaults, each accepting --nodes/--scale/--iters/--quick.
+# defaults, each taking the shared flags (see --help).
 # Included from the top-level CMakeLists (not add_subdirectory) so that
 # build/bench/ contains ONLY the bench binaries: the canonical run loop is
 #   for b in build/bench/*; do $b; done

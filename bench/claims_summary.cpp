@@ -9,7 +9,10 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
   bench::RunCache cache(opt);
   cache.warm(bench::full_grid());
 
@@ -109,9 +112,9 @@ int main(int argc, char** argv) {
                     100.0 * static_cast<double>(bu_miss) /
                         static_cast<double>(li_miss)});
 
-  std::cout << "Claim check (" << opt.nodes << " nodes, scale "
-            << harness::fmt(opt.scale, 2) << ", " << opt.iterations
-            << " measured iterations)\n\n";
+  std::cout << "Claim check (" << opt.cluster.num_nodes << " nodes, scale "
+            << harness::fmt(opt.app.scale, 2) << ", "
+            << opt.app.measured_iterations << " measured iterations)\n\n";
   harness::TextTable table({"claim", "paper", "measured", "same sign/shape"});
   for (const auto& c : claims) {
     const bool same = (c.paper >= 0) == (c.measured >= 0) ||

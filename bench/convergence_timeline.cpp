@@ -92,11 +92,15 @@ std::vector<IterationSample> run_timeline(protocols::ProtocolKind kind,
 
 int main(int argc, char** argv) {
   using namespace updsm;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  // The timeline builds its own 256x256 grid and runs kIterations, so
+  // the app-size flags would be ignored: refuse them.
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt, {.owned = {"scale", "warmup", "iters", "seed"}});
   constexpr int kIterations = 10;
 
-  std::cout << "Convergence timeline (per-iteration deltas; " << opt.nodes
-            << " nodes)\n"
+  std::cout << "Convergence timeline (per-iteration deltas; "
+            << opt.cluster.num_nodes << " nodes)\n"
             << "paper: faults occur in iteration 1, copysets converge by "
                "iteration 2;\noverdrive engages after the learning "
                "iterations and removes the traps.\n\n";

@@ -8,7 +8,10 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
   bench::RunCache cache(opt);
   cache.warm(bench::base_grid());
 
@@ -34,13 +37,13 @@ int main(int argc, char** argv) {
                    harness::fmt(values[1][a]), harness::fmt(values[2][a]),
                    harness::fmt(values[3][a])});
   }
-  std::cout << "Figure 2: 8-Proc Speedups (" << opt.nodes << " nodes, scale "
-            << harness::fmt(opt.scale, 2) << ")\n\n";
+  std::cout << "Figure 2: 8-Proc Speedups (" << opt.cluster.num_nodes
+            << " nodes, scale " << harness::fmt(opt.app.scale, 2) << ")\n\n";
   table.print(std::cout);
   std::cout << '\n';
   harness::print_bar_chart(std::cout, "Figure 2 (bars, max = ideal speedup)",
                            app_list, series, values,
-                           static_cast<double>(opt.nodes));
+                           static_cast<double>(opt.cluster.num_nodes));
 
   // Paper headline: bar-u averages ~19% more speedup than the better of
   // the two lmw protocols.

@@ -11,12 +11,15 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
   bench::RunCache cache(opt);
   cache.warm(bench::single_protocol_grid(ProtocolKind::BarU));
 
-  std::cout << "Figure 3: Time Breakdown for Bar-u (" << opt.nodes
-            << " nodes, scale " << harness::fmt(opt.scale, 2) << ")\n\n";
+  std::cout << "Figure 3: Time Breakdown for Bar-u (" << opt.cluster.num_nodes
+            << " nodes, scale " << harness::fmt(opt.app.scale, 2) << ")\n\n";
 
   harness::TextTable table(
       {"app", "sigio%", "wait%", "os%", "app%", "(protocol%)"});

@@ -9,7 +9,10 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
   bench::RunCache cache(opt);
 
   std::vector<std::string> app_list;
@@ -32,8 +35,8 @@ int main(int argc, char** argv) {
     values[3].push_back(cache.speedup(app, ProtocolKind::BarM));
   }
 
-  std::cout << "Figure 4: Overdrive Speedups (" << opt.nodes
-            << " nodes, scale " << harness::fmt(opt.scale, 2)
+  std::cout << "Figure 4: Overdrive Speedups (" << opt.cluster.num_nodes
+            << " nodes, scale " << harness::fmt(opt.app.scale, 2)
             << "; barnes excluded)\n\n";
   harness::TextTable table({"app", "lmw", "bar-u", "bar-s", "bar-m"});
   for (std::size_t a = 0; a < app_list.size(); ++a) {
@@ -45,7 +48,7 @@ int main(int argc, char** argv) {
   std::cout << '\n';
   harness::print_bar_chart(std::cout, "Figure 4 (bars, max = ideal speedup)",
                            app_list, series, values,
-                           static_cast<double>(opt.nodes));
+                           static_cast<double>(opt.cluster.num_nodes));
 
   // Paper §5.1 aggregates: bar-s gains ~2% over bar-u; bar-m a further
   // ~34%; overall bar protocols ~51% over lmw-i.

@@ -12,9 +12,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "updsm/dsm/copyset.hpp"
 #include "updsm/dsm/flush_batch.hpp"
 #include "updsm/dsm/node_context.hpp"
@@ -348,31 +348,23 @@ void BM_CopysetIterate(benchmark::State& state) {
 }
 BENCHMARK(BM_CopysetIterate)->Arg(2)->Arg(64)->Arg(1024);
 
-/// Hand-rolled wall-clock summary of diff-creation throughput, written as
-/// BENCH_diff.json next to the binary's working directory. Deliberately
-/// independent of google-benchmark so regression tooling can parse one
-/// stable, minimal format.
+/// Wall-clock summary of diff-creation throughput, written as
+/// BENCH_diff.json in the working directory. Deliberately independent of
+/// google-benchmark so regression tooling can parse one stable, minimal
+/// format.
 void write_diff_summary(const char* path) {
   constexpr std::size_t kPage = 8192;
   const auto twin = make_page(kPage, 1);
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  // Uniform host-provenance keys (host_cores / workers / gang /
-  // net_profile / cost_overrides) that every BENCH_*.json carries; diff
-  // creation is single-threaded host work, so workers is 1, no gang is
-  // involved, and the simulated cost profile cannot matter -- sp2 is the
-  // recorded default.
-  std::fprintf(f,
-               "{\n  \"bench\": \"diff_create\",\n  \"page_bytes\": %zu,\n"
-               "  \"host_cores\": %u,\n  \"workers\": 1,\n"
-               "  \"gang\": \"none\",\n  \"net_profile\": \"sp2\",\n"
-               "  \"cost_overrides\": [],\n  \"results\": [\n",
-               kPage, std::thread::hardware_concurrency());
+  // Diff creation is single-threaded host work: one worker, no gang, and
+  // the simulated cost profile cannot matter -- sp2 is the recorded
+  // default.
+  updsm::bench::BenchJson json(path, {1, 1, "none"});
+  json.text("bench", "diff_create");
+  json.field("page_bytes", "%zu", kPage);
+  json.text("net_profile", "sp2");
+  json.texts("cost_overrides", {});
+  json.begin_rows("runs");
   const char* patterns[] = {"identical", "sparse", "alternating", "dense"};
-  bool first = true;
   for (const char* pattern : patterns) {
     const auto cur = make_current(twin, pattern);
     using clock = std::chrono::steady_clock;
@@ -388,51 +380,43 @@ void write_diff_summary(const char* path) {
       const double sec =
           std::chrono::duration<double>(clock::now() - t0).count();
       if (sec >= 0.1 || iters >= (1u << 24)) {
-        const double ns_per_page = sec * 1e9 / static_cast<double>(iters);
-        const double gib_per_s =
-            static_cast<double>(iters) * static_cast<double>(kPage) /
-            (sec * 1024.0 * 1024.0 * 1024.0);
-        std::fprintf(f,
-                     "%s    {\"pattern\": \"%s\", \"ns_per_page\": %.1f, "
-                     "\"gib_per_s\": %.3f}",
-                     first ? "" : ",\n", pattern, ns_per_page, gib_per_s);
-        first = false;
+        json.begin_row();
+        json.text("pattern", pattern);
+        json.field("ns_per_page", "%.1f",
+                   sec * 1e9 / static_cast<double>(iters));
+        json.field("gib_per_s", "%.3f",
+                   static_cast<double>(iters) * static_cast<double>(kPage) /
+                       (sec * 1024.0 * 1024.0 * 1024.0));
+        json.end_row();
         break;
       }
       iters *= 4;
     }
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
+  json.end_rows();
   std::printf("wrote %s\n", path);
 }
 
 /// Wall-clock of a fig2-style workload (sor + barnes under bar-u) in each
 /// gang mode at 2/4/8 nodes, written as BENCH_gang.json. The parallel gang
 /// can only beat the baton when the host has cores to spread the node
-/// threads over, so the host core count is recorded alongside the ratios:
-/// on >= 4 cores the 8-node ratio is the headline number (target >= 2x); on
-/// fewer cores a ratio near (or below) 1x is the expected, honest result.
+/// threads over, so the host core count (in the provenance) matters for
+/// the ratios: on >= 4 cores the 8-node ratio is the headline number
+/// (target >= 2x); on fewer cores a ratio near (or below) 1x is the
+/// expected, honest result.
 void write_gang_summary(const char* path) {
   using clock = std::chrono::steady_clock;
   using updsm::sim::GangMode;
 
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  // Uniform host-provenance keys: this bench sweeps both gang modes, so
-  // "gang" records that, and workers is the auto resolution at the largest
-  // swept cluster (per-cell counts clamp to each cell's node count).
-  std::fprintf(f,
-               "{\n  \"bench\": \"gang_modes\",\n  \"workload\": "
-               "\"sor+barnes under bar-u, scale 0.4, 4 iters\",\n"
-               "  \"host_cores\": %u,\n  \"workers\": %d,\n"
-               "  \"gang\": \"sweep\",\n  \"net_profile\": \"sp2\",\n"
-               "  \"cost_overrides\": [],\n  \"results\": [\n",
-               cores, updsm::sim::Gang::resolve_workers(0, 8));
+  // This bench sweeps both gang modes; workers is the auto resolution at
+  // the largest swept cluster (per-cell counts clamp to each cell's nodes).
+  updsm::bench::BenchJson json(
+      path, {updsm::sim::Gang::resolve_workers(0, 8), 1, "sweep"});
+  json.text("bench", "gang_modes");
+  json.text("workload", "sor+barnes under bar-u, scale 0.4, 4 iters");
+  json.text("net_profile", "sp2");
+  json.texts("cost_overrides", {});
+  json.begin_rows("runs");
 
   auto wall_ms = [](int nodes, GangMode mode) {
     updsm::apps::AppParams params;
@@ -452,7 +436,6 @@ void write_gang_summary(const char* path) {
         .count();
   };
 
-  bool first = true;
   for (const int nodes : {2, 4, 8}) {
     // Warm once (first-touch page cache, pool spawn), then take the best
     // of three to damp scheduler noise.
@@ -463,15 +446,14 @@ void write_gang_summary(const char* path) {
       baton = std::min(baton, wall_ms(nodes, GangMode::Baton));
       parallel = std::min(parallel, wall_ms(nodes, GangMode::Parallel));
     }
-    std::fprintf(f,
-                 "%s    {\"nodes\": %d, \"baton_ms\": %.1f, "
-                 "\"parallel_ms\": %.1f, \"speedup\": %.2f}",
-                 first ? "" : ",\n", nodes, baton, parallel,
-                 baton / parallel);
-    first = false;
+    json.begin_row();
+    json.field("nodes", "%d", nodes);
+    json.field("baton_ms", "%.1f", baton);
+    json.field("parallel_ms", "%.1f", parallel);
+    json.field("speedup", "%.2f", baton / parallel);
+    json.end_row();
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
+  json.end_rows();
   std::printf("wrote %s\n", path);
 }
 

@@ -3,7 +3,7 @@
 // Emits one CSV row per (application, protocol) with speedup, Table-1
 // counters, traffic and the Figure-3 breakdown -- the raw material for
 // external plotting or regression tracking. Shares flags with the other
-// benches (--nodes/--scale/--iters/--quick).
+// benches (see --help).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -11,7 +11,10 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
   bench::RunCache cache(opt);
   cache.warm(bench::full_grid());
 
@@ -34,8 +37,8 @@ int main(int argc, char** argv) {
       std::printf(
           "%s,%s,%d,%.3f,%d,%.3f,%.3f,%.3f,%llu,%llu,%llu,%llu,%llu,%llu,"
           "%llu,%llu,%llu,%llu,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-          run.app.c_str(), run.protocol.c_str(), run.nodes, opt.scale,
-          opt.iterations, sim::to_msec(seq.elapsed),
+          run.app.c_str(), run.protocol.c_str(), run.nodes, opt.app.scale,
+          opt.app.measured_iterations, sim::to_msec(seq.elapsed),
           sim::to_msec(run.elapsed), harness::speedup(run, seq),
           static_cast<unsigned long long>(run.counters.diffs_created),
           static_cast<unsigned long long>(run.counters.zero_diffs),

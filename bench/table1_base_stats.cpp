@@ -8,14 +8,17 @@
 int main(int argc, char** argv) {
   using namespace updsm;
   using protocols::ProtocolKind;
-  const auto opt = bench::BenchOptions::parse(argc, argv);
+  bench::BenchOptions opt;
+  harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
   bench::RunCache cache(opt);
   cache.warm(bench::base_grid());
 
   const auto protos = protocols::base_protocols();
-  std::cout << "Table 1: Base Statistics (" << opt.nodes << " nodes, scale "
-            << harness::fmt(opt.scale, 2) << ", " << opt.iterations
-            << " measured iterations)\n"
+  std::cout << "Table 1: Base Statistics (" << opt.cluster.num_nodes
+            << " nodes, scale " << harness::fmt(opt.app.scale, 2) << ", "
+            << opt.app.measured_iterations << " measured iterations)\n"
             << "columns per metric: li = lmw-i, lu = lmw-u, bi = bar-i, "
                "bu = bar-u\n\n";
 

@@ -14,9 +14,8 @@
 // can diff the output of two different --workers-list values byte for byte;
 // timings go to stderr and the JSON.
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,54 +43,28 @@ Timed timed_run(const std::string& app, ProtocolKind kind,
   return t;
 }
 
-std::vector<int> parse_workers_list(const char* v) {
-  std::vector<int> out;
-  const char* p = v;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long w = std::strtol(p, &end, 10);
-    if (end == p || w < 1) {
-      std::fprintf(stderr, "--workers-list entries must be >= 1: %s\n", v);
-      std::exit(2);
-    }
-    out.push_back(static_cast<int>(w));
-    p = (*end == ',') ? end + 1 : end;
-    if (*end != '\0' && *end != ',') {
-      std::fprintf(stderr, "bad --workers-list: %s\n", v);
-      std::exit(2);
-    }
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "--workers-list must not be empty\n");
-    std::exit(2);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip the bench-specific flags, forward the rest to the shared parser.
+  // Every run sets its own node count, gang mode and worker count.
+  BenchOptions opt;
   std::vector<int> workers_list = {1, 2, 4, 8};
-  bool quick = false;
-  std::vector<char*> fwd;
-  fwd.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--workers-list=", 15) == 0) {
-      workers_list = parse_workers_list(argv[i] + 15);
-      continue;
-    }
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    fwd.push_back(argv[i]);
-  }
-  BenchOptions opt =
-      BenchOptions::parse(static_cast<int>(fwd.size()), fwd.data());
+  updsm::harness::parse_flags_or_exit(
+      argc, argv, opt,
+      {.flags = {{"workers-list", "M,M,...",
+                  "worker counts to sweep (default 1,2,4,8)",
+                  [&](std::string_view v) {
+                    workers_list =
+                        updsm::harness::parse_int_list(v, 1, INT_MAX);
+                  }},
+                 updsm::bench::quick_flag(opt)},
+       .owned = {"nodes", "gang", "workers"}});
 
   const std::vector<std::string> apps = {"jacobi", "fft"};
   const std::vector<ProtocolKind> protos = {ProtocolKind::BarU,
                                             ProtocolKind::LmwU};
-  std::vector<int> node_counts = quick ? std::vector<int>{8, 64}
-                                       : std::vector<int>{8, 64, 256};
+  std::vector<int> node_counts = opt.quick ? std::vector<int>{8, 64}
+                                           : std::vector<int>{8, 64, 256};
 
   const unsigned cores = std::thread::hardware_concurrency();
   std::fprintf(stderr,
@@ -100,28 +73,26 @@ int main(int argc, char** argv) {
                apps.size(), protos.size(), node_counts.size(),
                workers_list.size(), cores);
 
-  std::FILE* json = std::fopen("BENCH_wallclock.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_wallclock.json\n");
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n  \"bench\": \"wallclock_scaling\",\n"
-               "  \"scale\": %.3f,\n  \"iters\": %d,\n",
-               opt.scale, opt.iterations);
-  // The sweep varies workers per run (recorded per row); header "workers"
-  // is the auto resolution at the default cluster size, as everywhere.
-  updsm::bench::write_host_env_json(json, opt);
-  std::fprintf(json, "  \"runs\": [");
+  // Every run sets its own workers and gang; the provenance records the
+  // auto resolution at the default cluster size.
+  updsm::bench::BenchJson json(
+      "BENCH_wallclock.json",
+      {updsm::sim::Gang::resolve_workers(0, opt.cluster.num_nodes), 1,
+       "sweep"});
+  json.text("bench", "wallclock_scaling");
+  json.field("scale", "%.3f", opt.app.scale);
+  json.field("iters", "%d", opt.app.measured_iterations);
+  json.text("net_profile", opt.cluster.net_profile);
+  json.texts("cost_overrides", opt.cost_overrides);
+  json.begin_rows("runs");
 
-  bool first_json = true;
   for (const std::string& app : apps) {
     for (const ProtocolKind kind : protos) {
       for (const int nodes : node_counts) {
         updsm::dsm::ClusterConfig cfg = opt.cluster_config();
         cfg.num_nodes = nodes;
         updsm::dsm::validate_cluster_config(cfg);
-        const updsm::apps::AppParams params = opt.app_params();
+        const updsm::apps::AppParams params = opt.app;
 
         // Baseline: the sequential baton on one worker (the pre-pool
         // execution model -- every node context multiplexed over a single
@@ -153,19 +124,18 @@ int main(int argc, char** argv) {
               static_cast<double>(nodes) *
               static_cast<double>(par.result.barriers) /
               (par.wall_s * static_cast<double>(cores_used));
-          std::fprintf(json,
-                       "%s\n    {\"app\": \"%s\", \"protocol\": \"%s\", "
-                       "\"nodes\": %d, \"workers\": %d, "
-                       "\"wall_s\": %.4f, \"baton_wall_s\": %.4f, "
-                       "\"barriers\": %llu, "
-                       "\"node_barriers_per_core_s\": %.1f, "
-                       "\"speedup_vs_baton\": %.3f}",
-                       first_json ? "" : ",", app.c_str(),
-                       updsm::protocols::to_string(kind), nodes, w,
-                       par.wall_s, baton.wall_s,
-                       static_cast<unsigned long long>(par.result.barriers),
-                       per_core_s, baton.wall_s / par.wall_s);
-          first_json = false;
+          json.begin_row();
+          json.text("app", app);
+          json.text("protocol", updsm::protocols::to_string(kind));
+          json.field("nodes", "%d", nodes);
+          json.field("workers", "%d", w);
+          json.field("wall_s", "%.4f", par.wall_s);
+          json.field("baton_wall_s", "%.4f", baton.wall_s);
+          json.field("barriers", "%llu",
+                     static_cast<unsigned long long>(par.result.barriers));
+          json.field("node_barriers_per_core_s", "%.1f", per_core_s);
+          json.field("speedup_vs_baton", "%.3f", baton.wall_s / par.wall_s);
+          json.end_row();
           std::fprintf(stderr,
                        "  %-6s %-6s n=%-4d w=%-2d  %7.3fs  (baton %7.3fs, "
                        "speedup %.2fx)\n",
@@ -185,8 +155,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
+  json.end_rows();
   std::fprintf(stderr, "wrote BENCH_wallclock.json\n");
   return 0;
 }

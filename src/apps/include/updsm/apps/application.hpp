@@ -21,7 +21,7 @@ namespace updsm::apps {
 
 struct AppParams {
   /// Unmeasured time-steps before the window opens. Must exceed the
-  /// overdrive learning iterations (default 3) by at least one so bar-s /
+  /// overdrive learning iterations (3) by at least one so bar-s /
   /// bar-m engage before measurement.
   int warmup_iterations = 5;
   /// Time-steps inside the measurement window.

@@ -109,12 +109,6 @@ struct ClusterConfig {
   std::vector<std::uint32_t> static_homes;
 
   // --- overdrive options (bar-s / bar-m) ---------------------------------
-  /// Complete iterations observed before overdrive engages ("after
-  /// gathering information for some period of time", §4.1). Homes migrate
-  /// during iteration 2 and copysets converge behind them, so the last
-  /// learning iteration -- the one overdrive replays -- must be the first
-  /// fully steady one: iteration 3. Overdrive engages during iteration 4.
-  int overdrive_learn_iterations = 3;
   OverdriveFallback overdrive_fallback = OverdriveFallback::Strict;
   /// Sliding-window length, in touched epochs per page, of the adaptive
   /// protocol's history (writers, diff bytes, consumers). A page's delivery
@@ -133,24 +127,11 @@ struct ClusterConfig {
   /// always-fresh reads (refetch on any newer version); larger values trade
   /// refresh traffic for staler reads. `--staleness` on the tools.
   int staleness_bound = 4;
-  /// Convergence window for the async residual detector: a node counts as
-  /// settled after this many consecutive published residuals at or under
-  /// the app's tolerance; the run converges when every node is settled
-  /// (sticky -- see protocols/convergence.hpp).
-  int async_convergence_window = 3;
   /// Residual tolerance the async detector settles against. Apps use the
   /// same value to pick their own drain criterion, so sync and async runs
   /// of a workload converge to the same residual. `--tolerance` on the
   /// tools.
   double async_tolerance = 1e-6;
-  /// Bounded-asynchrony throttle: a node more than this many async steps
-  /// ahead of the slowest node still iterating blocks (accruing Wait time)
-  /// until the straggler catches up. Under lossy fault plans retry
-  /// timeouts can skew per-sweep costs 25:1; without a bound the fast node
-  /// burns its whole drain backstop before stragglers settle and its stale
-  /// final residual can poison convergence detection. 0 disables the
-  /// throttle (unbounded run-ahead).
-  int async_max_lead = 64;
 
   // --- debugging tools ----------------------------------------------------
   /// Byte-granularity data-race detection (paper §5.2's companion tool):
@@ -176,6 +157,11 @@ inline void validate_cluster_config(const ClusterConfig& config) {
     throw UsageError("num_nodes must be between 1 and " +
                      std::to_string(kMaxNodes) + ", got " +
                      std::to_string(config.num_nodes));
+  }
+  if (config.page_size < 64 ||
+      (config.page_size & (config.page_size - 1)) != 0) {
+    throw UsageError("page_size must be a power of two >= 64, got " +
+                     std::to_string(config.page_size));
   }
   if (config.workers < 0) {
     throw UsageError("workers must be >= 1 (or 0 for auto), got " +
@@ -205,14 +191,6 @@ inline void validate_cluster_config(const ClusterConfig& config) {
   if (config.staleness_bound < 0) {
     throw UsageError("staleness_bound must be >= 0 (0 = always fresh), got " +
                      std::to_string(config.staleness_bound));
-  }
-  if (config.async_convergence_window < 1) {
-    throw UsageError("async_convergence_window must be >= 1, got " +
-                     std::to_string(config.async_convergence_window));
-  }
-  if (config.async_max_lead < 0) {
-    throw UsageError("async_max_lead must be >= 0 (0 = unbounded), got " +
-                     std::to_string(config.async_max_lead));
   }
   if (!(config.async_tolerance > 0.0)) {
     throw UsageError("async_tolerance must be > 0, got " +

@@ -75,7 +75,7 @@ struct ProtocolCounters {
   /// Page records carried by those batches (sum; mean = records / batches).
   Cell flush_batch_records = 0;
   /// Largest / smallest record count observed in one batch (min is 0 until
-  /// the first batch seals; merged by max/min, not summed).
+  /// the first batch seals).
   Cell flush_batch_records_max = 0;
   Cell flush_batch_records_min = 0;
   /// Network header bytes saved by aggregation: (records - 1) * header per
@@ -108,58 +108,8 @@ struct ProtocolCounters {
   /// Cached copies invalidated by async-i publishes.
   Cell async_invalidations = 0;
   /// Times a node blocked on the bounded-asynchrony throttle
-  /// (ClusterConfig::async_max_lead) waiting for a straggler to catch up.
+  /// (kAsyncMaxLead in cluster.cpp) waiting for a straggler to catch up.
   Cell async_throttles = 0;
-
-  ProtocolCounters& operator+=(const ProtocolCounters& o) {
-    diffs_created += o.diffs_created;
-    zero_diffs += o.zero_diffs;
-    remote_misses += o.remote_misses;
-    read_faults += o.read_faults;
-    write_faults += o.write_faults;
-    twins_created += o.twins_created;
-    updates_sent += o.updates_sent;
-    updates_received += o.updates_received;
-    updates_stored += o.updates_stored;
-    updates_applied += o.updates_applied;
-    updates_ignored += o.updates_ignored;
-    pages_fetched += o.pages_fetched;
-    migrations += o.migrations;
-    retained_diff_bytes_peak =
-        retained_diff_bytes_peak > o.retained_diff_bytes_peak
-            ? retained_diff_bytes_peak
-            : o.retained_diff_bytes_peak;
-    gc_rounds += o.gc_rounds;
-    overdrive_mispredictions += o.overdrive_mispredictions;
-    private_entries += o.private_entries;
-    private_exits += o.private_exits;
-    reliable_retries += o.reliable_retries;
-    dup_suppressed += o.dup_suppressed;
-    recovery_faults += o.recovery_faults;
-    node_stalls += o.node_stalls;
-    flush_batches += o.flush_batches;
-    flush_batch_records += o.flush_batch_records;
-    flush_batch_records_max = flush_batch_records_max > o.flush_batch_records_max
-                                  ? flush_batch_records_max
-                                  : o.flush_batch_records_max;
-    if (flush_batch_records_min.load() == 0 ||
-        (o.flush_batch_records_min.load() != 0 &&
-         o.flush_batch_records_min < flush_batch_records_min)) {
-      flush_batch_records_min = o.flush_batch_records_min;
-    }
-    flush_batch_header_bytes_saved += o.flush_batch_header_bytes_saved;
-    relay_batches += o.relay_batches;
-    relay_messages += o.relay_messages;
-    relay_forwarded_bytes += o.relay_forwarded_bytes;
-    relay_subtree_losses += o.relay_subtree_losses;
-    adaptive_switches += o.adaptive_switches;
-    adaptive_window_evictions += o.adaptive_window_evictions;
-    async_steps += o.async_steps;
-    async_refreshes += o.async_refreshes;
-    async_invalidations += o.async_invalidations;
-    async_throttles += o.async_throttles;
-    return *this;
-  }
 };
 
 }  // namespace updsm::dsm

@@ -16,6 +16,10 @@ using sim::TimeCat;
 /// Wire footprint of one reduction contribution / result (op + double).
 constexpr std::uint64_t kReduceWireBytes = 16;
 
+/// How many async steps a node may run ahead of the slowest node still
+/// iterating (the bounded-asynchrony throttle in node_async_step).
+constexpr std::uint64_t kAsyncMaxLead = 64;
+
 /// Parallel scheduling is opt-in per protocol: anything whose fault
 /// handlers mutate remote state mid-phase (sc-sw) keeps the baton. The
 /// async gang cannot be silently downgraded (the app's iteration structure
@@ -138,16 +142,16 @@ bool Cluster::node_async_step(NodeId n, double residual) {
   }
   gang_.async_step(static_cast<int>(n.value()));
   // Bounded asynchrony: under lossy fault plans retry timeouts can skew
-  // per-sweep virtual costs by orders of magnitude, letting a cheap node
-  // burn its entire drain backstop while a straggler is still settling. A
-  // node more than async_max_lead steps ahead of the slowest node still
-  // iterating blocks here -- its clock advances in Wait past the
-  // straggler's so the scheduler hands the turn over -- until the gap
+  // per-sweep virtual costs by orders of magnitude (25:1), letting a cheap
+  // node burn its entire drain backstop while a straggler is still
+  // settling, and its stale final residual can poison convergence
+  // detection. A node more than kAsyncMaxLead steps ahead of the slowest
+  // node still iterating blocks here -- its clock advances in Wait past
+  // the straggler's so the scheduler hands the turn over -- until the gap
   // closes. Only ACTIVE nodes count: a drained node can never stall the
   // rest. Deterministic: the wait target is a pure function of the
   // virtual clocks and step counts.
-  const int max_lead = rt_.config().async_max_lead;
-  while (max_lead > 0) {
+  for (;;) {
     std::uint64_t slowest_steps = async_step_count_[n.index()];
     NodeId slowest = n;
     for (std::size_t i = 0; i < async_active_.size(); ++i) {
@@ -157,9 +161,8 @@ bool Cluster::node_async_step(NodeId n, double residual) {
         slowest = NodeId{static_cast<std::uint32_t>(i)};
       }
     }
-    if (slowest == n || async_step_count_[n.index()] <=
-                            slowest_steps + static_cast<std::uint64_t>(
-                                                max_lead)) {
+    if (slowest == n ||
+        async_step_count_[n.index()] <= slowest_steps + kAsyncMaxLead) {
       break;
     }
     const SimTime target = rt_.clock(slowest).now() + 1;

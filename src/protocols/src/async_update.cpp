@@ -15,6 +15,12 @@ using mem::Diff;
 using mem::Protect;
 using sim::MsgKind;
 using sim::SimTime;
+
+/// Convergence window of the residual detector: a node counts as settled
+/// after this many consecutive published residuals at or under the app's
+/// tolerance; the run converges when every node is settled (sticky -- see
+/// protocols/convergence.hpp).
+constexpr int kConvergenceWindow = 3;
 }  // namespace
 
 void AsyncProtocol::init(dsm::Runtime& rt) {
@@ -23,8 +29,7 @@ void AsyncProtocol::init(dsm::Runtime& rt) {
   global_.resize(rt.num_pages());
   journal_on_ = rt.config().trace;
   detector_ = std::make_unique<ConvergenceDetector>(
-      rt.num_nodes(), rt.config().async_tolerance,
-      rt.config().async_convergence_window);
+      rt.num_nodes(), rt.config().async_tolerance, kConvergenceWindow);
   // Homes: same block distribution as bar-* (contiguous page ranges per
   // node), with the same Zhou-style static_homes override. No migration:
   // the async protocols keep homes fixed -- there is no barrier at which a

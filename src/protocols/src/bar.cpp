@@ -16,6 +16,13 @@ using mem::Diff;
 using mem::Protect;
 using sim::MsgKind;
 using sim::SimTime;
+
+/// Complete iterations observed before overdrive engages ("after gathering
+/// information for some period of time", §4.1). Homes migrate during
+/// iteration 2 and copysets converge behind them, so the last learning
+/// iteration -- the one overdrive replays -- must be the first fully steady
+/// one: iteration 3. Overdrive engages during iteration 4.
+constexpr std::uint64_t kOverdriveLearnIterations = 3;
 }  // namespace
 
 void BarProtocol::init(dsm::Runtime& rt) {
@@ -521,9 +528,7 @@ void BarProtocol::barrier_master() {
 
   // Overdrive engagement, once, after the learning iterations complete.
   if (overdrive_capable() && !od_active_) {
-    const std::uint64_t target =
-        static_cast<std::uint64_t>(rt_->config().overdrive_learn_iterations) +
-        1;
+    const std::uint64_t target = kOverdriveLearnIterations + 1;
     const bool learned = std::all_of(
         nodes_.begin(), nodes_.end(),
         [&](const NodeState& st) { return st.iteration >= target; });
@@ -589,8 +594,7 @@ void BarProtocol::engage_overdrive() {
   // Determine the iteration period from the recorded iteration beginnings:
   // every node must agree or the application is not barrier-regular.
   const auto& ib0 = nodes_[0].iter_begin_epochs;
-  const std::uint64_t learn =
-      static_cast<std::uint64_t>(rt_->config().overdrive_learn_iterations);
+  const std::uint64_t learn = kOverdriveLearnIterations;
   UPDSM_CHECK(ib0.size() > learn + 1);
   od_base_epoch_ = ib0[learn];            // first epoch of last learning iter
   od_period_ = ib0[learn + 1] - ib0[learn];

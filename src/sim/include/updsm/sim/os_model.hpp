@@ -27,14 +27,6 @@ struct OsCounters {
   Relaxed<std::uint64_t> mprotects = 0;
   Relaxed<std::uint64_t> sends = 0;
   Relaxed<std::uint64_t> recvs = 0;
-
-  OsCounters& operator+=(const OsCounters& o) {
-    segvs += o.segvs;
-    mprotects += o.mprotects;
-    sends += o.sends;
-    recvs += o.recvs;
-    return *this;
-  }
 };
 
 /// Computes OS trap costs for one node. Stateless apart from counters;
