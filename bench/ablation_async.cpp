@@ -16,7 +16,6 @@
 // clock; the bench_async_determinism ctest pins byte-identical output.
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -75,26 +74,22 @@ int main(int argc, char** argv) {
       {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)},
        .owned = {"gang", "faults"}});
 
+  // Each cell is one self-checked run (its checksum is the converged flag
+  // read below), planned in cell order, so results[i] is cell i's run.
+  bench::Sweep sweep(opt);
   std::vector<Cell> cells;
-  std::vector<std::function<harness::RunResult()>> tasks;
   for (const char* app : kApps) {
     for (const Mode& mode : kModes) {
       for (const Severity& sev : kSeverities) {
+        dsm::ClusterConfig cfg = opt.cluster_config();
+        cfg.gang = mode.gang;
+        if (sev.plan[0] != '\0') cfg.faults = sim::FaultSpec::parse(sev.plan);
+        sweep.plan_self_checked(app, mode.kind, cfg);
         cells.push_back(Cell{app, &mode, &sev});
-        const bench::BenchOptions o = opt;
-        tasks.push_back([o, app = std::string(app), &mode, &sev] {
-          dsm::ClusterConfig cfg = o.cluster_config();
-          cfg.gang = mode.gang;
-          if (sev.plan[0] != '\0') {
-            cfg.faults = sim::FaultSpec::parse(sev.plan);
-          }
-          return harness::run_app(app, mode.kind, cfg, o.app);
-        });
       }
     }
   }
-  const std::vector<harness::RunResult> results =
-      harness::run_grid(tasks, opt.jobs);
+  const std::vector<harness::RunResult> results = sweep.run();
 
   std::printf("Ablation X8: barrier-free async iteration vs barrier "
               "execution (fault seed %llu, scale %.2f, %d nodes)\n\n",

@@ -9,7 +9,6 @@
 // (workload, config, --fault-seed), never on --jobs or wall clock; the
 // bench_faults_determinism ctest pins byte-identical output.
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@ struct Cell {
   std::string app;
   protocols::ProtocolKind kind;
   double drop_rate;
+  bench::Sweep::Index run;
 };
 
 }  // namespace
@@ -43,60 +43,29 @@ int main(int argc, char** argv) {
       {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)},
        .owned = {"faults"}});
 
-  // Plan every run up front and execute on the --jobs worker pool; results
-  // land in task order, so output is identical at any worker count.
+  // Every run must reproduce its app's fault-free sequential baseline.
+  bench::Sweep sweep(opt);
   std::vector<Cell> cells;
-  std::vector<std::function<harness::RunResult()>> tasks;
-  std::vector<std::string> seq_apps;
+  const dsm::ClusterConfig fault_free = opt.cluster_config();
   for (const char* app : kApps) {
-    const bench::BenchOptions o = opt;
-    tasks.push_back([o, app = std::string(app)] {
-      return harness::run_sequential(app, o.cluster_config(), o.app);
-    });
-    seq_apps.push_back(app);
+    const bench::Sweep::Index seq = sweep.plan_sequential(app, fault_free);
     for (const ProtocolKind kind : protocols::all_paper_protocols()) {
       if (!bench::overdrive_safe(app) &&
           (kind == ProtocolKind::BarS || kind == ProtocolKind::BarM)) {
         continue;
       }
       for (const double rate : kDropRates) {
-        cells.push_back(Cell{app, kind, rate});
-        tasks.push_back([o, app = std::string(app), kind, rate] {
-          dsm::ClusterConfig cfg = o.cluster_config();
-          if (rate > 0) {
-            char spec[32];
-            std::snprintf(spec, sizeof(spec), "drop=%g", rate);
-            cfg.faults = sim::FaultSpec::parse(spec);
-          }
-          return harness::run_app(app, kind, cfg, o.app);
-        });
+        dsm::ClusterConfig cfg = fault_free;
+        if (rate > 0) {
+          char spec[32];
+          std::snprintf(spec, sizeof(spec), "drop=%g", rate);
+          cfg.faults = sim::FaultSpec::parse(spec);
+        }
+        cells.push_back(Cell{app, kind, rate, sweep.plan(app, kind, cfg, seq)});
       }
     }
   }
-  const std::vector<harness::RunResult> results =
-      harness::run_grid(tasks, opt.jobs);
-
-  // Task order: [seq(app0), cells(app0)..., seq(app1), ...].
-  std::size_t next = 0;
-  std::vector<harness::RunResult> seq_results;
-  std::vector<harness::RunResult> cell_results;
-  std::size_t cell_idx = 0;
-  for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-    seq_results.push_back(results[next++]);
-    while (cell_idx < cells.size() && cells[cell_idx].app == seq_apps[a]) {
-      cell_results.push_back(results[next++]);
-      ++cell_idx;
-    }
-  }
-
-  auto seq_of = [&](const std::string& app) -> const harness::RunResult& {
-    for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-      if (seq_apps[a] == app) return seq_results[a];
-    }
-    std::fprintf(stderr, "FATAL: no sequential baseline for %s\n",
-                 app.c_str());
-    std::exit(1);
-  };
+  const std::vector<harness::RunResult> results = sweep.run();
 
   std::printf("Ablation X6: degradation vs reliable-channel drop rate "
               "(fault seed %llu, scale %.2f)\n\n",
@@ -117,15 +86,7 @@ int main(int argc, char** argv) {
   std::string cur_header;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const harness::RunResult& run = cell_results[i];
-    const harness::RunResult& seq = seq_of(cell.app);
-    if (run.checksum != seq.checksum) {
-      std::fprintf(stderr,
-                   "FATAL: %s under %s diverged at drop rate %g\n",
-                   cell.app.c_str(), protocols::to_string(cell.kind),
-                   cell.drop_rate);
-      return 1;
-    }
+    const harness::RunResult& run = results[cell.run];
     const std::string header =
         cell.app + " under " + protocols::to_string(cell.kind);
     if (header != cur_header) {
@@ -137,7 +98,8 @@ int main(int argc, char** argv) {
     // Overhead: runtime vs this protocol's own fault-free point (printed
     // right above, always rate 0.0 of the same (app, kind) group).
     const harness::RunResult& base =
-        cell_results[i - (i % (sizeof(kDropRates) / sizeof(kDropRates[0])))];
+        results[cells[i - (i % (sizeof(kDropRates) / sizeof(kDropRates[0])))]
+                    .run];
     const double overhead = static_cast<double>(run.elapsed) /
                             static_cast<double>(base.elapsed);
     std::printf("  %-6g %8.2fms %8.3fx %9llu %8llu %8llu %8llu %9llu\n",

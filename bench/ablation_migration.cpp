@@ -20,7 +20,8 @@ namespace {
 
 using namespace updsm;
 
-/// Runs bar-u once with migration and returns the converged home map.
+/// Runs bar-u once with migration and returns the converged home map. A
+/// direct cluster run: the homes live in the protocol, not in a RunResult.
 std::vector<std::uint32_t> learn_homes(std::string_view app_name,
                                        const dsm::ClusterConfig& cfg,
                                        const apps::AppParams& params) {
@@ -46,37 +47,44 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   harness::parse_flags_or_exit(
       argc, argv, opt,
-      {.flags = {bench::quick_flag(opt)}, .owned = {"no-migration"}});
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)},
+       .owned = {"no-migration"}});
+
+  // Per app: one sequential baseline and bar-u under each home strategy,
+  // the annotated one with the homes a migrating run converged to.
+  struct Row {
+    std::string app;
+    bench::Sweep::Index seq, migrated, naive, annotated;
+  };
+  bench::Sweep sweep(opt);
+  std::vector<Row> rows;
+  const dsm::ClusterConfig cfg_migrate = opt.cluster_config();
+  dsm::ClusterConfig cfg_naive = cfg_migrate;
+  cfg_naive.home_migration = false;
+  for (const auto app : apps::app_names()) {
+    dsm::ClusterConfig cfg_annotated = cfg_naive;
+    cfg_annotated.static_homes = learn_homes(app, cfg_migrate, opt.app);
+    const bench::Sweep::Index seq = sweep.plan_sequential(app, cfg_migrate);
+    rows.push_back(
+        Row{std::string(app), seq,
+            sweep.plan(app, ProtocolKind::BarU, cfg_migrate, seq),
+            sweep.plan(app, ProtocolKind::BarU, cfg_naive, seq),
+            sweep.plan(app, ProtocolKind::BarU, cfg_annotated, seq)});
+  }
+  const std::vector<harness::RunResult> results = sweep.run();
 
   std::cout << "Ablation X4: home assignment strategies under bar-u\n\n";
   // (Migration itself happens during warm-up, outside the measurement
   // window, so steady-state counters show its *effect*, not the moves.)
   harness::TextTable table({"app", "migrated", "naive static",
                             "annotated", "misses naive/migrated"});
-  for (const auto app : apps::app_names()) {
-    const auto params = opt.app;
-    dsm::ClusterConfig cfg_migrate = opt.cluster_config();
-    dsm::ClusterConfig cfg_naive = opt.cluster_config();
-    cfg_naive.home_migration = false;
-    dsm::ClusterConfig cfg_annotated = opt.cluster_config();
-    cfg_annotated.home_migration = false;
-    cfg_annotated.static_homes = learn_homes(app, cfg_migrate, params);
-
-    const auto seq = harness::run_sequential(app, cfg_migrate, params);
-    const auto migrated =
-        harness::run_app(app, ProtocolKind::BarU, cfg_migrate, params);
-    const auto naive =
-        harness::run_app(app, ProtocolKind::BarU, cfg_naive, params);
-    const auto annotated =
-        harness::run_app(app, ProtocolKind::BarU, cfg_annotated, params);
-    for (const auto* run : {&migrated, &naive, &annotated}) {
-      if (run->checksum != seq.checksum) {
-        std::cerr << "FATAL: divergence for " << app << "\n";
-        return 1;
-      }
-    }
+  for (const Row& row : rows) {
+    const harness::RunResult& seq = results[row.seq];
+    const harness::RunResult& migrated = results[row.migrated];
+    const harness::RunResult& naive = results[row.naive];
+    const harness::RunResult& annotated = results[row.annotated];
     table.add_row(
-        {std::string(app), harness::fmt(harness::speedup(migrated, seq)),
+        {row.app, harness::fmt(harness::speedup(migrated, seq)),
          harness::fmt(harness::speedup(naive, seq)),
          harness::fmt(harness::speedup(annotated, seq)),
          std::to_string(naive.counters.remote_misses) + "/" +

@@ -12,7 +12,6 @@
 // (workload, config), never on --jobs or wall clock; the
 // bench_nodes_determinism ctest pins byte-identical output.
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,8 @@ struct Cell {
   std::string app;
   protocols::ProtocolKind kind;
   int nodes;
+  bench::Sweep::Index flat;  // flat barrier, unicast flushes
+  bench::Sweep::Index tree;  // tree barrier, relayed flushes
 };
 
 }  // namespace
@@ -57,62 +58,28 @@ int main(int argc, char** argv) {
   const int tree_fanout = opt.cluster.barrier_fanout;
   const int relay_threshold = opt.cluster.relay_threshold;
 
-  // Plan every run up front and execute on the --jobs worker pool; results
-  // land in task order, so output is identical at any worker count. Each
-  // cell contributes two runs: flat topology then tree + relay. One
-  // sequential baseline per app (the baseline is a single process; its
-  // checksum and time do not depend on the cluster size).
+  // Each cell runs twice: flat topology, then tree + relay. One sequential
+  // baseline per app: it is a single process, so its checksum does not
+  // depend on the cluster size.
+  bench::Sweep sweep(opt);
   std::vector<Cell> cells;
-  std::vector<std::function<harness::RunResult()>> tasks;
-  std::vector<std::string> seq_apps;
+  const dsm::ClusterConfig base = opt.cluster_config();
   for (const char* app : kApps) {
-    const bench::BenchOptions o = opt;
-    tasks.push_back([o, app = std::string(app)] {
-      return harness::run_sequential(app, o.cluster_config(), o.app);
-    });
-    seq_apps.push_back(app);
+    const bench::Sweep::Index seq = sweep.plan_sequential(app, base);
     for (const ProtocolKind kind : protocols::base_protocols()) {
       for (const int nodes : node_list) {
-        cells.push_back(Cell{app, kind, nodes});
-        for (const bool tree : {false, true}) {
-          tasks.push_back([o, app = std::string(app), kind, nodes, tree,
-                           tree_fanout, relay_threshold] {
-            dsm::ClusterConfig cfg = o.cluster_config();
-            cfg.num_nodes = nodes;
-            cfg.barrier_fanout = tree ? tree_fanout : 0;
-            cfg.relay_threshold = tree ? relay_threshold : 0;
-            return harness::run_app(app, kind, cfg, o.app);
-          });
-        }
+        dsm::ClusterConfig tree = base;
+        tree.num_nodes = nodes;
+        dsm::ClusterConfig flat = tree;
+        flat.barrier_fanout = 0;
+        flat.relay_threshold = 0;
+        const bench::Sweep::Index flat_run = sweep.plan(app, kind, flat, seq);
+        cells.push_back(
+            Cell{app, kind, nodes, flat_run, sweep.plan(app, kind, tree, seq)});
       }
     }
   }
-  const std::vector<harness::RunResult> results =
-      harness::run_grid(tasks, opt.jobs);
-
-  // Task order: [seq(app0), cells(app0) x {flat, tree}..., seq(app1), ...].
-  std::size_t next = 0;
-  std::vector<harness::RunResult> seq_results;
-  std::vector<harness::RunResult> flat_results;
-  std::vector<harness::RunResult> tree_results;
-  std::size_t cell_idx = 0;
-  for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-    seq_results.push_back(results[next++]);
-    while (cell_idx < cells.size() && cells[cell_idx].app == seq_apps[a]) {
-      flat_results.push_back(results[next++]);
-      tree_results.push_back(results[next++]);
-      ++cell_idx;
-    }
-  }
-
-  auto seq_of = [&](const std::string& app) -> const harness::RunResult& {
-    for (std::size_t a = 0; a < seq_apps.size(); ++a) {
-      if (seq_apps[a] == app) return seq_results[a];
-    }
-    std::fprintf(stderr, "FATAL: no sequential baseline for %s\n",
-                 app.c_str());
-    std::exit(1);
-  };
+  const std::vector<harness::RunResult> results = sweep.run();
 
   std::printf("Ablation X3: scaling to 1024 nodes, flat vs tree(%d)+relay(%d) "
               "(scale %.2f)\n\n",
@@ -128,18 +95,9 @@ int main(int argc, char** argv) {
   json.begin_rows("runs");
 
   std::string cur_header;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const harness::RunResult& flat = flat_results[i];
-    const harness::RunResult& tree = tree_results[i];
-    const harness::RunResult& seq = seq_of(cell.app);
-    if (flat.checksum != seq.checksum || tree.checksum != seq.checksum) {
-      std::fprintf(stderr, "FATAL: %s under %s diverged at %d nodes\n",
-                   cell.app.c_str(), protocols::to_string(cell.kind),
-                   cell.nodes);
-      return 1;
-    }
-
+  for (const Cell& cell : cells) {
+    const harness::RunResult& flat = results[cell.flat];
+    const harness::RunResult& tree = results[cell.tree];
     const std::string header =
         cell.app + " under " + protocols::to_string(cell.kind);
     if (header != cur_header) {

@@ -5,6 +5,10 @@
 // protection traffic per byte but finer sharing; bigger pages amplify
 // false sharing.
 #include <iostream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -14,33 +18,39 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   harness::parse_flags_or_exit(
       argc, argv, opt,
-      {.flags = {bench::quick_flag(opt)}, .owned = {"page-size"}});
+      {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)},
+       .owned = {"page-size"}});
+
+  // Per app and page size: (sequential baseline, bar-u).
+  constexpr std::uint32_t kPageSizes[] = {4096, 8192, 16384};
+  bench::Sweep sweep(opt);
+  std::vector<std::pair<bench::Sweep::Index, bench::Sweep::Index>> runs;
+  for (const auto app : apps::app_names()) {
+    for (const std::uint32_t page_size : kPageSizes) {
+      dsm::ClusterConfig cfg = opt.cluster_config();
+      cfg.page_size = page_size;
+      const bench::Sweep::Index seq = sweep.plan_sequential(app, cfg);
+      runs.emplace_back(seq, sweep.plan(app, ProtocolKind::BarU, cfg, seq));
+    }
+  }
+  const std::vector<harness::RunResult> results = sweep.run();
 
   std::cout << "Ablation X2: page-size sensitivity of bar-u\n\n";
   harness::TextTable table({"app", "4kB speedup", "8kB speedup",
                             "16kB speedup", "4kB data(kB)", "8kB data(kB)",
                             "16kB data(kB)"});
+  auto run = runs.begin();
   for (const auto app : apps::app_names()) {
-    std::vector<double> speedups;
-    std::vector<std::uint64_t> bytes;
-    for (const std::uint32_t page_size : {4096u, 8192u, 16384u}) {
-      dsm::ClusterConfig cfg = opt.cluster_config();
-      cfg.page_size = page_size;
-      const auto params = opt.app;
-      const auto par = harness::run_app(app, ProtocolKind::BarU, cfg, params);
-      const auto seq = harness::run_sequential(app, cfg, params);
-      if (par.checksum != seq.checksum) {
-        std::cerr << "FATAL: divergence for " << app << " at page size "
-                  << page_size << "\n";
-        return 1;
-      }
-      speedups.push_back(harness::speedup(par, seq));
-      bytes.push_back(par.net.total_bytes() / 1024);
+    std::vector<std::string> row{std::string(app)};
+    std::vector<std::string> data;
+    for (std::size_t p = 0; p < std::size(kPageSizes); ++p, ++run) {
+      const harness::RunResult& bar_u = results[run->second];
+      row.push_back(
+          harness::fmt(harness::speedup(bar_u, results[run->first])));
+      data.push_back(std::to_string(bar_u.net.total_bytes() / 1024));
     }
-    table.add_row({std::string(app), harness::fmt(speedups[0]),
-                   harness::fmt(speedups[1]), harness::fmt(speedups[2]),
-                   std::to_string(bytes[0]), std::to_string(bytes[1]),
-                   std::to_string(bytes[2])});
+    row.insert(row.end(), data.begin(), data.end());
+    table.add_row(std::move(row));
   }
   table.print(std::cout);
   return 0;

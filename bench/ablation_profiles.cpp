@@ -57,10 +57,8 @@ int main(int argc, char** argv) {
   for (const char* profile : kProfiles) {
     bench::BenchOptions popt = opt;
     popt.cluster.net_profile = profile;
-    bench::RunCache cache(popt);
-    cache.warm(cells);
+    const bench::RunCache cache(popt, cells);
     for (const bench::GridCell& cell : cells) {
-      cache.verify(cell.app, cell.kind);
       const char* proto = protocols::to_string(cell.kind);
       speedup[profile][cell.app][proto] = cache.speedup(cell.app, cell.kind);
       elapsed_ms[profile][cell.app][proto] =

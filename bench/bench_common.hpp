@@ -1,15 +1,18 @@
 // Shared plumbing for the table/figure bench binaries: the bench flags on
-// top of the shared flag table, the BENCH_*.json writer, the canonical
-// experiment grid (8 apps x protocols at paper scale), and result caching
-// so one binary can build several views of the same runs.
+// top of the shared flag table, the BENCH_*.json writer, the sweep runner
+// every simulation bench executes its runs through, and the canonical
+// experiment grid (8 apps x protocols at paper scale) with a keyed view so
+// one binary can build several views of the same runs.
 #pragma once
 
-#include <algorithm>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -25,9 +28,9 @@ namespace updsm::bench {
 
 /// A bench's command line: the shared flag table plus --jobs and --quick.
 struct BenchOptions : harness::RunOptions {
-  /// Experiment-grid worker count; 1 reproduces the serial behavior.
-  /// Output is byte-identical for every value (results are collected by
-  /// grid index, and each cell is an independent deterministic simulation).
+  /// Sweep worker count; 1 runs the plan serially in plan order. Output is
+  /// byte-identical for every value (results land by plan index, and each
+  /// run is an independent deterministic simulation).
   int jobs = harness::default_jobs();
   /// Set by --quick (wallclock_scaling also sweeps fewer node counts).
   bool quick = false;
@@ -44,7 +47,7 @@ inline harness::ToolFlag quick_flag(BenchOptions& opt) {
           }};
 }
 
-/// --jobs, for the benches that run their cells on a grid.
+/// --jobs, for the benches that run through the Sweep runner.
 inline harness::ToolFlag jobs_flag(BenchOptions& opt) {
   return {"jobs", "N",
           "experiment-grid workers (default: host cores; output is\n"
@@ -142,103 +145,136 @@ class BenchJson {
   bool first_row_ = true;
 };
 
+/// The one way a simulation bench executes runs. The bench plans every run
+/// up front: an app under a protocol on a cluster, plus the sequential
+/// baseline whose checksum it must reproduce bit for bit (paper §3.1), or
+/// marked self-checked. run() executes the plan on the --jobs pool and
+/// checks every run against its baseline before it returns any result; a
+/// divergent run exits 1 naming it. Results land by plan index, so the
+/// output is byte-identical at any job count.
+class Sweep {
+ public:
+  using Index = std::size_t;
+
+  explicit Sweep(const BenchOptions& opt) : params_(opt.app), jobs_(opt.jobs) {}
+
+  /// Plans the nulled-sync sequential run of `app` (one process, whatever
+  /// cfg.num_nodes says). The bench declares which runs share it.
+  Index plan_sequential(std::string_view app, const dsm::ClusterConfig& cfg) {
+    return add(app, std::nullopt, cfg, kUnchecked);
+  }
+  /// Plans `app` under `kind`; it must reproduce the checksum of the run
+  /// planned as `sequential`.
+  Index plan(std::string_view app, protocols::ProtocolKind kind,
+             const dsm::ClusterConfig& cfg, Index sequential) {
+    return add(app, kind, cfg, sequential);
+  }
+  /// Plans a run that checks itself: the async stencils report convergence
+  /// as their checksum, and their in-place chaotic byte pattern is
+  /// schedule-dependent by design, so it has no sequential twin.
+  Index plan_self_checked(std::string_view app, protocols::ProtocolKind kind,
+                          const dsm::ClusterConfig& cfg) {
+    return add(app, kind, cfg, kUnchecked);
+  }
+
+  /// Executes the plan, checks it, and returns the results by plan index.
+  [[nodiscard]] std::vector<harness::RunResult> run() const {
+    std::vector<std::function<harness::RunResult()>> tasks;
+    for (const Planned& p : plan_) {
+      tasks.push_back([&p, this] {
+        return p.kind ? harness::run_app(p.app, *p.kind, p.cfg, params_)
+                      : harness::run_sequential(p.app, p.cfg, params_);
+      });
+    }
+    std::vector<harness::RunResult> results =
+        harness::run_grid(tasks, jobs_);
+    // A bench must never report numbers from a wrong answer.
+    for (std::size_t i = 0; i < plan_.size(); ++i) {
+      const Planned& p = plan_[i];
+      if (p.sequential != kUnchecked &&
+          results[i].checksum != results[p.sequential].checksum) {
+        std::fprintf(stderr,
+                     "FATAL: %s under %s at %d nodes diverged from the "
+                     "sequential result\n",
+                     p.app.c_str(), protocols::to_string(*p.kind),
+                     p.cfg.num_nodes);
+        std::exit(1);
+      }
+    }
+    return results;
+  }
+
+ private:
+  static constexpr Index kUnchecked = SIZE_MAX;
+
+  struct Planned {
+    std::string app;
+    std::optional<protocols::ProtocolKind> kind;  // empty: sequential
+    dsm::ClusterConfig cfg;
+    Index sequential;
+  };
+
+  Index add(std::string_view app, std::optional<protocols::ProtocolKind> kind,
+            const dsm::ClusterConfig& cfg, Index sequential) {
+    plan_.push_back(Planned{std::string(app), kind, cfg, sequential});
+    return plan_.size() - 1;
+  }
+
+  apps::AppParams params_;
+  int jobs_;
+  std::vector<Planned> plan_;
+};
+
 /// One cell of the experiment grid: an application under a protocol.
 struct GridCell {
   std::string app;
   protocols::ProtocolKind kind;
 };
 
-/// Runs (and caches) the experiment grid used by several benches.
-///
-/// Benches declare their whole grid up front with warm(), which executes
-/// the missing cells on a worker pool (BenchOptions::jobs wide) and fills
-/// the cache; the subsequent per-cell accessors then never run anything,
-/// so the printed output is byte-identical no matter how many workers ran.
-/// Accessors also work without warm() -- they fall back to running the
-/// cell inline, exactly the pre-parallel behavior.
+/// A keyed view over one Sweep of an app x protocol grid on the bench's
+/// cluster: each cell is checked against its app's sequential baseline,
+/// planned once per app and shared by all of its cells. Only planned cells
+/// can be looked up; any other throws std::out_of_range.
 class RunCache {
  public:
-  explicit RunCache(const BenchOptions& opt) : opt_(opt) {}
-
-  /// Runs every not-yet-cached cell, plus the sequential baseline of every
-  /// app named by `cells` (computed once per app and shared across all of
-  /// its cells), on `opt.jobs` workers.
-  void warm(const std::vector<GridCell>& cells) {
-    std::vector<std::string> keys;
-    std::vector<std::function<harness::RunResult()>> tasks;
-    auto plan = [&](const std::string& key,
-                    std::function<harness::RunResult()> task) {
-      if (cache_.count(key) != 0) return;
-      // Dedup within this warm() call: the same app appears in many cells.
-      if (std::find(keys.begin(), keys.end(), key) != keys.end()) return;
-      keys.push_back(key);
-      tasks.push_back(std::move(task));
-    };
+  RunCache(const BenchOptions& opt, const std::vector<GridCell>& cells) {
+    const dsm::ClusterConfig cfg = opt.cluster_config();
+    Sweep sweep(opt);
     for (const GridCell& cell : cells) {
-      const BenchOptions opt = opt_;
-      plan(cell.app + "/seq", [opt, app = cell.app] {
-        return harness::run_sequential(app, opt.cluster_config(), opt.app);
-      });
-      plan(cell.app + "/" + protocols::to_string(cell.kind),
-           [opt, app = cell.app, kind = cell.kind] {
-             return harness::run_app(app, kind, opt.cluster_config(), opt.app);
-           });
+      const auto [seq, first] = index_.try_emplace(cell.app + "/seq");
+      if (first) seq->second = sweep.plan_sequential(cell.app, cfg);
+      index_.emplace(cell.app + "/" + protocols::to_string(cell.kind),
+                     sweep.plan(cell.app, cell.kind, cfg, seq->second));
     }
-    std::vector<harness::RunResult> results =
-        harness::run_grid(tasks, opt_.jobs);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      cache_.emplace(keys[i], std::move(results[i]));
-    }
+    results_ = sweep.run();
   }
 
-  const harness::RunResult& parallel(std::string_view app,
-                                     protocols::ProtocolKind kind) {
-    const std::string key =
-        std::string(app) + "/" + protocols::to_string(kind);
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      it = cache_
-               .emplace(key, harness::run_app(app, kind,
-                                              opt_.cluster_config(),
-                                              opt_.app))
-               .first;
-    }
-    return it->second;
+  [[nodiscard]] const harness::RunResult& parallel(
+      std::string_view app, protocols::ProtocolKind kind) const {
+    return at(std::string(app) + "/" + protocols::to_string(kind));
   }
 
-  const harness::RunResult& sequential(std::string_view app) {
-    const std::string key = std::string(app) + "/seq";
-    auto it = cache_.find(key);
-    if (it == cache_.end()) {
-      it = cache_
-               .emplace(key, harness::run_sequential(app,
-                                                     opt_.cluster_config(),
-                                                     opt_.app))
-               .first;
-    }
-    return it->second;
+  [[nodiscard]] const harness::RunResult& sequential(
+      std::string_view app) const {
+    return at(std::string(app) + "/seq");
   }
 
-  double speedup(std::string_view app, protocols::ProtocolKind kind) {
+  [[nodiscard]] double speedup(std::string_view app,
+                               protocols::ProtocolKind kind) const {
     return harness::speedup(parallel(app, kind), sequential(app));
   }
 
-  /// Checks that the run reproduced the sequential checksum; aborts loudly
-  /// otherwise (a bench must never report numbers from a wrong answer).
-  void verify(std::string_view app, protocols::ProtocolKind kind) {
-    const auto& par = parallel(app, kind);
-    const auto& seq = sequential(app);
-    if (par.checksum != seq.checksum) {
-      std::fprintf(stderr,
-                   "FATAL: %s under %s diverged from sequential result\n",
-                   std::string(app).c_str(), protocols::to_string(kind));
-      std::exit(1);
+ private:
+  const harness::RunResult& at(const std::string& key) const {
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      throw std::out_of_range("RunCache: " + key + " was not planned");
     }
+    return results_[it->second];
   }
 
- private:
-  BenchOptions opt_;
-  std::map<std::string, harness::RunResult> cache_;
+  std::map<std::string, Sweep::Index> index_;
+  std::vector<harness::RunResult> results_;
 };
 
 /// Apps excluded from overdrive (dynamic sharing), per paper §5.1.

@@ -13,19 +13,7 @@ int main(int argc, char** argv) {
   harness::parse_flags_or_exit(
       argc, argv, opt,
       {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
-  bench::RunCache cache(opt);
-  cache.warm(bench::full_grid());
-
-  // Verify every run first: a claim check over wrong answers is worthless.
-  for (const auto app : apps::app_names()) {
-    for (const auto kind : protocols::all_paper_protocols()) {
-      if (!bench::overdrive_safe(app) &&
-          (kind == ProtocolKind::BarS || kind == ProtocolKind::BarM)) {
-        continue;
-      }
-      cache.verify(app, kind);
-    }
-  }
+  const bench::RunCache cache(opt, bench::full_grid());
 
   struct Claim {
     std::string description;

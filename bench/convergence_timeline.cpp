@@ -93,10 +93,15 @@ std::vector<IterationSample> run_timeline(protocols::ProtocolKind kind,
 int main(int argc, char** argv) {
   using namespace updsm;
   // The timeline builds its own 256x256 grid and runs kIterations, so
-  // the app-size flags would be ignored: refuse them.
+  // the app-size flags would be ignored: refuse them. Node 0 snapshots the
+  // run-wide counters right after a barrier; only the baton gang, which
+  // runs the nodes one at a time in node order, takes that snapshot before
+  // any other node counts the next sweep, so the bench sets the gang.
   bench::BenchOptions opt;
+  opt.cluster.gang = sim::GangMode::Baton;
   harness::parse_flags_or_exit(
-      argc, argv, opt, {.owned = {"scale", "warmup", "iters", "seed"}});
+      argc, argv, opt,
+      {.owned = {"scale", "warmup", "iters", "seed", "gang"}});
   constexpr int kIterations = 10;
 
   std::cout << "Convergence timeline (per-iteration deltas; "

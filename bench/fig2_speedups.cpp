@@ -12,8 +12,7 @@ int main(int argc, char** argv) {
   harness::parse_flags_or_exit(
       argc, argv, opt,
       {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
-  bench::RunCache cache(opt);
-  cache.warm(bench::base_grid());
+  const bench::RunCache cache(opt, bench::base_grid());
 
   const auto protos = protocols::base_protocols();
   std::vector<std::string> app_list;
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
     series.emplace_back(protocols::to_string(kind));
     std::vector<double> row;
     for (const auto app : apps::app_names()) {
-      cache.verify(app, kind);
       row.push_back(cache.speedup(app, kind));
     }
     values.push_back(std::move(row));

@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
   harness::parse_flags_or_exit(
       argc, argv, opt,
       {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
-  bench::RunCache cache(opt);
-  cache.warm(bench::single_protocol_grid(ProtocolKind::BarU));
+  const bench::RunCache cache(opt,
+                              bench::single_protocol_grid(ProtocolKind::BarU));
 
   std::cout << "Figure 3: Time Breakdown for Bar-u (" << opt.cluster.num_nodes
             << " nodes, scale " << harness::fmt(opt.app.scale, 2) << ")\n\n";
@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> groups;
   std::vector<std::vector<double>> values(4);
   for (const auto app : apps::app_names()) {
-    cache.verify(app, ProtocolKind::BarU);
     const auto& run = cache.parallel(app, ProtocolKind::BarU);
     const auto sum = run.breakdown.summed();
     const double total = static_cast<double>(sum.total());

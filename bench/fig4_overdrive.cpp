@@ -13,21 +13,23 @@ int main(int argc, char** argv) {
   harness::parse_flags_or_exit(
       argc, argv, opt,
       {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
-  bench::RunCache cache(opt);
 
   std::vector<std::string> app_list;
+  std::vector<bench::GridCell> cells;
   for (const auto app : apps::app_names()) {
-    if (bench::overdrive_safe(app)) app_list.emplace_back(app);
+    if (!bench::overdrive_safe(app)) continue;
+    app_list.emplace_back(app);
+    for (const auto kind :
+         {ProtocolKind::LmwI, ProtocolKind::LmwU, ProtocolKind::BarU,
+          ProtocolKind::BarS, ProtocolKind::BarM}) {
+      cells.push_back(bench::GridCell{std::string(app), kind});
+    }
   }
+  const bench::RunCache cache(opt, cells);
 
   std::vector<std::string> series{"lmw", "bar-u", "bar-s", "bar-m"};
   std::vector<std::vector<double>> values(4);
   for (const auto& app : app_list) {
-    for (const auto kind :
-         {ProtocolKind::LmwI, ProtocolKind::LmwU, ProtocolKind::BarU,
-          ProtocolKind::BarS, ProtocolKind::BarM}) {
-      cache.verify(app, kind);
-    }
     values[0].push_back(std::max(cache.speedup(app, ProtocolKind::LmwI),
                                  cache.speedup(app, ProtocolKind::LmwU)));
     values[1].push_back(cache.speedup(app, ProtocolKind::BarU));

@@ -12,8 +12,7 @@ int main(int argc, char** argv) {
   harness::parse_flags_or_exit(
       argc, argv, opt,
       {.flags = {bench::jobs_flag(opt), bench::quick_flag(opt)}});
-  bench::RunCache cache(opt);
-  cache.warm(bench::base_grid());
+  const bench::RunCache cache(opt, bench::base_grid());
 
   const auto protos = protocols::base_protocols();
   std::cout << "Table 1: Base Statistics (" << opt.cluster.num_nodes
@@ -29,7 +28,6 @@ int main(int argc, char** argv) {
                             "data(kB) li", "lu", "bi", "bu"});
   for (const auto app : apps::app_names()) {
     std::vector<std::string> row{std::string(app)};
-    for (const auto kind : protos) cache.verify(app, kind);
     for (const auto kind : protos) {
       row.push_back(std::to_string(cache.parallel(app, kind)
                                        .counters.diffs_created));

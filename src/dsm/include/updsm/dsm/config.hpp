@@ -23,16 +23,14 @@ enum class OverdriveFallback {
   Revert,  // handle the fault like bar-u and keep going
 };
 
-/// Retry parameters for the reliable channel under fault injection.
+/// Retry bound for the reliable channel under fault injection.
 /// Request/reply exchanges and reliable one-way messages (sync, control,
 /// diff-to-home flushes) that the FaultPlan drops are retransmitted after a
-/// timeout with bounded exponential backoff; the sender is charged the full
+/// timeout with bounded exponential backoff (2 ms doubling to 16 ms, the
+/// kRetry* constants in runtime.cpp); the sender is charged the full
 /// timeout as Wait time for every lost attempt. Exhausting max_attempts
 /// throws ProtocolError (only reachable with drop probabilities near 1).
 struct RetryPolicy {
-  sim::SimTime timeout = sim::usec(2000);
-  double backoff = 2.0;
-  sim::SimTime max_timeout = sim::usec(16000);
   int max_attempts = 25;
 };
 
@@ -67,8 +65,9 @@ struct ClusterConfig {
 
   // --- large-cluster topology ---------------------------------------------
   /// Barrier topology: 0 = the paper's flat master barrier (every slave
-  /// messages node 0 directly); k >= 2 = a k-ary reduction/broadcast tree
-  /// in heap layout (children of i are k*i+1 .. k*i+k), charging
+  /// messages node 0 directly; it runs as the one-level tree of fanout
+  /// max(N-1, 2)); k >= 2 = a k-ary reduction/broadcast tree in heap
+  /// layout (children of i are k*i+1 .. k*i+k), charging
   /// barrier_master_per_node per tree hop instead of N times on the master.
   /// Results are bit-identical to flat -- only simulated times and the
   /// per-pair message census differ; a conformance test pins it.
@@ -77,15 +76,14 @@ struct ClusterConfig {
   /// Relayed multicast flush dissemination: when a producer's sealed
   /// unreliable FlushBatches for one barrier target more than this many
   /// distinct destinations, they travel as one FlushRelay message up/down a
-  /// deterministic relay_fanout-ary dissemination tree (intermediate nodes
-  /// forward the zero-copy wire bytes unmodified) instead of N unicasts.
+  /// deterministic 4-ary dissemination tree (kRelayFanout in runtime.cpp;
+  /// intermediate nodes forward the zero-copy wire bytes unmodified)
+  /// instead of N unicasts.
   /// 0 disables relaying. Reliable batches (diffs to home) always stay
   /// unicast. Results are bit-identical either way; a dropped relay loses
   /// the whole subtree and heals through the usual recovery.
   /// `--relay-threshold` on the tools.
   int relay_threshold = 0;
-  /// Fan-out of the dissemination tree used for relayed flushes (>= 2).
-  int relay_fanout = 4;
 
   // --- fault injection ----------------------------------------------------
   /// Adversarial transport behaviour (see sim/fault_plan.hpp). Empty = the
@@ -171,10 +169,6 @@ inline void validate_cluster_config(const ClusterConfig& config) {
     throw UsageError(
         "barrier_fanout must be 0 (flat) or >= 2 (k-ary tree), got " +
         std::to_string(config.barrier_fanout));
-  }
-  if (config.relay_fanout < 2) {
-    throw UsageError("relay_fanout must be >= 2, got " +
-                     std::to_string(config.relay_fanout));
   }
   if (config.relay_threshold < 0) {
     throw UsageError("relay_threshold must be >= 0 (0 = off), got " +

@@ -199,9 +199,9 @@ class Runtime {
   ///
   /// With config.relay_threshold > 0, a sender whose unreliable batches
   /// target more than relay_threshold distinct destinations ships them as
-  /// segments of FlushRelay messages along a relay_fanout-ary dissemination
-  /// tree (heap layout rooted at node 0): one combined message per tree
-  /// edge instead of one unicast per destination. Intermediate nodes
+  /// segments of FlushRelay messages along a 4-ary dissemination tree
+  /// (kRelayFanout; heap layout rooted at node 0): one combined message per
+  /// tree edge instead of one unicast per destination. Intermediate nodes
   /// forward the sealed wire bytes unmodified; a dropped hop loses every
   /// segment aboard, healing through the usual recovery. Results are
   /// bit-identical to unicast -- only times and the message census change.

@@ -276,7 +276,6 @@ void Cluster::do_barrier(std::uint64_t index) {
     }
   }
   const int n = rt_.num_nodes();
-  const NodeId master = rt_.master();
   const auto& net_costs = rt_.costs().net;
 
   // Replay of mid-phase deferred work (per-node logs), in node order; a
@@ -304,76 +303,55 @@ void Cluster::do_barrier(std::uint64_t index) {
                                        << " nodes at one barrier");
   const bool reducing = reducers == n;
 
-  const int fanout = rt_.config().barrier_fanout;
-  if (fanout >= 2) {
-    // Tree barrier: k-ary reduction tree in heap layout (children of i are
-    // k*i+1 .. k*i+k; the master is the root). Arrivals combine bottom-up:
-    // each inner node waits for its children, absorbs their recv traps,
-    // pays the per-hop combining cost, and forwards one message carrying
-    // its whole subtree's metadata to its parent. The master's per-barrier
-    // critical path drops from O(N) to O(k log_k N); the total message
-    // count (N-1 arrivals) is unchanged, only the (from, to) pairs differ.
-    std::vector<SimTime> arrive_done(static_cast<std::size_t>(n), 0);
-    std::vector<std::uint64_t> up_payload(static_cast<std::size_t>(n), 0);
-    for (int i = n - 1; i >= 0; --i) {
-      const NodeId node{static_cast<std::uint32_t>(i)};
-      up_payload[static_cast<std::size_t>(i)] += rt_.take_arrival_payload(node);
-      const long long first_child = static_cast<long long>(fanout) * i + 1;
-      int children = 0;
-      SimTime latest = rt_.clock(node).now();
-      for (long long c = first_child; c < first_child + fanout && c < n; ++c) {
-        latest = std::max(latest, arrive_done[static_cast<std::size_t>(c)]);
-        ++children;
-      }
-      if (children > 0) {
-        rt_.clock(node).advance_to(TimeCat::Wait, latest);
-        for (int c = 0; c < children; ++c) {
-          rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
-          rt_.os(node).count_recv();
-        }
-      }
-      // Combining cost: one barrier_master_per_node per arriving child (the
-      // root also pays for itself, exactly as the flat master does).
-      const int combines = children + (i == 0 ? 1 : 0);
-      if (combines > 0) {
-        rt_.charge_dsm(node, rt_.costs().dsm.barrier_master_per_node *
-                                 static_cast<SimTime>(combines));
-      }
-      if (i == 0) continue;  // the root's metadata stays local
-      const int parent = (i - 1) / fanout;
-      std::uint64_t payload = up_payload[static_cast<std::size_t>(i)];
-      if (reducing) payload += kReduceWireBytes;
-      const SimTime wire = rt_.reliable_send(
-          MsgKind::SyncArrive, node, NodeId{static_cast<std::uint32_t>(parent)},
-          payload);
-      arrive_done[static_cast<std::size_t>(i)] = rt_.clock(node).now() + wire;
-      up_payload[static_cast<std::size_t>(parent)] +=
-          up_payload[static_cast<std::size_t>(i)];
+  // Barrier topology: a k-ary reduction/broadcast tree in heap layout
+  // (children of i are k*i+1 .. k*i+k; the master is the root). Arrivals
+  // combine bottom-up: each inner node waits for its children, absorbs
+  // their recv traps, pays the per-hop combining cost, and forwards one
+  // message carrying its whole subtree's metadata to its parent. The
+  // master's per-barrier critical path drops from O(N) to O(k log_k N);
+  // the total message count (N-1 arrivals) is unchanged, only the
+  // (from, to) pairs differ. The paper's flat master barrier (fanout 0) is
+  // the one-level tree: every slave is a child of the master, which waits
+  // for all n-1 arrivals and pays the per-node combining cost n times.
+  const int fanout = rt_.config().barrier_fanout != 0
+                         ? rt_.config().barrier_fanout
+                         : std::max(n - 1, 2);
+  std::vector<SimTime> arrive_done(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint64_t> up_payload(static_cast<std::size_t>(n), 0);
+  for (int i = n - 1; i >= 0; --i) {
+    const NodeId node{static_cast<std::uint32_t>(i)};
+    up_payload[static_cast<std::size_t>(i)] += rt_.take_arrival_payload(node);
+    const long long first_child = static_cast<long long>(fanout) * i + 1;
+    int children = 0;
+    SimTime latest = rt_.clock(node).now();
+    for (long long c = first_child; c < first_child + fanout && c < n; ++c) {
+      latest = std::max(latest, arrive_done[static_cast<std::size_t>(c)]);
+      ++children;
     }
-  } else {
-    // Arrival messages: slaves -> master, carrying protocol metadata and any
-    // reduction contribution.
-    SimTime latest_arrival = rt_.clock(master).now();
-    for (int i = 0; i < n; ++i) {
-      const NodeId node{static_cast<std::uint32_t>(i)};
-      std::uint64_t payload = rt_.take_arrival_payload(node);
-      if (node == master) continue;  // master's metadata stays local
-      if (reducing) payload += kReduceWireBytes;
-      const SimTime wire =
-          rt_.reliable_send(MsgKind::SyncArrive, node, master, payload);
-      latest_arrival =
-          std::max(latest_arrival, rt_.clock(node).now() + wire);
+    if (children > 0) {
+      rt_.clock(node).advance_to(TimeCat::Wait, latest);
+      for (int c = 0; c < children; ++c) {
+        rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
+        rt_.os(node).count_recv();
+      }
     }
-
-    // Master waits for the last arrival, absorbs the recv traps, then runs
-    // per-node bookkeeping and the protocol's global phase.
-    rt_.clock(master).advance_to(TimeCat::Wait, latest_arrival);
-    for (int i = 1; i < n; ++i) {
-      rt_.clock(master).advance(TimeCat::Os, net_costs.recv_trap);
-      rt_.os(master).count_recv();
+    // Combining cost: one barrier_master_per_node per arriving child (the
+    // root also pays for itself).
+    const int combines = children + (i == 0 ? 1 : 0);
+    if (combines > 0) {
+      rt_.charge_dsm(node, rt_.costs().dsm.barrier_master_per_node *
+                               static_cast<SimTime>(combines));
     }
-    rt_.charge_dsm(master, rt_.costs().dsm.barrier_master_per_node *
-                               static_cast<SimTime>(n));
+    if (i == 0) continue;  // the root's metadata stays local
+    const int parent = (i - 1) / fanout;
+    std::uint64_t payload = up_payload[static_cast<std::size_t>(i)];
+    if (reducing) payload += kReduceWireBytes;
+    const SimTime wire = rt_.reliable_send(
+        MsgKind::SyncArrive, node, NodeId{static_cast<std::uint32_t>(parent)},
+        payload);
+    arrive_done[static_cast<std::size_t>(i)] = rt_.clock(node).now() + wire;
+    up_payload[static_cast<std::size_t>(parent)] +=
+        up_payload[static_cast<std::size_t>(i)];
   }
 
   if (reducing) {
@@ -409,51 +387,32 @@ void Cluster::do_barrier(std::uint64_t index) {
   // Phase C: releases. The master first sends every release message (its
   // own local release work must not delay the slaves), then each node
   // performs its release-side protocol work (invalidations, update
-  // application, trap re-arming) concurrently on its own clock.
-  if (fanout >= 2) {
-    // Broadcast down the same tree: each node receives its subtree's
-    // release metadata from its parent and forwards the rest to its
-    // children. Heap layout makes i = 1..n-1 a valid top-down order
-    // (parent(i) < i, so a parent's clock is settled before it sends).
-    std::vector<std::uint64_t> down_payload(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < n; ++i) {
-      down_payload[static_cast<std::size_t>(i)] =
-          rt_.take_release_payload(NodeId{static_cast<std::uint32_t>(i)});
-    }
-    // down_payload[i] becomes the subtree sum; the root's own metadata
-    // stays local (index 0 is accumulated but never shipped).
-    for (int i = n - 1; i >= 1; --i) {
-      down_payload[static_cast<std::size_t>((i - 1) / fanout)] +=
-          down_payload[static_cast<std::size_t>(i)];
-    }
-    for (int i = 1; i < n; ++i) {
-      const NodeId node{static_cast<std::uint32_t>(i)};
-      const NodeId parent{static_cast<std::uint32_t>((i - 1) / fanout)};
-      std::uint64_t payload = down_payload[static_cast<std::size_t>(i)];
-      if (reducing) payload += kReduceWireBytes;
-      const SimTime wire =
-          rt_.reliable_send(MsgKind::SyncRelease, parent, node, payload);
-      rt_.clock(node).advance_to(TimeCat::Wait,
-                                 rt_.clock(parent).now() + wire);
-      rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
-      rt_.os(node).count_recv();
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const NodeId node{static_cast<std::uint32_t>(i)};
-      if (node == master) {
-        (void)rt_.take_release_payload(node);
-        continue;
-      }
-      std::uint64_t payload = rt_.take_release_payload(node);
-      if (reducing) payload += kReduceWireBytes;
-      const SimTime wire =
-          rt_.reliable_send(MsgKind::SyncRelease, master, node, payload);
-      rt_.clock(node).advance_to(TimeCat::Wait,
-                                 rt_.clock(master).now() + wire);
-      rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
-      rt_.os(node).count_recv();
-    }
+  // application, trap re-arming) concurrently on its own clock. The
+  // release is broadcast down the same tree: each node receives its
+  // subtree's release metadata from its parent and forwards the rest to
+  // its children. Heap layout makes i = 1..n-1 a valid top-down order
+  // (parent(i) < i, so a parent's clock is settled before it sends).
+  std::vector<std::uint64_t> down_payload(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    down_payload[static_cast<std::size_t>(i)] =
+        rt_.take_release_payload(NodeId{static_cast<std::uint32_t>(i)});
+  }
+  // down_payload[i] becomes the subtree sum; the root's own metadata stays
+  // local (index 0 is accumulated but never shipped).
+  for (int i = n - 1; i >= 1; --i) {
+    down_payload[static_cast<std::size_t>((i - 1) / fanout)] +=
+        down_payload[static_cast<std::size_t>(i)];
+  }
+  for (int i = 1; i < n; ++i) {
+    const NodeId node{static_cast<std::uint32_t>(i)};
+    const NodeId parent{static_cast<std::uint32_t>((i - 1) / fanout)};
+    std::uint64_t payload = down_payload[static_cast<std::size_t>(i)];
+    if (reducing) payload += kReduceWireBytes;
+    const SimTime wire =
+        rt_.reliable_send(MsgKind::SyncRelease, parent, node, payload);
+    rt_.clock(node).advance_to(TimeCat::Wait, rt_.clock(parent).now() + wire);
+    rt_.clock(node).advance(TimeCat::Os, net_costs.recv_trap);
+    rt_.os(node).count_recv();
   }
   for (int i = 0; i < n; ++i) {
     protocol_->barrier_release(NodeId{static_cast<std::uint32_t>(i)});

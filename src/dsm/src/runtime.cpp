@@ -17,6 +17,15 @@ using sim::TimeCat;
 /// Wire overhead per batch carried inside a FlushRelay message: original
 /// sender, final destination, offset and length of the segment's bytes.
 constexpr std::uint64_t kRelaySegmentHeaderBytes = 16;
+/// Fan-out of the dissemination tree relayed flushes travel along.
+constexpr std::size_t kRelayFanout = 4;
+
+/// Reliable-channel retransmission under a fault plan: each lost attempt
+/// costs the sender its timeout in Wait; the timeout starts at 2 ms and
+/// doubles per retry up to 16 ms (RetryPolicy bounds the attempts).
+constexpr SimTime kRetryTimeout = sim::usec(2000);
+constexpr double kRetryBackoff = 2.0;
+constexpr SimTime kRetryMaxTimeout = sim::usec(16000);
 }  // namespace
 
 Runtime::Runtime(const ClusterConfig& config, std::uint32_t num_pages)
@@ -102,9 +111,8 @@ void Runtime::retry_wait(NodeId sender, MsgKind kind, NodeId to, int attempt,
   }
   clock(sender).advance(TimeCat::Wait, timeout);
   timeout = std::min(
-      static_cast<SimTime>(static_cast<double>(timeout) *
-                           config_.retry.backoff),
-      config_.retry.max_timeout);
+      static_cast<SimTime>(static_cast<double>(timeout) * kRetryBackoff),
+      kRetryMaxTimeout);
   ++counters_.reliable_retries;
   if (trace_) {
     trace_->emit("retry " + std::string(sim::to_string(kind)) + " n" +
@@ -186,7 +194,7 @@ void Runtime::roundtrip(NodeId requester, NodeId responder, MsgKind req_kind,
   // re-answered without redoing the work, so the exchange's effect on
   // protocol state happens exactly once no matter how many copies flew.
   const auto& net_costs = costs().net;
-  SimTime timeout = config_.retry.timeout;
+  SimTime timeout = kRetryTimeout;
   bool served = false;  // responder_work already performed
   for (int attempt = 1;; ++attempt) {
     const SimTime req_wire = net_.record(req_kind, requester, responder,
@@ -414,7 +422,7 @@ void Runtime::seal_flush_batches() {
 
 void Runtime::relay(const std::vector<RelaySegment>& segs) {
   const std::size_t n = static_cast<std::size_t>(num_nodes());
-  const std::size_t fanout = static_cast<std::size_t>(config_.relay_fanout);
+  const std::size_t fanout = kRelayFanout;
   const auto arrived = [&](std::size_t s) {
     outboxes_[segs[s].from].batches[segs[s].batch].delivered = true;
   };
@@ -506,7 +514,7 @@ void Runtime::control(NodeId from, NodeId to, std::uint64_t bytes) {
 SimTime Runtime::reliable_send(MsgKind kind, NodeId from, NodeId to,
                                std::uint64_t bytes) {
   if (from == to) return 0;
-  SimTime timeout = config_.retry.timeout;
+  SimTime timeout = kRetryTimeout;
   for (int attempt = 1;; ++attempt) {
     const SimTime wire = net_.record(kind, from, to, bytes);
     clock(from).advance(TimeCat::Os, costs().net.send_trap);

@@ -99,8 +99,6 @@ const Flag kFlags[] = {
     {"relay-threshold", "N",
      "relay update batches bound for more than N\nnodes (default 0 = off)",
      [](RunOptions& o, V v) { o.cluster.relay_threshold = parse_int(v); }},
-    {"relay-fanout", "K", "relay tree fanout (default 4)",
-     [](RunOptions& o, V v) { o.cluster.relay_fanout = parse_int(v); }},
     {"net-profile", "P", "interconnect costs: sp2 (default) or rdma",
      [](RunOptions& o, V v) { o.cluster.net_profile = v; }},
     {"cost", "K=V",

@@ -52,8 +52,8 @@ TEST(CliTest, EachTableFlagSetsItsField) {
       opt, {"--nodes=16", "--scale=0.5", "--warmup=4", "--iters=3",
             "--seed=0x1234", "--page-size=4096", "--gang=baton",
             "--workers=2", "--fanout=4", "--relay-threshold=8",
-            "--relay-fanout=3", "--net-profile=rdma",
-            "--cost=net.per_message_us=5", "--adaptive-window=8",
+            "--net-profile=rdma", "--cost=net.per_message_us=5",
+            "--adaptive-window=8",
             "--faults=" + spec_path, "--fault-seed=9", "--no-migration",
             "--staleness=2", "--tolerance=1e-5"}));
   std::remove(spec_path.c_str());
@@ -70,7 +70,6 @@ TEST(CliTest, EachTableFlagSetsItsField) {
   EXPECT_EQ(cfg.workers, 2);
   EXPECT_EQ(cfg.barrier_fanout, 4);
   EXPECT_EQ(cfg.relay_threshold, 8);
-  EXPECT_EQ(cfg.relay_fanout, 3);
   EXPECT_EQ(cfg.net_profile, "rdma");
   EXPECT_EQ(cfg.costs.net.per_message, updsm::sim::usec(5));
   EXPECT_EQ(cfg.costs.net.per_byte_ns,
@@ -198,7 +197,7 @@ TEST(CliTest, OutOfRangeValuesNameTheFlag) {
                                    }}}};
   for (const std::string arg :
        {"--nodes=0", "--nodes=2000", "--nodes=99999999999", "--workers=0",
-        "--fanout=1", "--relay-fanout=1", "--relay-threshold=-1",
+        "--fanout=1", "--relay-threshold=-1",
         "--page-size=1000", "--page-size=32", "--adaptive-window=1",
         "--staleness=-1", "--tolerance=0", "--scale=0", "--scale=1e999",
         "--warmup=-1", "--iters=0", "--seed=99999999999999999999",
@@ -220,8 +219,8 @@ TEST(CliTest, HelpIsGeneratedFromTheTable) {
   for (const char* flag :
        {"--quick", "--nodes=N", "--scale=F", "--warmup=N", "--iters=N",
         "--seed=N", "--gang=MODE", "--workers=M", "--fanout=K",
-        "--relay-threshold=N", "--relay-fanout=K", "--net-profile=P",
-        "--cost=K=V", "--adaptive-window=W", "--faults=SPEC",
+        "--relay-threshold=N", "--net-profile=P", "--cost=K=V",
+        "--adaptive-window=W", "--faults=SPEC",
         "--fault-seed=N", "--no-migration", "--staleness=N",
         "--tolerance=F"}) {
     EXPECT_NE(help.find(std::string("  ") + flag), std::string::npos)

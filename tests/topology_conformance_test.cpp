@@ -106,6 +106,45 @@ harness::RunResult run_one(const char* app, ProtocolKind kind, GangMode gang,
   return harness::run_app(app, kind, cfg, params);
 }
 
+// The flat master barrier is the one-level tree: fanout 0 charges exactly
+// what fanout n-1 does (every slave a child of the master), down to each
+// node's virtual-time breakdown, with or without faults on the sync
+// messages themselves.
+TEST(TopologyConformanceTest, FlatBarrierIsTheOneLevelTree) {
+  const std::string sync_faults =
+      "kind=sync-arrive,drop=0.2,dup=0.2,delay=0.2,delay_us=100;"
+      "kind=sync-release,drop=0.2,dup=0.2,delay=0.2,delay_us=100";
+  for (const std::string& plan : {std::string(), sync_faults}) {
+    for (const int nodes : {3, 8}) {
+      const harness::RunResult flat = run_one(
+          "jacobi", ProtocolKind::BarU, GangMode::Parallel, {0, 0}, nodes,
+          0.1, plan, 7);
+      const harness::RunResult tree = run_one(
+          "jacobi", ProtocolKind::BarU, GangMode::Parallel, {nodes - 1, 0},
+          nodes, 0.1, plan, 7);
+      const std::string ctx =
+          std::to_string(nodes) + " nodes, plan '" + plan + "'";
+      EXPECT_EQ(tree.checksum, flat.checksum) << ctx;
+      EXPECT_EQ(tree.elapsed, flat.elapsed) << ctx;
+      EXPECT_EQ(tree.net.table_messages(), flat.net.table_messages()) << ctx;
+      EXPECT_EQ(tree.net.total_bytes(), flat.net.total_bytes()) << ctx;
+      EXPECT_EQ(tree.counters.reliable_retries.load(),
+                flat.counters.reliable_retries.load())
+          << ctx;
+      ASSERT_EQ(tree.breakdown.nodes.size(), flat.breakdown.nodes.size());
+      for (std::size_t i = 0; i < flat.breakdown.nodes.size(); ++i) {
+        const auto& a = flat.breakdown.nodes[i];
+        const auto& b = tree.breakdown.nodes[i];
+        EXPECT_EQ(b.app, a.app) << ctx << " node " << i;
+        EXPECT_EQ(b.dsm, a.dsm) << ctx << " node " << i;
+        EXPECT_EQ(b.os, a.os) << ctx << " node " << i;
+        EXPECT_EQ(b.wait, a.wait) << ctx << " node " << i;
+        EXPECT_EQ(b.sigio, a.sigio) << ctx << " node " << i;
+      }
+    }
+  }
+}
+
 // Fault-free tree barriers: the k-ary reduction/broadcast tree must
 // preserve the computation and every protocol observable exactly -- same
 // checksums, same counters, same flush traffic -- and re-route, not
