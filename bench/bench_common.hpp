@@ -55,13 +55,21 @@ inline harness::ToolFlag jobs_flag(BenchOptions& opt) {
           [&opt](std::string_view v) { opt.jobs = harness::parse_int(v, 1); }};
 }
 
+#ifndef UPDSM_BUILD_TYPE
+#define UPDSM_BUILD_TYPE "unknown"  // set per bench in bench/benches.cmake
+#endif
+
 /// Host provenance of one BENCH file: what ran the numbers, not what they
 /// are, so determinism checks skip it. `workers` is the gang's resolved
 /// worker count; `gang` is the mode, or "sweep" when the bench varies it.
+/// Host time depends on the compiler and build type, so they are stamped
+/// next to the host's core count.
 struct Provenance {
   int workers;
   int jobs;
   const char* gang;
+  const char* compiler = __VERSION__;
+  const char* build_type = UPDSM_BUILD_TYPE;
 };
 
 inline Provenance provenance(const BenchOptions& opt) {
@@ -71,7 +79,8 @@ inline Provenance provenance(const BenchOptions& opt) {
 }
 
 /// Writes one BENCH_*.json as
-///   {"provenance": {host_cores, workers, jobs, gang}, "results": {...}}.
+///   {"provenance": {host_cores, workers, jobs, gang, compiler, build_type},
+///    "results": {...}}.
 /// Results are written field by field, each value with its own printf
 /// format, so its text is the bench's choice. A rows array holds one
 /// object per line. The destructor closes the results and the file.
@@ -85,9 +94,10 @@ class BenchJson {
     }
     std::fprintf(f_,
                  "{\n  \"provenance\": {\"host_cores\": %u, \"workers\": %d, "
-                 "\"jobs\": %d, \"gang\": \"%s\"},\n  \"results\": {",
+                 "\"jobs\": %d, \"gang\": \"%s\", \"compiler\": \"%s\", "
+                 "\"build_type\": \"%s\"},\n  \"results\": {",
                  std::thread::hardware_concurrency(), p.workers, p.jobs,
-                 p.gang);
+                 p.gang, p.compiler, p.build_type);
   }
   ~BenchJson() {
     std::fputs("\n  }\n}\n", f_);

@@ -4,10 +4,13 @@
 # Included from the top-level CMakeLists (not add_subdirectory) so that
 # build/bench/ contains ONLY the bench binaries: the canonical run loop is
 #   for b in build/bench/*; do $b; done
+# Every BENCH_*.json stamps the build type in its provenance.
 function(updsm_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE updsm::harness updsm::apps updsm::protocols)
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR}/bench)
+  target_compile_definitions(${name}
+    PRIVATE UPDSM_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
@@ -29,6 +32,8 @@ add_executable(micro_primitives ${CMAKE_SOURCE_DIR}/bench/micro_primitives.cpp)
 target_link_libraries(micro_primitives PRIVATE
   updsm::mem updsm::sim updsm::dsm updsm::harness updsm::apps
   updsm::protocols benchmark::benchmark)
+target_compile_definitions(micro_primitives
+  PRIVATE UPDSM_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
 set_target_properties(micro_primitives PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 updsm_add_bench(sweep_matrix)

@@ -1,13 +1,15 @@
 // Micro-benchmarks of the substrate primitives (google-benchmark): diff
 // creation/application throughput for sparse, dense, alternating and
 // identical modifications, twin copies, the simulated-platform composite
-// costs (the §3.2 micro-benchmark table: RPC round trip, remote fault), and
-// the gang scheduler (phase dispatch latency and barrier throughput in both
+// costs (the §3.2 micro-benchmark table: RPC round trip, remote fault), the
+// fft app kernel (one planned line, one sequential run), and the gang
+// scheduler (phase dispatch latency and barrier throughput in both
 // modes). Emits BENCH_diff.json (diff-creation throughput) and
 // BENCH_gang.json (baton vs parallel wall-clock of a real workload at
 // 2/4/8 nodes) for perf-trajectory tracking.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +17,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "updsm/apps/fft.hpp"
+#include "updsm/common/rng.hpp"
 #include "updsm/dsm/copyset.hpp"
 #include "updsm/dsm/flush_batch.hpp"
 #include "updsm/dsm/node_context.hpp"
@@ -251,6 +255,49 @@ void BM_AdaptivePolicyEval(benchmark::State& state) {
   state.counters["charged_ns_per_eval"] = model.dsm.policy_eval_per_page_ns;
 }
 BENCHMARK(BM_AdaptivePolicyEval)->Arg(0)->Arg(1);
+
+// --- app kernel -------------------------------------------------------------
+
+/// One n-point line through a prebuilt fft plan, the app kernel's unit of
+/// work (the app runs B = n/8 such lines per call). Each iteration first
+/// restores the input (a 16n-byte copy) so values stay in range.
+/// Args: {n, 0=forward|1=inverse}.
+void BM_FftLine(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool inverse = state.range(1) != 0;
+  const updsm::apps::FftPlan plan(n);
+  std::vector<double> input(2 * n);
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<double>(updsm::splitmix64(i) >> 11) * 0x1.0p-53;
+  }
+  std::vector<double> line(2 * n);
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), line.begin());
+    plan.transform(line.data(), 1, inverse);
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FftLine)
+    ->Args({16, 0})->Args({16, 1})
+    ->Args({64, 0})->Args({64, 1})
+    ->Args({128, 0})->Args({128, 1});
+
+/// The fft answer's sequential baseline at scale 0.5 (n = 32, 15
+/// time-steps): one node under the null protocol, so nearly all of it is
+/// app kernel plus the per-node set-up. The node runs on a gang worker,
+/// so the benchmark times wall clock, not this thread's CPU.
+void BM_FftSequential(benchmark::State& state) {
+  updsm::apps::AppParams params;
+  params.scale = 0.5;
+  for (auto _ : state) {
+    const auto run = updsm::harness::run_sequential(
+        "fft", updsm::dsm::ClusterConfig{}, params);
+    benchmark::DoNotOptimize(run.checksum);
+  }
+}
+BENCHMARK(BM_FftSequential)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // --- gang scheduler ---------------------------------------------------------
 

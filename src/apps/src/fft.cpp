@@ -1,7 +1,9 @@
 #include "updsm/apps/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "updsm/apps/grid.hpp"
 #include "updsm/common/rng.hpp"
@@ -25,7 +27,7 @@ std::uint64_t fft_flops(std::size_t n) {
 }
 }  // namespace
 
-void fft_radix2(double* data, std::size_t n, bool inverse) {
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   UPDSM_REQUIRE(n >= 2 && (n & (n - 1)) == 0,
                 "fft length must be a power of two >= 2, got " << n);
   // Bit-reversal permutation over complex slots.
@@ -33,34 +35,62 @@ void fft_radix2(double* data, std::size_t n, bool inverse) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     j ^= bit;
-    if (i < j) {
-      std::swap(data[2 * i], data[2 * j]);
-      std::swap(data[2 * i + 1], data[2 * j + 1]);
-    }
+    if (i < j) swaps_.emplace_back(i, j);
   }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang =
-        2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
-    const double w_re = std::cos(ang);
-    const double w_im = std::sin(ang);
-    for (std::size_t i = 0; i < n; i += len) {
+  // Twiddles exactly as the butterfly recurrence produces them.
+  twiddles_.reserve(4 * (n - 1));
+  for (const bool inverse : {false, true}) {
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double ang = 2.0 * std::numbers::pi / static_cast<double>(len) *
+                         (inverse ? 1 : -1);
+      const double w_re = std::cos(ang);
+      const double w_im = std::sin(ang);
       double cur_re = 1.0;
       double cur_im = 0.0;
       for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::size_t a = 2 * (i + k);
-        const std::size_t b = 2 * (i + k + len / 2);
-        const double t_re = data[b] * cur_re - data[b + 1] * cur_im;
-        const double t_im = data[b] * cur_im + data[b + 1] * cur_re;
-        data[b] = data[a] - t_re;
-        data[b + 1] = data[a + 1] - t_im;
-        data[a] += t_re;
-        data[a + 1] += t_im;
+        twiddles_.push_back(cur_re);
+        twiddles_.push_back(cur_im);
         const double next_re = cur_re * w_re - cur_im * w_im;
         cur_im = cur_re * w_im + cur_im * w_re;
         cur_re = next_re;
       }
     }
   }
+}
+
+void FftPlan::transform(double* data, std::size_t width,
+                        bool inverse) const {
+  const std::size_t row = 2 * width;  // doubles per element index
+  for (const auto& [i, j] : swaps_) {
+    std::swap_ranges(data + i * row, data + (i + 1) * row, data + j * row);
+  }
+  const double* stage = twiddles_.data() + (inverse ? 2 * (n_ - 1) : 0);
+  for (std::size_t half = 1; half < n_; stage += 2 * half, half <<= 1) {
+    for (std::size_t i = 0; i < n_; i += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const double cur_re = stage[2 * k];
+        const double cur_im = stage[2 * k + 1];
+        double* a = data + (i + k) * row;
+        double* b = a + half * row;
+        for (std::size_t c = 0; c < row; c += 2) {
+          const double a_re = a[c];
+          const double a_im = a[c + 1];
+          const double b_re = b[c];
+          const double b_im = b[c + 1];
+          const double t_re = b_re * cur_re - b_im * cur_im;
+          const double t_im = b_re * cur_im + b_im * cur_re;
+          b[c] = a_re - t_re;
+          b[c + 1] = a_im - t_im;
+          a[c] = a_re + t_re;
+          a[c + 1] = a_im + t_im;
+        }
+      }
+    }
+  }
+}
+
+void fft_radix2(double* data, std::size_t n, bool inverse) {
+  FftPlan(n).transform(data, 1, inverse);
 }
 
 // ---------------------------------------------------------------------------
@@ -81,10 +111,47 @@ void fft_radix2(double* data, std::size_t n, bool inverse) {
 
 namespace {
 constexpr std::size_t kLayoutBlocks = 8;
+
+// A plane of the blocked layout is L blocks of n rows x B columns, and the
+// line along the blocked axis at row y is row y of every block in turn
+// (element b*B + w sits in block b, row y, column w). These copy the B
+// lines of rows y0 .. y0+B-1 to and from `band`, where element e of line
+// g sits at complex slot e*B + g: B lines as FftPlan::transform takes them.
+void gather_band(const double* plane, std::size_t n, std::size_t y0,
+                 double* band) {
+  const std::size_t B = n / kLayoutBlocks;
+  for (std::size_t b = 0; b < kLayoutBlocks; ++b) {
+    const double* tile = plane + 2 * (b * n + y0) * B;
+    for (std::size_t g = 0; g < B; ++g) {
+      for (std::size_t w = 0; w < B; ++w) {
+        const std::size_t e = b * B + w;
+        band[2 * (e * B + g)] = tile[2 * (g * B + w)];
+        band[2 * (e * B + g) + 1] = tile[2 * (g * B + w) + 1];
+      }
+    }
+  }
+}
+
+void scatter_band(const double* band, std::size_t n, std::size_t y0,
+                  double* plane) {
+  const std::size_t B = n / kLayoutBlocks;
+  for (std::size_t b = 0; b < kLayoutBlocks; ++b) {
+    double* tile = plane + 2 * (b * n + y0) * B;
+    for (std::size_t g = 0; g < B; ++g) {
+      for (std::size_t w = 0; w < B; ++w) {
+        const std::size_t e = b * B + w;
+        tile[2 * (g * B + w)] = band[2 * (e * B + g)];
+        tile[2 * (g * B + w) + 1] = band[2 * (e * B + g) + 1];
+      }
+    }
+  }
+}
 }  // namespace
 
 FftApp::FftApp(const AppParams& params)
-    : Application(params), n_(floor_pow2(scaled_dim(64, params.scale, 16))) {}
+    : Application(params),
+      n_(floor_pow2(scaled_dim(64, params.scale, 16))),
+      plan_(n_) {}
 
 void FftApp::allocate(mem::SharedHeap& heap) {
   const std::uint64_t bytes = n_ * n_ * n_ * 2 * sizeof(double);
@@ -112,43 +179,22 @@ void FftApp::planar_fft(dsm::NodeContext& ctx, GlobalAddr cube,
   const std::size_t B = n_ / L;
   const Range mine = block_range(n_, ctx.num_nodes(), ctx.node());
   const std::size_t plane_slots = n_ * n_ * 2;  // doubles per plane
-  std::vector<double> line(2 * n_);
-  std::uint64_t lines = 0;
+  std::vector<double> band(2 * n_ * B);
   for (std::size_t plane = mine.lo; plane < mine.hi; ++plane) {
     auto pv = arr.write_view(plane * plane_slots, (plane + 1) * plane_slots);
-    // FFT along x: gather across the plane's blocks (stride B within a
-    // block row, block-pitch n*B between blocks).
-    for (std::size_t y = 0; y < n_; ++y) {
-      for (std::size_t x = 0; x < n_; ++x) {
-        const std::size_t slot = (x / B) * (n_ * B) + y * B + (x % B);
-        line[2 * x] = pv[2 * slot];
-        line[2 * x + 1] = pv[2 * slot + 1];
-      }
-      fft_radix2(line.data(), n_, inverse);
-      for (std::size_t x = 0; x < n_; ++x) {
-        const std::size_t slot = (x / B) * (n_ * B) + y * B + (x % B);
-        pv[2 * slot] = line[2 * x];
-        pv[2 * slot + 1] = line[2 * x + 1];
-      }
-      ++lines;
+    // FFT along x, B rows at a time.
+    for (std::size_t y0 = 0; y0 < n_; y0 += B) {
+      gather_band(pv.data(), n_, y0, band.data());
+      plan_.transform(band.data(), B, inverse);
+      scatter_band(band.data(), n_, y0, pv.data());
     }
-    // FFT along y: within block b and offset xw, stride is B slots.
+    // FFT along y: block b holds the B lines of its x-range, element y of
+    // line w at slot y*B + w, so it transforms in place.
     for (std::size_t b = 0; b < L; ++b) {
-      for (std::size_t xw = 0; xw < B; ++xw) {
-        const std::size_t base = b * (n_ * B) + xw;
-        for (std::size_t y = 0; y < n_; ++y) {
-          line[2 * y] = pv[2 * (base + y * B)];
-          line[2 * y + 1] = pv[2 * (base + y * B) + 1];
-        }
-        fft_radix2(line.data(), n_, inverse);
-        for (std::size_t y = 0; y < n_; ++y) {
-          pv[2 * (base + y * B)] = line[2 * y];
-          pv[2 * (base + y * B) + 1] = line[2 * y + 1];
-        }
-        ++lines;
-      }
+      plan_.transform(pv.data() + 2 * b * n_ * B, B, inverse);
     }
   }
+  const std::uint64_t lines = mine.size() * 2 * n_;  // n along x, n along y
   ctx.compute_flops(lines * fft_flops(n_));
 }
 
@@ -168,6 +214,10 @@ void FftApp::transpose(dsm::NodeContext& ctx, GlobalAddr src,
   const std::size_t b_first = mine.lo / B;
   const std::size_t b_last = (mine.hi - 1) / B;
   for (std::size_t z = 0; z < n_; ++z) {
+    // dst slot of (x, y, z) in the z-blocked scratch layout:
+    // (x*L + z/B) * block_slots + y*B + z%B.
+    const std::size_t z_block = z / B;
+    const std::size_t z_col = z % B;
     for (std::size_t b = b_first; b <= b_last; ++b) {
       const std::size_t src_block = (z * L + b) * block_slots;
       auto in = s.read_view(2 * src_block, 2 * (src_block + block_slots));
@@ -175,11 +225,11 @@ void FftApp::transpose(dsm::NodeContext& ctx, GlobalAddr src,
       const std::size_t x_hi = std::min(mine.hi, (b + 1) * B);
       for (std::size_t y = 0; y < n_; ++y) {
         for (std::size_t x = x_lo; x < x_hi; ++x) {
-          // dst slot for (x, y, z) in the z-blocked scratch layout.
           const std::size_t slot =
-              (x * L + z / B) * block_slots + y * B + (z % B) - out_base;
-          out[2 * slot] = in[2 * (y * B + (x % B))];
-          out[2 * slot + 1] = in[2 * (y * B + (x % B)) + 1];
+              (x * L + z_block) * block_slots + y * B + z_col - out_base;
+          const std::size_t from = y * B + (x - b * B);
+          out[2 * slot] = in[2 * from];
+          out[2 * slot + 1] = in[2 * from + 1];
         }
       }
     }
@@ -194,7 +244,7 @@ void FftApp::spectral_step(dsm::NodeContext& ctx) {
   auto arr = ctx.array<double>(scratch_addr_, n_ * n_ * n_ * 2);
   constexpr std::size_t L = kLayoutBlocks;
   const std::size_t B = n_ / L;
-  const std::size_t block_slots = n_ * B;
+  const std::size_t plane_slots = n_ * n_ * 2;  // doubles per x-plane
   const Range mine = block_range(n_, ctx.num_nodes(), ctx.node());
   const double norm = 1.0 / (static_cast<double>(n_) * static_cast<double>(n_) *
                              static_cast<double>(n_));
@@ -202,38 +252,39 @@ void FftApp::spectral_step(dsm::NodeContext& ctx) {
     const double k = static_cast<double>(i <= n_ / 2 ? i : n_ - i);
     return 2.0 * std::numbers::pi * k / static_cast<double>(n_);
   };
-  auto pv = arr.write_view(mine.lo * n_ * n_ * 2, mine.hi * n_ * n_ * 2);
-  const std::size_t base_slot = mine.lo * n_ * n_;
-  std::vector<double> line(2 * n_);
-  std::uint64_t lines = 0;
+  auto pv = arr.write_view(mine.lo * plane_slots, mine.hi * plane_slots);
+  std::vector<double> band(2 * n_ * B);
+  // decay[k*B + g]: line g's factor at every z with min(z, n - z) = k.
+  // The decay depends on z only through wavenumber(z), which is built
+  // from that k.
+  std::vector<double> decay((n_ / 2 + 1) * B);
   for (std::size_t x = mine.lo; x < mine.hi; ++x) {
     const double kx = wavenumber(x);
-    for (std::size_t y = 0; y < n_; ++y) {
-      const double ky = wavenumber(y);
-      for (std::size_t z = 0; z < n_; ++z) {
-        const std::size_t slot =
-            (x * L + z / B) * block_slots + y * B + (z % B) - base_slot;
-        line[2 * z] = pv[2 * slot];
-        line[2 * z + 1] = pv[2 * slot + 1];
+    double* plane = pv.data() + (x - mine.lo) * plane_slots;
+    for (std::size_t y0 = 0; y0 < n_; y0 += B) {
+      for (std::size_t g = 0; g < B; ++g) {
+        const double ky = wavenumber(y0 + g);
+        for (std::size_t k = 0; k <= n_ / 2; ++k) {
+          const double kz = wavenumber(k);
+          decay[k * B + g] =
+              std::exp(-(kx * kx + ky * ky + kz * kz) * kDt) * norm;
+        }
       }
-      fft_radix2(line.data(), n_, /*inverse=*/false);
+      gather_band(plane, n_, y0, band.data());
+      plan_.transform(band.data(), B, /*inverse=*/false);
       for (std::size_t z = 0; z < n_; ++z) {
-        const double kz = wavenumber(z);
-        const double decay =
-            std::exp(-(kx * kx + ky * ky + kz * kz) * kDt) * norm;
-        line[2 * z] *= decay;
-        line[2 * z + 1] *= decay;
+        const double* factor = &decay[(z <= n_ / 2 ? z : n_ - z) * B];
+        double* row = &band[2 * z * B];
+        for (std::size_t g = 0; g < B; ++g) {
+          row[2 * g] *= factor[g];
+          row[2 * g + 1] *= factor[g];
+        }
       }
-      fft_radix2(line.data(), n_, /*inverse=*/true);
-      for (std::size_t z = 0; z < n_; ++z) {
-        const std::size_t slot =
-            (x * L + z / B) * block_slots + y * B + (z % B) - base_slot;
-        pv[2 * slot] = line[2 * z];
-        pv[2 * slot + 1] = line[2 * z + 1];
-      }
-      lines += 2;
+      plan_.transform(band.data(), B, /*inverse=*/true);
+      scatter_band(band.data(), n_, y0, plane);
     }
   }
+  const std::uint64_t lines = mine.size() * n_ * 2;  // forward + inverse
   ctx.compute_flops(lines * fft_flops(n_) + mine.size() * n_ * n_ * 8);
 }
 
