@@ -16,6 +16,10 @@
 #   MATCH     "CMD | REGEX": the stdout plus BENCH results of CMD match.
 #   NO_MATCH  "CMD | REGEX": ... do not match.
 #   REJECT    "CMD | REGEX": CMD exits non-zero with stderr matching.
+#   GOLDEN    "CMD | FILE": the stdout of CMD equals the committed FILE byte
+#             for byte; a mismatch names FILE, the line number and the
+#             first differing line of each side. With -DBLESS=ON the stdout
+#             is written to FILE instead (tests/golden/README.md).
 # MATCH and NO_MATCH reuse the output of a command run by an earlier check.
 # Runs execute in WORK_DIR, so the BENCH files a run leaves are its own.
 #   cmake -DBUILD_DIR=<build> -DWORK_DIR=<dir> -DSAME=... -P bench_determinism.cmake
@@ -123,4 +127,55 @@ foreach(kind MATCH NO_MATCH REJECT)
     endif()
     message(STATUS "${kind} ${cmd} | ${regex}: ok")
   endforeach()
+endforeach()
+
+foreach(entry IN LISTS GOLDEN)
+  string(FIND "${entry}" "|" bar)
+  string(SUBSTRING "${entry}" 0 ${bar} cmd)
+  math(EXPR bar "${bar} + 1")
+  string(SUBSTRING "${entry}" ${bar} -1 golden)
+  string(STRIP "${golden}" golden)
+  string(STRIP "${cmd}" cmd)
+  run_ok("${cmd}" run)
+  if(BLESS)
+    file(WRITE "${golden}" "${run_out}")
+    message(STATUS "GOLDEN ${cmd} | ${golden}: blessed")
+    continue()
+  endif()
+  if(NOT EXISTS "${golden}")
+    message(FATAL_ERROR "${golden} is missing; bless it from a trusted build")
+  endif()
+  file(READ "${golden}" want)
+  if(NOT want STREQUAL run_out)
+    # Walk both texts line by line to the first difference.
+    set(line 1)
+    set(rest_want "${want}")
+    set(rest_got "${run_out}")
+    while(1)
+      foreach(side want got)
+        if(rest_${side} STREQUAL "")
+          set(line_${side} "<end>")
+          continue()
+        endif()
+        string(FIND "${rest_${side}}" "\n" end)
+        string(SUBSTRING "${rest_${side}}" 0 ${end} line_${side})
+        if(end EQUAL -1)
+          string(APPEND line_${side} "<no newline at end>")
+          set(rest_${side} "")
+        else()
+          math(EXPR end "${end} + 1")
+          string(SUBSTRING "${rest_${side}}" ${end} -1 rest_${side})
+        endif()
+      endforeach()
+      # Lines plus the end markers spell out each text, so two different
+      # texts part at some line; the <end> test is only a backstop.
+      if(NOT line_want STREQUAL line_got OR line_want STREQUAL "<end>")
+        break()
+      endif()
+      math(EXPR line "${line} + 1")
+    endwhile()
+    message(FATAL_ERROR "${cmd}: stdout differs from ${golden} at line "
+      "${line}\n  golden: ${line_want}\n  actual: ${line_got}")
+  endif()
+  message(STATUS "GOLDEN ${cmd} | ${golden}: ok")
 endforeach()
