@@ -30,13 +30,15 @@ namespace updsm::dsm {
 /// never false-share under concurrent mid-phase use.
 struct alignas(64) PoolArena {
   /// Diff scratch for every node this worker owns (barrier diff creation,
-  /// update-push receive copies, lmw retained stores).
+  /// async-u receive copies, lmw retained stores).
   mem::DiffPool diffs{256};
   /// Page-sized buffers: twins and service snapshots.
   mem::BufferPool pages{256};
   /// FlushBatchWriter backing stores, borrowed when a sender opens a
-  /// batch for a destination at stage time and returned at seal --
-  /// retained batch capacity is O(active pairs through bounded pools).
+  /// batch for a destination at stage time and returned by
+  /// Runtime::recycle_flush_batches once the barrier's release has read
+  /// the delivered views -- retained batch capacity is O(active pairs
+  /// through bounded pools).
   mem::BufferPool batch_buffers{64};
 };
 

@@ -107,10 +107,13 @@ class Runtime {
   /// gang, in node order under the baton and async gangs; worker 0's share
   /// on the calling controller), then appends the lines the shares traced,
   /// in node order. For the node-local part of a protocol's barrier work:
-  /// a share may touch only node n's frames, clocks, arena and outbox plus
-  /// commutative counters, and must leave every cross-node write to the
-  /// controller. Only from a barrier hook of a Cluster run; rethrows the
-  /// lowest-numbered node's exception once every share has finished.
+  /// a share may write only node n's frames, clocks, arena, outbox and
+  /// per-node state plus commutative counters, and must leave every
+  /// cross-node write to the controller. It may read controller state that
+  /// no share writes (the barrier's change records, queued diffs, homes,
+  /// delivered flush views). Only from a barrier hook of a Cluster run;
+  /// rethrows the lowest-numbered node's exception once every share has
+  /// finished.
   void for_each_node(const std::function<void(NodeId)>& fn);
 
   [[nodiscard]] sim::Network& net() { return net_; }
@@ -169,7 +172,15 @@ class Runtime {
 
   // --- barrier-time message aggregation ------------------------------------
   /// Delivery callback of one staged flush record: runs on delivery only,
-  /// with a view over the record's sealed wire bytes.
+  /// with a view over the record's sealed wire bytes. The view (and any
+  /// copy of it) stays valid until recycle_flush_batches(), so a callback
+  /// may keep it for the barrier's release work instead of decoding it.
+  /// Callbacks run serially, in (sender, destination) order. A callback of
+  /// a barrier's seal touches only its destination's state plus
+  /// commutative counters (bar-u appends the view to the destination's
+  /// inbox, lmw-u stores an update there), so the callbacks of different
+  /// destinations commute. async-u's callbacks, sealed inside one node's
+  /// turn, also append to its event journal.
   using FlushDeliverFn = std::function<void(const FlushRecordView&)>;
 
   /// Stages one barrier-time flush carrying `diff` for `page` into the
@@ -183,7 +194,8 @@ class Runtime {
   /// destination hints, so the owners of different senders may stage
   /// concurrently (for_each_node shares stage as their own node); each
   /// sender's stage calls are ordered, so batch contents are
-  /// deterministic.
+  /// deterministic. Refused while `from`'s sealed batches await
+  /// recycle_flush_batches(): their bytes still back delivered views.
   void stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                    const mem::Diff& diff, bool reliable,
                    FlushDeliverFn on_deliver);
@@ -192,10 +204,11 @@ class Runtime {
   /// message per (sender, destination) pair, in (sender asc, destination
   /// asc) order. Once every batch has been transmitted, runs the
   /// per-record delivery callbacks of the delivered ones in the same
-  /// order, by iterating the sealed bytes in place. Serial context, with
-  /// no stage_flush in flight: the controller (Cluster calls it between
-  /// the arrive loop and the releases) or a node holding the async turn.
-  /// No-op when nothing is staged.
+  /// order, by iterating the sealed bytes in place. The sealed batches
+  /// keep their buffers until recycle_flush_batches(). Serial context,
+  /// with no stage_flush in flight: the controller (Cluster calls it
+  /// between the arrive loop and the releases) or a node holding the async
+  /// turn. No-op when nothing new is staged.
   ///
   /// With config.relay_threshold > 0, a sender whose unreliable batches
   /// target more than relay_threshold distinct destinations ships them as
@@ -206,6 +219,13 @@ class Runtime {
   /// segment aboard, healing through the usual recovery. Results are
   /// bit-identical to unicast -- only times and the message census change.
   void seal_flush_batches();
+
+  /// Returns every sealed batch's buffer to its sender's arena and resets
+  /// the batches, ending the validity of the views their delivery
+  /// callbacks saw. Serial context, after the last reader of those views:
+  /// Cluster calls it once the barrier's barrier_finish has run; a node
+  /// that seals inside its async turn recycles right after its seal.
+  void recycle_flush_batches();
 
   /// Records and charges one reliable one-way message (sync arrivals and
   /// releases, and internally control messages and reliable batches): sender
@@ -316,8 +336,9 @@ class Runtime {
 
   /// The aggregation slot of one (sender, destination) pair for the
   /// barrier in flight. Its backing buffer is borrowed from the sender's
-  /// arena at the first record and returned at the seal; the slot itself
-  /// (and its deliver vector's capacity) is kept for later barriers.
+  /// arena at the first record and returned by recycle_flush_batches();
+  /// the slot itself (and its deliver vector's capacity) is kept for later
+  /// barriers.
   struct StagedBatch {
     NodeId to;
     FlushBatchWriter writer;
@@ -332,6 +353,7 @@ class Runtime {
   struct Outbox {
     std::vector<StagedBatch> batches;
     std::size_t live = 0;
+    bool sealed = false;  // batches[0, live) sealed, awaiting recycling
   };
   /// Destination -> batch-index hints of one worker's senders. `hint` is
   /// only a guess and every lookup checks the batch's destination; it is
@@ -367,6 +389,7 @@ class Runtime {
   EpochId epoch_{0};
   sim::Gang* gang_ = nullptr;  // set by bind_gang
   std::vector<Outbox> outboxes_;       // [sender]
+  std::vector<std::uint32_t> sealed_senders_;  // ascending per seal call
   std::vector<DestHints> dest_hints_;  // [owner worker of the sender]
   std::vector<std::uint64_t> arrival_payload_;
   std::vector<std::uint64_t> release_payload_;

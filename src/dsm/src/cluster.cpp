@@ -419,8 +419,11 @@ void Cluster::do_barrier(std::uint64_t index) {
   }
 
   // Release work fanned out over all nodes, then refresh barrier-frozen
-  // shadow state for the next phase's readers.
+  // shadow state for the next phase's readers. The release may still read
+  // the delivered flush views, so the sealed batches return to their
+  // senders' arenas only now.
   protocol_->barrier_finish();
+  rt_.recycle_flush_batches();
 
   if (auto* trace = rt_.trace()) {
     trace->emit("barrier " + std::to_string(index));

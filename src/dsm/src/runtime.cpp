@@ -287,6 +287,10 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
                           << sim::current_exec_worker() << ", owner is "
                           << owner);
   Outbox& box = outboxes_[from.index()];
+  UPDSM_CHECK_MSG(!box.sealed, "node " << from
+                                       << " staged a flush while its sealed "
+                                          "batches await "
+                                          "recycle_flush_batches()");
   DestHints& hints = dest_hints_[static_cast<std::size_t>(owner)];
   if (hints.sender != from.value()) {
     // Staging switched senders on this worker: re-point the hints at this
@@ -299,8 +303,9 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
   std::uint32_t& hint = hints.hint[check(to)];
   if (hint >= box.live || box.batches[hint].to != to) {
     // First record for this destination: open a batch, borrowing its
-    // backing buffer from the sender-owner's arena until the seal returns
-    // it. Retained batch capacity is thus bounded by the arenas.
+    // backing buffer from the sender-owner's arena until
+    // recycle_flush_batches() returns it. Retained batch capacity is thus
+    // bounded by the arenas.
     if (box.live == box.batches.size()) box.batches.emplace_back();
     hint = static_cast<std::uint32_t>(box.live++);
     StagedBatch& fresh = box.batches[hint];
@@ -317,6 +322,7 @@ void Runtime::stage_flush(NodeId from, NodeId to, PageId page, NodeId creator,
 void Runtime::seal_flush_batches() {
   const int threshold = config_.relay_threshold;
   std::vector<RelaySegment> segs;
+  const std::size_t first_sealed = sealed_senders_.size();
 
   // Pass 1, (sender asc, destination asc): seal + census every batch and
   // transmit the unicast ones. Delivery callbacks wait for pass 3 so their
@@ -325,7 +331,9 @@ void Runtime::seal_flush_batches() {
   // outcome).
   for (std::size_t f = 0; f < outboxes_.size(); ++f) {
     Outbox& box = outboxes_[f];
-    if (box.live == 0) continue;
+    if (box.live == 0 || box.sealed) continue;
+    box.sealed = true;
+    sealed_senders_.push_back(static_cast<std::uint32_t>(f));
     const auto staged = std::span(box.batches).first(box.live);
     // Stage order follows the sender's pages; transmission follows
     // destinations.
@@ -393,31 +401,41 @@ void Runtime::seal_flush_batches() {
 
   // Pass 3, (sender, destination) order: run the delivery callbacks of
   // every batch that arrived -- unicast or relayed -- by iterating the
-  // sealed bytes in place (every delivery round-trips the wire format),
-  // then reset the batches. A lost batch loses *all* its records; the
-  // protocols heal through their per-record recovery (bar version-index
-  // invalidation, lmw lazy refetch).
-  for (std::size_t f = 0; f < outboxes_.size(); ++f) {
-    Outbox& box = outboxes_[f];
-    for (StagedBatch& slot : std::span(box.batches).first(box.live)) {
-      if (slot.delivered) {
-        FlushBatchReader reader(slot.writer.bytes());
-        UPDSM_CHECK(reader.header_ok());
-        FlushRecordView rec;
-        for (const FlushDeliverFn& fn : slot.deliver) {
-          UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
-          if (fn) fn(rec);
-        }
-        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
+  // sealed bytes in place (every delivery round-trips the wire format).
+  // A lost batch loses *all* its records; the protocols heal through
+  // their per-record recovery (bar version-index invalidation, lmw lazy
+  // refetch). The batches stay sealed, their bytes backing the views,
+  // until recycle_flush_batches().
+  for (std::size_t i = first_sealed; i < sealed_senders_.size(); ++i) {
+    const Outbox& box = outboxes_[sealed_senders_[i]];
+    for (const StagedBatch& slot : std::span(box.batches).first(box.live)) {
+      if (!slot.delivered) continue;
+      FlushBatchReader reader(slot.writer.bytes());
+      UPDSM_CHECK(reader.header_ok());
+      FlushRecordView rec;
+      for (const FlushDeliverFn& fn : slot.deliver) {
+        UPDSM_CHECK(reader.next(rec) == BatchReadStatus::Record);
+        if (fn) fn(rec);
       }
-      arena_for_node(NodeId{static_cast<std::uint32_t>(f)})
-          .batch_buffers.recycle(slot.writer.release_buffer());
+      UPDSM_CHECK(reader.next(rec) == BatchReadStatus::End);
+    }
+  }
+}
+
+void Runtime::recycle_flush_batches() {
+  for (const std::uint32_t f : sealed_senders_) {
+    Outbox& box = outboxes_[f];
+    PoolArena& arena = arena_for_node(NodeId{f});
+    for (StagedBatch& slot : std::span(box.batches).first(box.live)) {
+      arena.batch_buffers.recycle(slot.writer.release_buffer());
       slot.deliver.clear();
       slot.reliable = false;
       slot.delivered = false;
     }
     box.live = 0;
+    box.sealed = false;
   }
+  sealed_senders_.clear();
 }
 
 void Runtime::relay(const std::vector<RelaySegment>& segs) {

@@ -32,6 +32,7 @@
 
 #include "updsm/common/atomic_stat.hpp"
 #include "updsm/dsm/copyset.hpp"
+#include "updsm/dsm/flush_batch.hpp"
 #include "updsm/dsm/protocol.hpp"
 #include "updsm/dsm/runtime.hpp"
 #include "updsm/dsm/twin_store.hpp"
@@ -90,8 +91,9 @@ class BarProtocol : public dsm::CoherenceProtocol {
   /// Publishes node n's captured writes, in node order; no trace lines.
   void barrier_arrive(NodeId n) override;
   void barrier_master() override;
-  /// Fans release_node out over all nodes, then refreshes the frozen
-  /// copysets and the service snapshots. barrier_release stays a no-op.
+  /// Fans release_node and each node's service-snapshot upkeep out over
+  /// all nodes, then refreshes the frozen copysets. barrier_release stays
+  /// a no-op.
   void barrier_finish() override;
   void iteration_begin(NodeId n, std::uint64_t iteration) override;
 
@@ -201,12 +203,6 @@ class BarProtocol : public dsm::CoherenceProtocol {
     mem::Diff diff;
   };
 
-  struct InboxEntry {
-    PageId page{0};
-    NodeId creator{0};
-    mem::Diff diff;
-  };
-
   struct ChangeRecord {
     PageId page{0};
     std::uint64_t prev_version = 0;
@@ -225,7 +221,12 @@ class BarProtocol : public dsm::CoherenceProtocol {
     std::vector<bool> dirty;                    // wrote during this epoch
     std::vector<PageId> dirty_pages;            // insertion order
     dsm::TwinStore twins;
-    std::vector<InboxEntry> inbox;  // update pushes received this epoch
+    /// Update pushes delivered at this barrier: views into the sealed
+    /// batches, which stay valid until the barrier's release has run.
+    std::vector<dsm::FlushRecordView> inbox;
+    /// Pages whose queued foreign diffs this node applies to its frames,
+    /// as their home, in barrier_master's fan-out (page order).
+    std::vector<PageId> home_applies;
     /// Service snapshots of pages this node (as home) keeps ReadWrite with
     /// no twin -- untracked home-private pages and home-effect writes. A
     /// mid-phase fetch is served from the snapshot (or a live twin), never
@@ -272,6 +273,14 @@ class BarProtocol : public dsm::CoherenceProtocol {
   /// update application, update-set learning and overdrive preparation,
   /// all node-local.
   void release_node(NodeId n);
+  /// Home h's share of barrier_master: applies the queued foreign diffs
+  /// of node(h).home_applies to h's frames and refreshes h's twins. The
+  /// accounting (mprotect bracket, charges) stays with the controller.
+  void apply_home_diffs(NodeId h);
+  /// Node n's service-snapshot upkeep, run right after release_node(n):
+  /// refreshes the snapshots of pages n keeps ReadWrite with no twin and
+  /// discards the rest.
+  void refresh_snapshots(NodeId n);
   void run_migration();
   void engage_overdrive();
   /// Predicted write set of node `n` for epoch `e` (od must be active).

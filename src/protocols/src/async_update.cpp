@@ -226,6 +226,7 @@ bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
     rt_->arena_for_node(n).diffs.recycle(std::move(diff));
   }
   rt_->seal_flush_batches();
+  rt_->recycle_flush_batches();
 
   // Residual report to the master (which hosts the detector). Reports are
   // fire-and-forget like update pushes (§2.1.2): a reliable exchange here

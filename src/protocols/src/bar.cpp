@@ -398,24 +398,19 @@ void BarProtocol::capture_arrival(NodeId n) {
     if (page_pushes_updates(page)) {
       // Push to consumers. The home receives the diff via the reliable
       // flush above (when we are not the home); everyone else in the
-      // copyset gets an unreliable update push. The inbox entry is built
-      // on delivery only (a dropped batch loses all its records).
+      // copyset gets an unreliable update push. The inbox entry exists on
+      // delivery only (a dropped batch loses all its records), and it is
+      // the view itself: the release applies it straight from the sealed
+      // batch, which outlives the release.
       gp.copyset.for_each([&](NodeId member) {
         if (member == n) return;
         if (member == gp.home && n != gp.home) return;  // already flushed
         ++rt_->counters().updates_sent;
-        rt_->stage_flush(
-            n, member, page, n, diff, /*reliable=*/false,
-            [this, member](const dsm::FlushRecordView& rec) {
-              ++rt_->counters().updates_received;
-              // Copy through a recycled diff so the inbox copy reuses
-              // capacity -- the receiving member's arena, since the entry
-              // lands in (and is later recycled from) member's inbox.
-              Diff copy = rt_->arena_for_node(member).diffs.take();
-              rec.decode_into(copy);
-              node(member).inbox.push_back(
-                  InboxEntry{rec.page, rec.creator, std::move(copy)});
-            });
+        rt_->stage_flush(n, member, page, n, diff, /*reliable=*/false,
+                         [this, member](const dsm::FlushRecordView& rec) {
+                           ++rt_->counters().updates_received;
+                           node(member).inbox.push_back(rec);
+                         });
       });
     }
 
@@ -473,6 +468,7 @@ void BarProtocol::barrier_master() {
       std::unique(epoch_touched_.begin(), epoch_touched_.end()),
       epoch_touched_.end());
 
+  bool queued_any = false;
   for (const PageId page : epoch_touched_) {
     PageGlobal& gp = gpage(page);
     if (gp.writers_epoch.empty() && !gp.home_wrote) continue;  // all zero diffs
@@ -482,22 +478,19 @@ void BarProtocol::barrier_master() {
       // The home applies foreign diffs to its master copy. Its own page is
       // write-protected (trap re-arming), so the real handler brackets the
       // apply in a write-enable / re-protect mprotect pair -- unless bar-m
-      // overdrive left the page writable.
+      // overdrive left the page writable. The bracket and the charges are
+      // accounted here, in page order; the bytes move in the home's share
+      // below (frames are plain memory, the bracket only records).
       const bool writable =
           rt_->table(home).prot(page) == Protect::ReadWrite;
       if (!writable) rt_->mprotect(home, page, Protect::ReadWrite);
-      auto frame = rt_->table(home).frame(page);
       for (const QueuedDiff& qd : gp.queued) {
-        qd.diff.apply(frame);
         rt_->charge_dsm(home, 0, rt_->costs().dsm.diff_apply_per_byte_ns,
                         qd.diff.payload_bytes(), /*sigio=*/true);
       }
       if (!writable) rt_->mprotect(home, page, Protect::Read);
-      // The home's twin (if pushing updates) must absorb the foreign
-      // bytes, or its next diff would re-publish them as its own.
-      if (node(home).twins.has(page)) {
-        node(home).twins.refresh(page, rt_->table(home).frame(page));
-      }
+      node(home).home_applies.push_back(page);
+      queued_any = true;
     }
 
     observe_epoch_page(page, gp.writers_epoch, gp.home_wrote);
@@ -505,13 +498,22 @@ void BarProtocol::barrier_master() {
                                           gp.writers_epoch});
     gp.version = new_version;
     node(home).cached_version[page.index()] = new_version;
-    for (QueuedDiff& qd : gp.queued) {
-      // Back to the creator's arena, closing the loan opened at diff time.
-      rt_->arena_for_node(qd.creator).diffs.recycle(std::move(qd.diff));
-    }
-    gp.queued.clear();
     gp.writers_epoch.clear();
     gp.home_wrote = false;
+  }
+  // Pages with different homes are disjoint frames: each home applies its
+  // pages' queues as its own share. Then every diff goes back to its
+  // creator's arena, in page order, closing the loan opened at diff time
+  // (an arena has one writer at a time, so this stays serial).
+  if (queued_any) {
+    rt_->for_each_node([this](NodeId h) { apply_home_diffs(h); });
+    for (const PageId page : epoch_touched_) {
+      PageGlobal& gp = gpage(page);
+      for (QueuedDiff& qd : gp.queued) {
+        rt_->arena_for_node(qd.creator).diffs.recycle(std::move(qd.diff));
+      }
+      gp.queued.clear();
+    }
   }
   epoch_touched_.clear();
 
@@ -542,6 +544,18 @@ void BarProtocol::barrier_master() {
                              ChangeRecord::wire_bytes(rt_->num_nodes()) *
                                  epoch_changes_.size());
   }
+}
+
+void BarProtocol::apply_home_diffs(NodeId h) {
+  NodeState& hs = node(h);
+  for (const PageId page : hs.home_applies) {
+    const auto frame = rt_->table(h).frame(page);
+    for (const QueuedDiff& qd : gpage(page).queued) qd.diff.apply(frame);
+    // The home's twin (if pushing updates) must absorb the foreign bytes,
+    // or its next diff would re-publish them as its own.
+    if (hs.twins.has(page)) hs.twins.refresh(page, frame);
+  }
+  hs.home_applies.clear();
 }
 
 void BarProtocol::run_migration() {
@@ -716,25 +730,32 @@ void BarProtocol::release_node(NodeId n) {
   const bool od_m_active = od_active_ && mode_ == BarMode::OverdriveM;
   std::vector<PageId> updated_pages;
 
+  // One walk over the page-sorted change records and the inbox, sorted by
+  // page too. The sort is stable: a page's pushes keep their delivery
+  // order, which is creator order (senders ascending).
+  std::stable_sort(st.inbox.begin(), st.inbox.end(),
+                   [](const dsm::FlushRecordView& a,
+                      const dsm::FlushRecordView& b) {
+                     return a.page < b.page;
+                   });
+  auto next = st.inbox.cbegin();
   for (const ChangeRecord& rec : epoch_changes_) {
     const PageId page = rec.page;
-    PageGlobal& gp = gpage(page);
-    // Collect this node's update pushes for the page (creator order is node
-    // order because arrivals ran in node order).
-    dsm::NodeSet got;
-    for (const InboxEntry& e : st.inbox) {
-      if (e.page == page) got.add(e.creator);
-    }
+    // This node's update pushes for the page: [pushes, next).
+    while (next != st.inbox.cend() && next->page < page) ++next;
+    const auto pushes = next;
+    while (next != st.inbox.cend() && next->page == page) ++next;
 
-    if (n == gp.home) {
+    if (n == gpage(page).home) {
       // Home copy was made authoritative in barrier_master.
       continue;
     }
-    const bool cached = rt_->table(n).prot(page) != Protect::None;
-    if (!cached) {
-      if (!got.empty()) ++rt_->counters().updates_ignored;
+    if (rt_->table(n).prot(page) == Protect::None) {
+      if (pushes != next) ++rt_->counters().updates_ignored;
       continue;
     }
+    dsm::NodeSet got;
+    for (auto e = pushes; e != next; ++e) got.add(e->creator);
     const bool current = st.cached_version[page.index()] == rec.prev_version;
     dsm::NodeSet need = rec.writers;
     need.remove(n);
@@ -747,11 +768,11 @@ void BarProtocol::release_node(NodeId n) {
             rt_->table(n).prot(page) == Protect::ReadWrite;
         if (!writable) rt_->mprotect(n, page, Protect::ReadWrite);
         auto frame = rt_->table(n).frame(page);
-        for (const InboxEntry& e : st.inbox) {
-          if (e.page != page || !need.contains(e.creator)) continue;
-          e.diff.apply(frame);
+        for (auto e = pushes; e != next; ++e) {
+          if (!need.contains(e->creator)) continue;
+          e->apply(frame);
           rt_->charge_dsm(n, 0, dsm_costs.diff_apply_per_byte_ns,
-                          e.diff.payload_bytes());
+                          e->payload.size());
           ++rt_->counters().updates_applied;
         }
         if (!writable) rt_->mprotect(n, page, Protect::Read);
@@ -789,13 +810,8 @@ void BarProtocol::release_node(NodeId n) {
       }
     }
   }
-
-  // Drop all inbox entries for this epoch (applied or ignored), recycling
-  // their diff buffers into this node's arena (the one they were copied
-  // from at delivery).
-  for (InboxEntry& e : st.inbox) {
-    rt_->arena_for_node(n).diffs.recycle(std::move(e.diff));
-  }
+  // Drop this barrier's pushes, applied or ignored: the views die with the
+  // batches, which the runtime recycles after the release.
   st.inbox.clear();
 
   // Learning: pages that receive updates feed bar-m's writable union.
@@ -810,30 +826,33 @@ void BarProtocol::release_node(NodeId n) {
   }
 }
 
+void BarProtocol::refresh_snapshots(NodeId n) {
+  // A snapshot must exist exactly for the pages a home keeps ReadWrite
+  // with no twin (untracked pages, bar-m home-effect pages). Refresh
+  // survivors to this barrier's frame contents -- AFTER barrier_master
+  // possibly applied queued foreign diffs to the frame and release_node(n)
+  // settled n's protections and twins -- and drop the rest.
+  NodeState& st = node(n);
+  for (const PageId page : st.snapshots.pages_sorted()) {
+    if (rt_->table(n).prot(page) == Protect::ReadWrite &&
+        !st.twins.has(page)) {
+      st.snapshots.refresh(page, rt_->table(n).frame(page));
+    } else {
+      st.snapshots.discard(page);
+    }
+  }
+}
+
 void BarProtocol::barrier_finish() {
-  rt_->for_each_node([this](NodeId n) { release_node(n); });
+  rt_->for_each_node([this](NodeId n) {
+    release_node(n);
+    refresh_snapshots(n);
+  });
   // Refresh the barrier-frozen copyset shadows that mid-phase decisions
   // read: runs after all release work, with every node parked, so the next
   // phase sees one consistent, deterministic value per page.
   for (std::uint32_t p = 0; p < rt_->num_pages(); ++p) {
     global_[p].copyset_frozen = global_[p].copyset.snapshot();
-  }
-  // Service-snapshot upkeep, in node order: a snapshot must exist exactly
-  // for the pages a home keeps ReadWrite with no twin (untracked pages,
-  // bar-m home-effect pages). Refresh survivors to this barrier's frame
-  // contents -- AFTER barrier_master possibly applied queued foreign diffs
-  // to the frame -- and drop the rest.
-  for (int i = 0; i < rt_->num_nodes(); ++i) {
-    const NodeId n{static_cast<std::uint32_t>(i)};
-    NodeState& st = node(n);
-    for (const PageId page : st.snapshots.pages_sorted()) {
-      if (rt_->table(n).prot(page) == Protect::ReadWrite &&
-          !st.twins.has(page)) {
-        st.snapshots.refresh(page, rt_->table(n).frame(page));
-      } else {
-        st.snapshots.discard(page);
-      }
-    }
   }
 }
 

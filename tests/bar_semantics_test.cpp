@@ -295,5 +295,94 @@ TEST(BarSemanticsTest, DiffsDieAtTheBarrier) {
   EXPECT_EQ(b.cluster.runtime().counters().retained_diff_bytes_peak, 0u);
 }
 
+TEST(BarSemanticsTest, TwoCreatorPushesApplyFromTheSealedBatch) {
+  // bar-u applies each update push straight from the sealed batch that
+  // delivered it. Nodes 1 and 2 each write their half of two pages homed
+  // at node 0 (two creators per page, two pages per batch), node 3 reads
+  // both; a fault plan drops some of node 2's batches to node 3, whose
+  // release must then invalidate the page (a recovery fault) instead of
+  // applying half the pushes. The baton run, nodes one at a time in node
+  // order, is the sequential reference: the parallel gang at 1 and 3
+  // workers must count and leave every byte exactly as it does.
+  constexpr std::size_t kPerPage = 128;  // doubles in a 1024 B page
+  constexpr int kIters = 8;
+  struct Outcome {
+    std::uint64_t sent, received, applied, ignored, recovery;
+    sim::SimTime elapsed;
+    std::vector<std::vector<std::byte>> frames;  // [node * 2 + page]
+  };
+  const auto run = [&](sim::GangMode gang, int workers) {
+    ClusterConfig cfg = config(4);
+    cfg.gang = gang;
+    cfg.workers = workers;
+    cfg.home_migration = false;
+    cfg.static_homes = {0, 0};
+    cfg.faults = sim::FaultSpec::parse("kind=flushbatch,from=2,to=3,drop=0.5");
+    cfg.fault_seed = 3;
+    mem::SharedHeap heap(cfg.page_size);
+    const GlobalAddr a = heap.alloc_page_aligned(2 * kPerPage * 8, "x");
+    BarCluster b(cfg, heap);
+    b.cluster.run([&](NodeContext& ctx) {
+      auto x = ctx.array<double>(a, 2 * kPerPage);
+      const int me = ctx.node();
+      const auto value = [](int iter, std::size_t i) {
+        return iter * 1000.0 + static_cast<double>(i);
+      };
+      for (int iter = 1; iter <= kIters; ++iter) {
+        ctx.iteration_begin();
+        if (me == 1 || me == 2) {
+          for (std::size_t page = 0; page < 2; ++page) {
+            const std::size_t lo = page * kPerPage + (me - 1) * kPerPage / 2;
+            auto w = x.write_view(lo, lo + kPerPage / 2);
+            for (std::size_t i = 0; i < kPerPage / 2; ++i) {
+              w[i] = value(iter, lo + i);
+            }
+          }
+        }
+        ctx.barrier();
+        if (me != 0) {
+          for (std::size_t i = 0; i < 2 * kPerPage; i += 7) {
+            EXPECT_EQ(x.get(i), value(iter, i))
+                << "node " << me << " iteration " << iter << " element " << i;
+          }
+        }
+        ctx.barrier();
+      }
+    });
+    const dsm::Runtime& rt = b.cluster.runtime();
+    const auto& c = rt.counters();
+    Outcome out{c.updates_sent.load(),    c.updates_received.load(),
+                c.updates_applied.load(), c.updates_ignored.load(),
+                c.recovery_faults.load(), b.cluster.elapsed(),
+                {}};
+    for (std::uint32_t n = 0; n < 4; ++n) {
+      for (std::uint32_t p = 0; p < 2; ++p) {
+        const auto frame = rt.table(NodeId{n}).frame(PageId{p});
+        out.frames.emplace_back(frame.begin(), frame.end());
+      }
+    }
+    return out;
+  };
+
+  const Outcome ref = run(sim::GangMode::Baton, 1);
+  EXPECT_GT(ref.applied, 0u);
+  EXPECT_GT(ref.recovery, 0u) << "the plan must drop some 2>3 batch";
+  EXPECT_GT(ref.ignored, 0u) << "node 1's pushes to an invalidated copy";
+  EXPECT_LT(ref.received, ref.sent);
+  for (const int workers : {1, 3}) {
+    const Outcome got = run(sim::GangMode::Parallel, workers);
+    EXPECT_EQ(got.sent, ref.sent) << "workers=" << workers;
+    EXPECT_EQ(got.received, ref.received) << "workers=" << workers;
+    EXPECT_EQ(got.applied, ref.applied) << "workers=" << workers;
+    EXPECT_EQ(got.ignored, ref.ignored) << "workers=" << workers;
+    EXPECT_EQ(got.recovery, ref.recovery) << "workers=" << workers;
+    EXPECT_EQ(got.elapsed, ref.elapsed) << "workers=" << workers;
+    for (std::size_t f = 0; f < ref.frames.size(); ++f) {
+      EXPECT_EQ(got.frames[f], ref.frames[f])
+          << "workers=" << workers << " node " << f / 2 << " page " << f % 2;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace updsm

@@ -212,6 +212,7 @@ TEST(RuntimeTest, ScrambledStagingSealsInSenderDestinationOrder) {
                   lines.begin() + static_cast<std::ptrdiff_t>(first_line),
                   lines.end()),
               want_lines);
+    rt.recycle_flush_batches();
     rt.advance_epoch();
   };
 
@@ -222,6 +223,98 @@ TEST(RuntimeTest, ScrambledStagingSealsInSenderDestinationOrder) {
   barrier({{0, 1, 2}, {1, 3, 3}, {0, 5, 4}, {1, 2, 5}, {0, 5, 6},
            {1, 3, 0}, {0, 1, 7}});
   EXPECT_EQ(rt.counters().flush_batches.load(), 10u);
+}
+
+// Sealed batches keep their bytes until recycle_flush_batches(): the views
+// the delivery callbacks saw stay exact while other senders of the same
+// worker stage (and borrow batch buffers from the same arena), staging into
+// a sealed sender is refused, and recycling closes every batch loan.
+TEST(RuntimeTest, SealedBatchesLiveUntilRecycled) {
+  ClusterConfig cfg = tiny_config();
+  cfg.workers = 1;  // every sender borrows from one arena
+  Runtime rt(cfg, 8);
+  const auto diff_of = [&](std::uint32_t seed) {
+    std::vector<std::byte> twin(cfg.page_size, std::byte{0});
+    std::vector<std::byte> cur = twin;
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      cur[(seed * 97 + i * 13) % cfg.page_size] =
+          static_cast<std::byte>(seed + i + 1);
+    }
+    return mem::Diff::create(twin, cur);
+  };
+  const auto batch_loans = [&] {
+    return rt.arena(0).batch_buffers.outstanding();
+  };
+
+  struct Seen {
+    FlushRecordView view;
+    mem::Diff diff;
+  };
+  std::vector<Seen> seen;
+  for (std::uint32_t r = 0; r < 6; ++r) {
+    const NodeId to{1 + r % 3};
+    const mem::Diff diff = diff_of(r);
+    rt.stage_flush(NodeId{0}, to, PageId{r}, NodeId{0}, diff,
+                   /*reliable=*/false,
+                   [&seen, diff](const FlushRecordView& rec) {
+                     seen.push_back(Seen{rec, diff});
+                   });
+  }
+  rt.seal_flush_batches();
+  ASSERT_EQ(seen.size(), 6u);
+  EXPECT_EQ(batch_loans(), 3u) << "one buffer per (0, destination) batch";
+
+  const auto expect_exact = [&](const char* when) {
+    for (const Seen& s : seen) {
+      std::vector<std::byte> want(cfg.page_size, std::byte{0});
+      std::vector<std::byte> got(cfg.page_size, std::byte{0});
+      s.diff.apply(want);
+      s.view.apply(got);
+      EXPECT_TRUE(got == want) << when << ", page " << s.view.page;
+      ASSERT_EQ(s.view.payload.size(), s.diff.payload().size());
+      EXPECT_EQ(std::memcmp(s.view.payload.data(), s.diff.payload().data(),
+                            s.view.payload.size()),
+                0)
+          << when << ", page " << s.view.page;
+    }
+  };
+  expect_exact("after the seal");
+
+  // Node 0 is sealed: its bytes back the views, so it may not stage.
+  try {
+    rt.stage_flush(NodeId{0}, NodeId{1}, PageId{7}, NodeId{0}, diff_of(7),
+                   /*reliable=*/false, {});
+    ADD_FAILURE() << "staging into a sealed sender was accepted";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find("node 0 staged a flush while its "
+                                         "sealed batches await"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Other senders of the worker stage and seal meanwhile; their batches
+  // borrow fresh buffers from the same arena and must not disturb node
+  // 0's sealed bytes.
+  int later = 0;
+  for (std::uint32_t r = 0; r < 8; ++r) {
+    rt.stage_flush(NodeId{2 + r % 2}, NodeId{r / 2 % 2}, PageId{r},
+                   NodeId{2 + r % 2}, diff_of(100 + r), /*reliable=*/false,
+                   [&later](const FlushRecordView&) { ++later; });
+  }
+  rt.seal_flush_batches();
+  EXPECT_EQ(later, 8);
+  EXPECT_EQ(batch_loans(), 7u);
+  expect_exact("after other senders staged and sealed");
+
+  rt.recycle_flush_batches();
+  EXPECT_EQ(batch_loans(), 0u) << "recycling closes every batch loan";
+  EXPECT_EQ(rt.arena(0).batch_buffers.takes(), 7u);
+  // Recycled, node 0 stages again.
+  rt.stage_flush(NodeId{0}, NodeId{1}, PageId{7}, NodeId{0}, diff_of(7),
+                 /*reliable=*/false, {});
+  rt.seal_flush_batches();
+  rt.recycle_flush_batches();
+  EXPECT_EQ(batch_loans(), 0u);
 }
 
 TEST(RuntimeTest, FanOutNeedsAGang) {
