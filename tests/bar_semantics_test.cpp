@@ -299,11 +299,13 @@ TEST(BarSemanticsTest, TwoCreatorPushesApplyFromTheSealedBatch) {
   // bar-u applies each update push straight from the sealed batch that
   // delivered it. Nodes 1 and 2 each write their half of two pages homed
   // at node 0 (two creators per page, two pages per batch), node 3 reads
-  // both; a fault plan drops some of node 2's batches to node 3, whose
-  // release must then invalidate the page (a recovery fault) instead of
-  // applying half the pushes. The baton run, nodes one at a time in node
-  // order, is the sequential reference: the parallel gang at 1 and 3
-  // workers must count and leave every byte exactly as it does.
+  // both on even iterations; a fault plan drops some of node 2's batches
+  // to node 3, whose release must then invalidate the page (a recovery
+  // fault) instead of applying half the pushes, and ignore the pushes
+  // that reach its invalid copy until it reads again. The baton run,
+  // nodes one at a time in node order, is the sequential reference: the
+  // parallel gang at 1 and 3 workers must count and leave every byte
+  // exactly as it does.
   constexpr std::size_t kPerPage = 128;  // doubles in a 1024 B page
   constexpr int kIters = 8;
   struct Outcome {
@@ -311,13 +313,16 @@ TEST(BarSemanticsTest, TwoCreatorPushesApplyFromTheSealedBatch) {
     sim::SimTime elapsed;
     std::vector<std::vector<std::byte>> frames;  // [node * 2 + page]
   };
-  const auto run = [&](sim::GangMode gang, int workers) {
+  const auto run = [&](sim::GangMode gang, int workers, bool lossy) {
     ClusterConfig cfg = config(4);
     cfg.gang = gang;
     cfg.workers = workers;
     cfg.home_migration = false;
     cfg.static_homes = {0, 0};
-    cfg.faults = sim::FaultSpec::parse("kind=flushbatch,from=2,to=3,drop=0.5");
+    if (lossy) {
+      cfg.faults =
+          sim::FaultSpec::parse("kind=flushbatch,from=2,to=3,drop=0.5");
+    }
     cfg.fault_seed = 3;
     mem::SharedHeap heap(cfg.page_size);
     const GlobalAddr a = heap.alloc_page_aligned(2 * kPerPage * 8, "x");
@@ -340,7 +345,7 @@ TEST(BarSemanticsTest, TwoCreatorPushesApplyFromTheSealedBatch) {
           }
         }
         ctx.barrier();
-        if (me != 0) {
+        if (me == 1 || me == 2 || (me == 3 && iter % 2 == 0)) {
           for (std::size_t i = 0; i < 2 * kPerPage; i += 7) {
             EXPECT_EQ(x.get(i), value(iter, i))
                 << "node " << me << " iteration " << iter << " element " << i;
@@ -364,13 +369,23 @@ TEST(BarSemanticsTest, TwoCreatorPushesApplyFromTheSealedBatch) {
     return out;
   };
 
-  const Outcome ref = run(sim::GangMode::Baton, 1);
+  // Lossless, node 3 holds a current copy at every barrier that brings
+  // it pushes from both creators (pages in either order in its inbox):
+  // every push is applied, nothing is invalidated.
+  const Outcome lossless = run(sim::GangMode::Parallel, 3, false);
+  EXPECT_EQ(lossless.received, lossless.sent);
+  EXPECT_EQ(lossless.applied, lossless.received);
+  EXPECT_EQ(lossless.ignored, 0u);
+  EXPECT_EQ(lossless.recovery, 0u);
+
+  const Outcome ref = run(sim::GangMode::Baton, 1, true);
   EXPECT_GT(ref.applied, 0u);
   EXPECT_GT(ref.recovery, 0u) << "the plan must drop some 2>3 batch";
-  EXPECT_GT(ref.ignored, 0u) << "node 1's pushes to an invalidated copy";
+  EXPECT_GT(ref.ignored, ref.recovery)
+      << "pushes to a copy invalidated at an earlier barrier are ignored";
   EXPECT_LT(ref.received, ref.sent);
   for (const int workers : {1, 3}) {
-    const Outcome got = run(sim::GangMode::Parallel, workers);
+    const Outcome got = run(sim::GangMode::Parallel, workers, true);
     EXPECT_EQ(got.sent, ref.sent) << "workers=" << workers;
     EXPECT_EQ(got.received, ref.received) << "workers=" << workers;
     EXPECT_EQ(got.applied, ref.applied) << "workers=" << workers;
