@@ -6,6 +6,12 @@
 // during the release. It is the natural strawman the paper's lazy
 // protocols improve on -- correct, simple, and communication-hungry.
 //
+// It is built the way the library's own protocols are: the Runtime creates
+// and prices every twin and diff (create_twin, diff_page,
+// charge_diff_apply), and each receiver applies a diff straight from the
+// sealed flush batch that delivered it (a FlushRecordView, valid until the
+// barrier ends), with no decoded copy.
+//
 // The example runs the same stencil under eager-broadcast, lmw-u and
 // bar-u, validates all three against sequential execution, and prints the
 // traffic each one needed.
@@ -15,6 +21,7 @@
 #include <vector>
 
 #include "updsm/dsm/cluster.hpp"
+#include "updsm/dsm/flush_batch.hpp"
 #include "updsm/dsm/node_context.hpp"
 #include "updsm/dsm/runtime.hpp"
 #include "updsm/dsm/twin_store.hpp"
@@ -26,9 +33,9 @@ namespace {
 
 using namespace updsm;
 
-/// Munin-style eager write-shared protocol in ~100 lines: everything a
+/// Munin-style eager write-shared protocol in ~80 lines: everything a
 /// protocol needs is the CoherenceProtocol interface plus the Runtime's
-/// charging helpers.
+/// DSM primitives (twins, diffs, flush staging) and charging helpers.
 class EagerBroadcastProtocol final : public dsm::CoherenceProtocol {
  public:
   std::string_view name() const override { return "eager-bcast"; }
@@ -36,12 +43,11 @@ class EagerBroadcastProtocol final : public dsm::CoherenceProtocol {
   void init(dsm::Runtime& rt) override {
     rt_ = &rt;
     twins_.resize(static_cast<std::size_t>(rt.num_nodes()));
+    inbox_.resize(static_cast<std::size_t>(rt.num_nodes()));
     // Everyone starts with a valid, write-protected copy of everything.
     for (int i = 0; i < rt.num_nodes(); ++i) {
-      for (std::uint32_t p = 0; p < rt.num_pages(); ++p) {
-        rt.table(NodeId{static_cast<std::uint32_t>(i)})
-            .set_prot(PageId{p}, mem::Protect::Read);
-      }
+      rt.table(NodeId{static_cast<std::uint32_t>(i)})
+          .set_all_prot(mem::Protect::Read);
     }
   }
 
@@ -51,70 +57,56 @@ class EagerBroadcastProtocol final : public dsm::CoherenceProtocol {
   }
 
   void write_fault(NodeId n, PageId page) override {
-    twins_[n.index()].create(page, rt_->table(n).frame(page));
-    ++rt_->counters().twins_created;
-    rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                    rt_->page_size());
+    rt_->create_twin(n, twins_[n.index()], page);
     rt_->mprotect(n, page, mem::Protect::ReadWrite);
   }
 
   void barrier_arrive(NodeId n) override {
     auto& twins = twins_[n.index()];
     for (const PageId page : twins.pages_sorted()) {
-      mem::Diff diff =
-          mem::Diff::create(twins.get(page), rt_->table(n).frame(page));
-      rt_->charge_dsm(n, rt_->costs().dsm.diff_fixed,
-                      rt_->costs().dsm.diff_create_per_byte_ns,
-                      rt_->page_size());
-      ++rt_->counters().diffs_created;
+      mem::Diff diff = rt_->diff_page(n, twins, page);
       twins.discard(page);
       rt_->mprotect(n, page, mem::Protect::Read);  // re-arm the trap
-      if (diff.empty()) {
-        ++rt_->counters().zero_diffs;
-        continue;
+      if (!diff.empty()) {
+        // The eager part: one flush to EVERY other node, unconditionally.
+        // Staged records ride the barrier's per-destination batches,
+        // reliably; each delivery hands the receiver a view of its record.
+        for (int i = 0; i < rt_->num_nodes(); ++i) {
+          const NodeId to{static_cast<std::uint32_t>(i)};
+          if (to == n) continue;
+          ++rt_->counters().updates_sent;
+          rt_->stage_flush(n, to, page, n, diff, /*reliable=*/true,
+                           [this, to](const dsm::FlushRecordView& rec) {
+                             inbox_[to.index()].push_back(rec);
+                           });
+        }
       }
-      // The eager part: one flush to EVERY other node, unconditionally.
-      // Staged records ride the barrier's per-destination batches, reliably:
-      // the release below applies every diff everywhere.
-      for (int i = 0; i < rt_->num_nodes(); ++i) {
-        const NodeId to{static_cast<std::uint32_t>(i)};
-        if (to == n) continue;
-        ++rt_->counters().updates_sent;
-        rt_->stage_flush(n, to, page, n, diff, /*reliable=*/true, {});
-      }
-      pending_.push_back(Pending{page, n, std::move(diff)});
+      // The staged records carry their own copies of the bytes.
+      rt_->arena_for_node(n).diffs.recycle(std::move(diff));
     }
   }
 
   void barrier_master() override {}
 
   void barrier_release(NodeId n) override {
-    // Apply every foreign diff: each node's replica stays fully current.
-    for (const Pending& p : pending_) {
-      if (p.creator == n) continue;
+    // Apply every foreign diff straight from its sealed batch (the views
+    // stay valid until the barrier ends): each replica stays fully current.
+    for (const dsm::FlushRecordView& rec : inbox_[n.index()]) {
       const bool writable =
-          rt_->table(n).prot(p.page) == mem::Protect::ReadWrite;
-      if (!writable) rt_->mprotect(n, p.page, mem::Protect::ReadWrite);
-      p.diff.apply(rt_->table(n).frame(p.page));
-      rt_->charge_dsm(n, 0, rt_->costs().dsm.diff_apply_per_byte_ns,
-                      p.diff.payload_bytes());
-      if (!writable) rt_->mprotect(n, p.page, mem::Protect::Read);
+          rt_->table(n).prot(rec.page) == mem::Protect::ReadWrite;
+      if (!writable) rt_->mprotect(n, rec.page, mem::Protect::ReadWrite);
+      rec.apply(rt_->table(n).frame(rec.page));
+      rt_->charge_diff_apply(n, rec.payload.size());
+      if (!writable) rt_->mprotect(n, rec.page, mem::Protect::Read);
       ++rt_->counters().updates_applied;
     }
-    if (n.value() + 1 == static_cast<std::uint32_t>(rt_->num_nodes())) {
-      pending_.clear();  // diffs die at the barrier, as in home-based
-    }
+    inbox_[n.index()].clear();  // diffs die at the barrier, as in home-based
   }
 
  private:
-  struct Pending {
-    PageId page;
-    NodeId creator;
-    mem::Diff diff;
-  };
   dsm::Runtime* rt_ = nullptr;
   std::vector<dsm::TwinStore> twins_;
-  std::vector<Pending> pending_;
+  std::vector<std::vector<dsm::FlushRecordView>> inbox_;  // [receiver]
 };
 
 struct Outcome {

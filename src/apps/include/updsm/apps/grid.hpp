@@ -55,27 +55,6 @@ class Grid2 {
   [[nodiscard]] std::span<T> row_w(std::size_t r) {
     return arr_.write_view(r * cols_, (r + 1) * cols_);
   }
-  /// Read view of columns [c0, c1) within row r.
-  [[nodiscard]] std::span<const T> row_segment(std::size_t r, std::size_t c0,
-                                               std::size_t c1) const {
-    return arr_.read_view(r * cols_ + c0, r * cols_ + c1);
-  }
-  /// Write view of columns [c0, c1) within row r (write-traps only the
-  /// pages the segment touches).
-  [[nodiscard]] std::span<T> row_segment_w(std::size_t r, std::size_t c0,
-                                           std::size_t c1) {
-    return arr_.write_view(r * cols_ + c0, r * cols_ + c1);
-  }
-
-  /// Read view over rows [r0, r1).
-  [[nodiscard]] std::span<const T> rows_view(std::size_t r0,
-                                             std::size_t r1) const {
-    return arr_.read_view(r0 * cols_, r1 * cols_);
-  }
-  [[nodiscard]] std::span<T> rows_view_w(std::size_t r0, std::size_t r1) {
-    return arr_.write_view(r0 * cols_, r1 * cols_);
-  }
-
   [[nodiscard]] T at(std::size_t r, std::size_t c) const {
     return arr_.get(r * cols_ + c);
   }

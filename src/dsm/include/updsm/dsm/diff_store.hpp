@@ -42,11 +42,6 @@ class DiffStore {
   /// Stores a diff; replaces any previous diff with the same key.
   void put(const Key& key, mem::Diff diff);
 
-  /// Stores a copy of `diff`, building it inside a recycled diff so the
-  /// copy reuses pooled capacity (lmw-u stores one copy per consumer of
-  /// every flushed update -- the hottest allocation site of that protocol).
-  void put_copy(const Key& key, const mem::Diff& diff);
-
   /// A cleared diff with pooled capacity, for Diff::create_into(). Spent
   /// diffs return to the pool via recycle() or any erase/clear/squash.
   [[nodiscard]] mem::Diff take_scratch() { return pool().take(); }

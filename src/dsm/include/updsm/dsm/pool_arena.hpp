@@ -29,8 +29,9 @@ namespace updsm::dsm {
 /// One worker's private pools, padded to a cache line so adjacent arenas
 /// never false-share under concurrent mid-phase use.
 struct alignas(64) PoolArena {
-  /// Diff scratch for every node this worker owns (barrier diff creation,
-  /// async-u receive copies, lmw retained stores).
+  /// Diff scratch for every node this worker owns: Runtime::diff_page,
+  /// lmw's retained diffs and lmw-u's decoded updates (no other receiver
+  /// copies a diff; it applies the delivered view).
   mem::DiffPool diffs{256};
   /// Page-sized buffers: twins and service snapshots.
   mem::BufferPool pages{256};

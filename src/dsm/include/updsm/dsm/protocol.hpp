@@ -49,7 +49,7 @@
 //    is logged per node and *published* by the serial hook. bar and lmw
 //    split arrival this way: barrier_begin() fans the capture out, and
 //    barrier_arrive(n) replays node n's log in node order (note_writer,
-//    write notices, queued diffs, arrival payload), emitting no trace
+//    write notices, arrival payload), emitting no trace
 //    lines; their release is node-local already, so barrier_finish() fans
 //    it out and barrier_release(n) stays the default no-op. Hooks that are
 //    themselves serial and node-ordered (async-*, sc-sw) need no split.

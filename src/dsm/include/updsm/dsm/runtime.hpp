@@ -4,8 +4,10 @@
 // It owns the per-node software MMUs (page tables), virtual clocks and OS
 // models, the simulated network, and the protocol counters; and it provides
 // the *charging helpers* through which every protocol action pays its
-// simulated cost. Protocol code never touches a clock directly -- each
-// helper documents who is charged, with which TimeCat, so that Figure 3's
+// simulated cost, plus the DSM primitives every protocol is built from
+// (initial homes, twins, diffs, whole-page transfers), each implemented and
+// priced once. Protocol code never touches a clock directly -- each helper
+// documents who is charged, with which TimeCat, so that Figure 3's
 // breakdown is an audit trail rather than an estimate.
 #pragma once
 
@@ -25,6 +27,8 @@
 #include "updsm/dsm/pool_arena.hpp"
 #include "updsm/dsm/stats.hpp"
 #include "updsm/dsm/trace.hpp"
+#include "updsm/dsm/twin_store.hpp"
+#include "updsm/mem/diff.hpp"
 #include "updsm/mem/page_table.hpp"
 #include "updsm/sim/clock.hpp"
 #include "updsm/sim/cost_model.hpp"
@@ -59,6 +63,14 @@ class Runtime {
   [[nodiscard]] std::uint32_t page_size() const { return config_.page_size; }
   [[nodiscard]] const ClusterConfig& config() const { return config_; }
   [[nodiscard]] const sim::CostModel& costs() const { return config_.costs; }
+
+  /// The home of `page` before any migration, for the home-based
+  /// protocols (bar-*, async-*) and sc-sw's first owner: a block
+  /// distribution -- contiguous page ranges per node, matching how "owner
+  /// computes" compilers lay out array slices -- unless config.static_homes
+  /// annotates the page (Zhou-style user annotations, §2.2.1). Throws
+  /// UsageError for an annotation naming no node.
+  [[nodiscard]] NodeId initial_home(PageId page) const;
 
   // --- per-node state -----------------------------------------------------
   [[nodiscard]] mem::PageTable& table(NodeId n) { return *tables_[check(n)]; }
@@ -110,8 +122,8 @@ class Runtime {
   /// a share may write only node n's frames, clocks, arena, outbox and
   /// per-node state plus commutative counters, and must leave every
   /// cross-node write to the controller. It may read controller state that
-  /// no share writes (the barrier's change records, queued diffs, homes,
-  /// delivered flush views). Only from a barrier hook of a Cluster run;
+  /// no share writes (the barrier's change records, homes, delivered flush
+  /// views). Only from a barrier hook of a Cluster run;
   /// rethrows the lowest-numbered node's exception once every share has
   /// finished.
   void for_each_node(const std::function<void(NodeId)>& fn);
@@ -167,20 +179,44 @@ class Runtime {
   /// data.
   [[nodiscard]] bool flush(NodeId from, NodeId to, std::uint64_t bytes);
 
-  /// Reliable control message (home-migration directives etc.).
-  void control(NodeId from, NodeId to, std::uint64_t bytes);
+  // --- DSM primitives (paper §2.1.1) ----------------------------------------
+  /// Snapshots node n's frame of `page` as its twin in `twins` (n's store),
+  /// charging n the page copy (Dsm) and counting twins_created.
+  void create_twin(NodeId n, TwinStore& twins, PageId page);
+  /// Re-snapshots n's existing twin of `page` from its frame, charging the
+  /// page copy (Dsm).
+  void refresh_twin(NodeId n, TwinStore& twins, PageId page);
+  /// Diffs node n's frame of `page` against its twin in `twins`, charging
+  /// n the diff (Dsm) and counting diffs_created, plus zero_diffs when the
+  /// diff is empty. The diff is taken from n's arena; the caller recycles
+  /// it there or hands it to a store bound to that arena.
+  [[nodiscard]] mem::Diff diff_page(NodeId n, const TwinStore& twins,
+                                    PageId page);
+  /// Charges node n the application of a diff carrying `payload_bytes`
+  /// (Dsm, or Sigio inside a handler).
+  void charge_diff_apply(NodeId n, std::uint64_t payload_bytes,
+                         bool sigio = false);
+  /// Charges node n's whole-page fetch from `owner`: a 16-byte request and
+  /// page + 32-byte reply roundtrip whose service copies the page, then
+  /// n's install copy (Dsm) -- the path CostModel::remote_page_fault
+  /// mirrors. The caller picks the source bytes and copies them itself,
+  /// under whatever service lock it needs.
+  void charge_page_transfer(NodeId n, NodeId owner);
 
   // --- barrier-time message aggregation ------------------------------------
   /// Delivery callback of one staged flush record: runs on delivery only,
   /// with a view over the record's sealed wire bytes. The view (and any
-  /// copy of it) stays valid until recycle_flush_batches(), so a callback
-  /// may keep it for the barrier's release work instead of decoding it.
-  /// Callbacks run serially, in (sender, destination) order. A callback of
-  /// a barrier's seal touches only its destination's state plus
-  /// commutative counters (bar-u appends the view to the destination's
-  /// inbox, lmw-u stores an update there), so the callbacks of different
-  /// destinations commute. async-u's callbacks, sealed inside one node's
-  /// turn, also append to its event journal.
+  /// copy of it) stays valid until recycle_flush_batches(), so receivers
+  /// apply the diff straight from it: bar queues a home flush's view on
+  /// its page for barrier_master and an update push's view in the
+  /// consumer's inbox for the release, and async-u applies its push inside
+  /// the callback. Only lmw-u decodes a record, because its stored updates
+  /// outlive the batch. Callbacks run serially, in (sender, destination)
+  /// order. A callback of a barrier's seal touches only its destination's
+  /// state (including the queues of pages it homes) plus commutative
+  /// counters, so the callbacks of different destinations commute.
+  /// async-u's callbacks, sealed inside one node's turn, also append to its
+  /// event journal.
   using FlushDeliverFn = std::function<void(const FlushRecordView&)>;
 
   /// Stages one barrier-time flush carrying `diff` for `page` into the
@@ -228,7 +264,7 @@ class Runtime {
   void recycle_flush_batches();
 
   /// Records and charges one reliable one-way message (sync arrivals and
-  /// releases, and internally control messages and reliable batches): sender
+  /// releases, async-i invalidations, and internally reliable batches): sender
   /// pays one send trap per attempt. With no fault plan this is exactly
   /// record + send_trap + count_send. Under faults, drops cost the sender a
   /// full timeout of Wait and a retransmission (bounded exponential backoff
@@ -262,7 +298,6 @@ class Runtime {
   /// taken so later work (checksums, teardown) is not measured.
   void end_measurement();
   [[nodiscard]] bool measuring() const { return measuring_; }
-  [[nodiscard]] bool measurement_ended() const { return ended_; }
   /// Per-node virtual time at the start of the measurement window.
   [[nodiscard]] sim::SimTime measure_mark(NodeId n) const {
     return measure_mark_[check(n)];

@@ -23,7 +23,6 @@
 //                                 <records> page records, <bytes> the whole
 //                                 sealed batch (batch + record headers
 //                                 count as payload)
-//   ctl n<from>>n<to> <bytes>B            control message
 //
 // Fault-injection events (only with a non-empty ClusterConfig::faults; the
 // no-fault trace is byte-identical to the pre-fault-injection grammar):

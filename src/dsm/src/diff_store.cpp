@@ -15,12 +15,6 @@ void DiffStore::put(const Key& key, mem::Diff diff) {
   diffs_.insert_or_assign(key, std::move(diff));
 }
 
-void DiffStore::put_copy(const Key& key, const mem::Diff& diff) {
-  mem::Diff copy = pool().take();
-  copy = diff;  // vector copy-assignment reuses the recycled capacity
-  put(key, std::move(copy));
-}
-
 const mem::Diff* DiffStore::find(const Key& key) const {
   const auto it = diffs_.find(key);
   return it == diffs_.end() ? nullptr : &it->second;

@@ -72,6 +72,53 @@ Runtime::Runtime(const ClusterConfig& config, std::uint32_t num_pages)
   measure_mark_.assign(static_cast<std::size_t>(n), 0);
 }
 
+NodeId Runtime::initial_home(PageId page) const {
+  const auto n = static_cast<std::uint32_t>(num_nodes());
+  const std::vector<std::uint32_t>& annotated = config_.static_homes;
+  if (page.index() < annotated.size()) {
+    const std::uint32_t home = annotated[page.index()];
+    UPDSM_REQUIRE(home < n, "static home " << home << " for page "
+                                           << page.value() << " out of range");
+    return NodeId{home};
+  }
+  const std::uint32_t per = (num_pages_ + n - 1) / n;
+  return NodeId{std::min(page.value() / per, n - 1)};
+}
+
+void Runtime::create_twin(NodeId n, TwinStore& twins, PageId page) {
+  twins.create(page, table(n).frame(page));
+  ++counters_.twins_created;
+  charge_dsm(n, 0, costs().dsm.copy_per_byte_ns, page_size());
+}
+
+void Runtime::refresh_twin(NodeId n, TwinStore& twins, PageId page) {
+  twins.refresh(page, table(n).frame(page));
+  charge_dsm(n, 0, costs().dsm.copy_per_byte_ns, page_size());
+}
+
+mem::Diff Runtime::diff_page(NodeId n, const TwinStore& twins, PageId page) {
+  mem::Diff diff = arena_for_node(n).diffs.take();
+  mem::Diff::create_into(diff, twins.get(page), table(n).frame(page));
+  charge_dsm(n, costs().dsm.diff_fixed, costs().dsm.diff_create_per_byte_ns,
+             page_size());
+  ++counters_.diffs_created;
+  if (diff.empty()) ++counters_.zero_diffs;
+  return diff;
+}
+
+void Runtime::charge_diff_apply(NodeId n, std::uint64_t payload_bytes,
+                                bool sigio) {
+  charge_dsm(n, 0, costs().dsm.diff_apply_per_byte_ns, payload_bytes, sigio);
+}
+
+void Runtime::charge_page_transfer(NodeId n, NodeId owner) {
+  const double copy_ns = costs().dsm.copy_per_byte_ns;
+  const std::uint32_t psize = page_size();
+  roundtrip(n, owner, MsgKind::DataRequest, 16, psize + 32,
+            static_cast<SimTime>(copy_ns * static_cast<double>(psize)));
+  charge_dsm(n, 0, copy_ns, psize);
+}
+
 void Runtime::mprotect(NodeId n, PageId page, mem::Protect prot, bool sigio) {
   UPDSM_LOG(Trace, "mprotect node " << n << " page " << page << " -> "
                                     << mem::to_string(prot) << " epoch "
@@ -515,18 +562,6 @@ void Runtime::relay(const std::vector<RelaySegment>& segs) {
     }
     at[i].clear();
   }
-}
-
-void Runtime::control(NodeId from, NodeId to, std::uint64_t bytes) {
-  if (from == to) return;
-  if (trace_) {
-    trace_->emit("ctl n" + std::to_string(from.value()) + ">n" +
-                 std::to_string(to.value()) + " " + std::to_string(bytes) +
-                 "B");
-  }
-  (void)reliable_send(MsgKind::Control, from, to, bytes);
-  clock(to).advance(TimeCat::Sigio, costs().net.recv_trap);
-  os(to).count_recv();
 }
 
 SimTime Runtime::reliable_send(MsgKind kind, NodeId from, NodeId to,

@@ -8,6 +8,7 @@
 // the kernel's zero page and commits no host memory.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -42,6 +43,9 @@ class PageTable {
 
   /// Raw protection change -- cost accounting is the caller's job.
   void set_prot(PageId page, Protect p) { prot_[check(page)] = p; }
+  /// Raw protection change of every page at once (a protocol's start
+  /// state).
+  void set_all_prot(Protect p) { std::fill(prot_.begin(), prot_.end(), p); }
 
   /// Mutable view of one page's private frame.
   [[nodiscard]] std::span<std::byte> frame(PageId page) {

@@ -125,9 +125,6 @@ class AdaptiveProtocol final : public BarProtocol {
   void barrier_finish() override;
 
   // ---- introspection (tests, benches) ------------------------------------
-  [[nodiscard]] PageMode page_mode(PageId p) const {
-    return modes_[p.index()];
-  }
   [[nodiscard]] const AdaptivePolicy& policy() const { return policy_; }
 
  protected:

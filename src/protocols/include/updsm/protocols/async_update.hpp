@@ -155,11 +155,19 @@ class AsyncProtocol : public dsm::CoherenceProtocol {
   /// Whole-page fetch from the home (twin-first, under the home's service
   /// mutex). Installs the page readable at the current home version.
   void fetch_page(NodeId n, PageId page, bool count_as_miss);
-  /// Applies a published diff to node `m`'s frame -- and to its twin when
-  /// one exists, so (a) a home's twin stays equal to the published
-  /// contents and (b) a concurrent writer's next diff does not re-publish
-  /// foreign bytes as its own.
-  void apply_diff(NodeId m, PageId page, const mem::Diff& diff);
+  /// Applies a published diff -- the creator's mem::Diff at the home, a
+  /// delivered dsm::FlushRecordView at a pushed-to copy -- to node `m`'s
+  /// frame, and to its twin when one exists, so (a) a home's twin stays
+  /// equal to the published contents and (b) a concurrent writer's next
+  /// diff does not re-publish foreign bytes as its own.
+  template <typename D>
+  void apply_diff(NodeId m, PageId page, const D& diff);
+  /// Publishes node n's twinned pages: diffs each against its twin, flushes
+  /// it reliably to the home (applied there at once) and bumps the page's
+  /// version. With `notify` (async_publish) it also pushes the diff to the
+  /// cached copies (async-u) or invalidates them (async-i); the degenerate
+  /// barrier_arrive publishes without. The caller seals the staged flushes.
+  void publish(NodeId n, std::uint64_t step, bool notify);
   void note(JournalEntry::Kind kind, NodeId n, PageId page,
             std::uint64_t version, std::uint64_t step) {
     if (journal_on_) {

@@ -36,7 +36,6 @@
 #include "updsm/dsm/protocol.hpp"
 #include "updsm/dsm/runtime.hpp"
 #include "updsm/dsm/twin_store.hpp"
-#include "updsm/mem/diff.hpp"
 
 namespace updsm::protocols {
 
@@ -149,11 +148,6 @@ class BarProtocol : public dsm::CoherenceProtocol {
   virtual void observe_epoch_page(PageId, const dsm::NodeSet& /*writers*/,
                                   bool /*home_wrote*/) {}
 
-  struct QueuedDiff {
-    NodeId creator;
-    mem::Diff diff;
-  };
-
   struct PageGlobal {
     NodeId home{0};
     /// Scalar version index: barrier-index-plus-one of the last epoch that
@@ -183,7 +177,10 @@ class BarProtocol : public dsm::CoherenceProtocol {
     // --- per-epoch scratch, cleared by barrier_master -----------------
     dsm::NodeSet writers_epoch;
     bool home_wrote = false;
-    std::vector<QueuedDiff> queued;  // foreign diffs flushed to the home
+    /// Foreign diffs flushed to the home: views into the sealed batches,
+    /// queued in creator order by the flushes' delivery, applied and
+    /// dropped by the home's share of barrier_master.
+    std::vector<dsm::FlushRecordView> queued;
   };
 
   /// One cross-node write of a node's arrival capture. capture_arrival
@@ -195,12 +192,10 @@ class BarProtocol : public dsm::CoherenceProtocol {
       Writer,     // note_writer(n, page)
       HomeWrote,  // the page's home_wrote flag
       Diff,       // observe_diff(n, page, bytes)
-      Queue,      // `diff` joins the page's queue at the home
     };
     Op op;
     PageId page;
     std::uint64_t bytes = 0;
-    mem::Diff diff;
   };
 
   struct ChangeRecord {
@@ -258,8 +253,9 @@ class BarProtocol : public dsm::CoherenceProtocol {
   [[nodiscard]] NodeState& node(NodeId n) { return nodes_[n.index()]; }
   [[nodiscard]] PageGlobal& gpage(PageId p) { return global_[p.index()]; }
 
-  /// Whole-page fetch from the home (the 939 us path). Marks the fetcher a
-  /// consumer. `miss` distinguishes demand faults from migration copies.
+  /// Whole-page fetch from the home (the 939 us path,
+  /// Runtime::charge_page_transfer). Marks the fetcher a consumer. `miss`
+  /// distinguishes demand faults from migration copies.
   void fetch_page(NodeId n, PageId page, bool count_as_miss);
 
   void note_dirty(NodeId n, PageId page);
@@ -273,9 +269,10 @@ class BarProtocol : public dsm::CoherenceProtocol {
   /// update application, update-set learning and overdrive preparation,
   /// all node-local.
   void release_node(NodeId n);
-  /// Home h's share of barrier_master: applies the queued foreign diffs
-  /// of node(h).home_applies to h's frames and refreshes h's twins. The
-  /// accounting (mprotect bracket, charges) stays with the controller.
+  /// Home h's share of barrier_master: applies the queued flush views of
+  /// node(h).home_applies to h's frames, drops them and refreshes h's
+  /// twins. The accounting (mprotect bracket, charges) stays with the
+  /// controller.
   void apply_home_diffs(NodeId h);
   /// Node n's service-snapshot upkeep, run right after release_node(n):
   /// refreshes the snapshots of pages n keeps ReadWrite with no twin and
@@ -293,13 +290,13 @@ class BarProtocol : public dsm::CoherenceProtocol {
 
   BarMode mode_;
   dsm::Runtime* rt_ = nullptr;
+  /// Per-node state. Twins and service snapshots borrow their buffers from
+  /// the arena of the gang worker owning the node, and Runtime::diff_page
+  /// takes each diff from that arena; the capture share (which runs on
+  /// that worker) recycles the diff there right after staging it, so pool
+  /// traffic is single-threaded by construction and no diff outlives its
+  /// capture.
   std::vector<NodeState> nodes_;
-  /// Diff scratch routes through the per-worker arenas of the runtime
-  /// (rt_->arena_for_node): creators take from -- and spent diffs recycle
-  /// to -- the arena of the worker owning the node named in the call, so
-  /// pool traffic mid-phase and in capture/release shares (which run on
-  /// that worker) is single-threaded by construction, and the serial
-  /// barrier work drains the loans deterministically.
   std::vector<PageGlobal> global_;
   /// Pages touched this epoch (set at first write note; master consumes).
   std::vector<PageId> epoch_touched_;

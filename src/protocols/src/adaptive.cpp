@@ -317,17 +317,12 @@ void AdaptiveProtocol::arm_page(PageId page) {
   // trap no segv. Only nodes holding a valid replica are armed -- an
   // invalid copy re-joins through the normal fault path, and a writer the
   // window never saw arms itself on its first (trapped) write.
-  const auto& dsm_costs = rt_->costs().dsm;
   const History& h = history_[page.index()];
   if (h.count == 0) return;
   const auto arm_one = [&](NodeId n) {
     if (rt_->table(n).prot(page) == Protect::None) return;
     NodeState& st = node(n);
-    if (!st.twins.has(page)) {
-      st.twins.create(page, rt_->table(n).frame(page));
-      ++rt_->counters().twins_created;
-      rt_->charge_dsm(n, 0, dsm_costs.copy_per_byte_ns, rt_->page_size());
-    }
+    if (!st.twins.has(page)) rt_->create_twin(n, st.twins, page);
     if (rt_->table(n).prot(page) != Protect::ReadWrite) {
       rt_->mprotect(n, page, Protect::ReadWrite);
     }

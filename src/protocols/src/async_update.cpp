@@ -14,7 +14,6 @@ namespace {
 using mem::Diff;
 using mem::Protect;
 using sim::MsgKind;
-using sim::SimTime;
 
 /// Convergence window of the residual detector: a node counts as settled
 /// after this many consecutive published residuals at or under the app's
@@ -30,23 +29,12 @@ void AsyncProtocol::init(dsm::Runtime& rt) {
   journal_on_ = rt.config().trace;
   detector_ = std::make_unique<ConvergenceDetector>(
       rt.num_nodes(), rt.config().async_tolerance, kConvergenceWindow);
-  // Homes: same block distribution as bar-* (contiguous page ranges per
-  // node), with the same Zhou-style static_homes override. No migration:
-  // the async protocols keep homes fixed -- there is no barrier at which a
-  // home handoff could be made globally visible.
+  // Homes: the same initial homes as bar-*. No migration: the async
+  // protocols keep homes fixed -- there is no barrier at which a home
+  // handoff could be made globally visible.
   const std::uint32_t pages = rt.num_pages();
-  const std::uint32_t n = static_cast<std::uint32_t>(rt.num_nodes());
-  const std::uint32_t per = (pages + n - 1) / n;
   for (std::uint32_t p = 0; p < pages; ++p) {
-    global_[p].home = NodeId{std::min(p / per, n - 1)};
-  }
-  const auto& annotated = rt.config().static_homes;
-  for (std::uint32_t p = 0;
-       p < pages && p < static_cast<std::uint32_t>(annotated.size()); ++p) {
-    UPDSM_REQUIRE(annotated[p] < n, "static home " << annotated[p]
-                                                   << " for page " << p
-                                                   << " out of range");
-    global_[p].home = NodeId{annotated[p]};
+    global_[p].home = rt.initial_home(PageId{p});
   }
   for (int i = 0; i < rt.num_nodes(); ++i) {
     const NodeId node_id{static_cast<std::uint32_t>(i)};
@@ -54,9 +42,7 @@ void AsyncProtocol::init(dsm::Runtime& rt) {
     st.cached_version.assign(pages, 0);
     st.twins.bind_pool(&rt.arena_for_node(node_id).pages);
     // Everyone starts with an identical zero-filled copy, write-protected.
-    for (std::uint32_t p = 0; p < pages; ++p) {
-      rt.table(node_id).set_prot(PageId{p}, Protect::Read);
-    }
+    rt.table(node_id).set_all_prot(Protect::Read);
   }
 }
 
@@ -65,10 +51,7 @@ void AsyncProtocol::fetch_page(NodeId n, PageId page, bool count_as_miss) {
   const NodeId home = gp.home;
   UPDSM_CHECK_MSG(home != n, "node " << n << " fetching page " << page
                                      << " from itself");
-  const std::uint32_t psize = rt_->page_size();
-  const SimTime serve = static_cast<SimTime>(
-      rt_->costs().dsm.copy_per_byte_ns * static_cast<double>(psize));
-  rt_->roundtrip(n, home, MsgKind::DataRequest, 16, psize + 32, serve);
+  rt_->charge_page_transfer(n, home);
   // Serve the page's PUBLISHED contents: the home's twin when the home is
   // mid-sweep with unpublished local writes, else the frame itself. The
   // copy runs under the home's service mutex for the same trap-upgrade
@@ -83,7 +66,6 @@ void AsyncProtocol::fetch_page(NodeId n, PageId page, bool count_as_miss) {
                                          : rt_->table(home).frame(page);
     std::memcpy(dst.data(), src.data(), dst.size());
   }
-  rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns, psize);
   if (count_as_miss) {
     rt_->clock(n).advance(sim::TimeCat::Os, rt_->os(n).fault_service_extra());
     ++rt_->counters().remote_misses;
@@ -95,7 +77,8 @@ void AsyncProtocol::fetch_page(NodeId n, PageId page, bool count_as_miss) {
   note(JournalEntry::Kind::Fetch, n, page, gp.version, 0);
 }
 
-void AsyncProtocol::apply_diff(NodeId m, PageId page, const mem::Diff& diff) {
+template <typename D>
+void AsyncProtocol::apply_diff(NodeId m, PageId page, const D& diff) {
   NodeState& st = node(m);
   std::lock_guard<std::shared_mutex> lock(rt_->service_mutex(m));
   diff.apply(rt_->table(m).frame(page));
@@ -120,31 +103,18 @@ void AsyncProtocol::write_fault(NodeId n, PageId page) {
   // and at a home the twin additionally preserves the published contents
   // that fetches are served from while the frame is dirty.
   std::lock_guard<std::shared_mutex> lock(rt_->service_mutex(n));
-  if (!st.twins.has(page)) {
-    st.twins.create(page, rt_->table(n).frame(page));
-    ++rt_->counters().twins_created;
-    rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                    rt_->page_size());
-  }
+  if (!st.twins.has(page)) rt_->create_twin(n, st.twins, page);
   rt_->mprotect(n, page, Protect::ReadWrite);
 }
 
-bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
-                                  double residual) {
+void AsyncProtocol::publish(NodeId n, std::uint64_t step, bool notify) {
   NodeState& st = node(n);
-  const auto& dsm_costs = rt_->costs().dsm;
-
   for (const PageId page : st.twins.pages_sorted()) {
     PageGlobal& gp = gpage(page);
-    Diff diff = rt_->arena_for_node(n).diffs.take();
-    Diff::create_into(diff, st.twins.get(page), rt_->table(n).frame(page));
-    rt_->charge_dsm(n, dsm_costs.diff_fixed, dsm_costs.diff_create_per_byte_ns,
-                    rt_->page_size());
-    ++rt_->counters().diffs_created;
+    Diff diff = rt_->diff_page(n, st.twins, page);
     st.twins.discard(page);
     rt_->mprotect(n, page, Protect::Read);
     if (diff.empty()) {
-      ++rt_->counters().zero_diffs;
       rt_->arena_for_node(n).diffs.recycle(std::move(diff));
       continue;
     }
@@ -157,8 +127,7 @@ bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
       // at a time, so "now" is a well-defined global order).
       rt_->stage_flush(n, gp.home, page, n, diff, /*reliable=*/true, {});
       apply_diff(gp.home, page, diff);
-      rt_->charge_dsm(gp.home, 0, dsm_costs.diff_apply_per_byte_ns,
-                      diff.payload_bytes(), /*sigio=*/true);
+      rt_->charge_diff_apply(gp.home, diff.payload_bytes(), /*sigio=*/true);
     }
     gp.version = next;
     if (n == gp.home || st.cached_version[page.index()] == base) {
@@ -173,10 +142,11 @@ bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
     // keeping the old version lets the bound force a refresh instead.
     note(JournalEntry::Kind::Publish, n, page, next, step);
 
-    if (mode_ == AsyncMode::Update) {
+    if (notify && mode_ == AsyncMode::Update) {
       // Push the diff to every cached copy. Unreliable: a dropped push
       // just leaves the member's copy older, and the staleness refresh
-      // heals it within the bound.
+      // heals it within the bound. A delivered push is applied straight
+      // from the sealed batch.
       gp.copyset.for_each([&](NodeId member) {
         if (member == n || member == gp.home) return;
         ++rt_->counters().updates_sent;
@@ -191,19 +161,15 @@ bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
                 ++rt_->counters().updates_ignored;
                 return;
               }
-              Diff copy = rt_->arena_for_node(member).diffs.take();
-              rec.decode_into(copy);
-              apply_diff(member, page, copy);
-              rt_->charge_dsm(member, 0,
-                              rt_->costs().dsm.diff_apply_per_byte_ns,
-                              copy.payload_bytes(), /*sigio=*/true);
+              apply_diff(member, page, rec);
+              rt_->charge_diff_apply(member, rec.payload.size(),
+                                     /*sigio=*/true);
               ++rt_->counters().updates_applied;
               ms.cached_version[page.index()] = next;
               note(JournalEntry::Kind::Apply, member, page, next, step);
-              rt_->arena_for_node(member).diffs.recycle(std::move(copy));
             });
       });
-    } else {
+    } else if (notify) {
       // Invalidate every cached copy -- except concurrent writers (a live
       // twin means unpublished local writes that must not be destroyed;
       // their copy ages within the staleness bound instead). Reliable:
@@ -225,6 +191,11 @@ bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
     }
     rt_->arena_for_node(n).diffs.recycle(std::move(diff));
   }
+}
+
+bool AsyncProtocol::async_publish(NodeId n, std::uint64_t step,
+                                  double residual) {
+  publish(n, step, /*notify=*/true);
   rt_->seal_flush_batches();
   rt_->recycle_flush_batches();
 
@@ -267,41 +238,10 @@ void AsyncProtocol::async_refresh(NodeId n) {
 
 void AsyncProtocol::barrier_arrive(NodeId n) {
   // Degenerate sync path (init/teardown barriers, or an async protocol
-  // driven under a barrier gang): publish every twinned page to its home.
-  NodeState& st = node(n);
-  const auto& dsm_costs = rt_->costs().dsm;
-  for (const PageId page : st.twins.pages_sorted()) {
-    PageGlobal& gp = gpage(page);
-    Diff diff = rt_->arena_for_node(n).diffs.take();
-    Diff::create_into(diff, st.twins.get(page), rt_->table(n).frame(page));
-    rt_->charge_dsm(n, dsm_costs.diff_fixed, dsm_costs.diff_create_per_byte_ns,
-                    rt_->page_size());
-    ++rt_->counters().diffs_created;
-    st.twins.discard(page);
-    rt_->mprotect(n, page, Protect::Read);
-    if (diff.empty()) {
-      ++rt_->counters().zero_diffs;
-      rt_->arena_for_node(n).diffs.recycle(std::move(diff));
-      continue;
-    }
-    const std::uint64_t next = gp.version + 1;
-    if (n != gp.home) {
-      rt_->stage_flush(n, gp.home, page, n, diff, /*reliable=*/true, {});
-      apply_diff(gp.home, page, diff);
-      rt_->charge_dsm(gp.home, 0, dsm_costs.diff_apply_per_byte_ns,
-                      diff.payload_bytes(), /*sigio=*/true);
-    }
-    gp.version = next;
-    // Same adoption rule as async_publish (the journal replay model
-    // mirrors one rule for every Publish): a writer whose copy was stale
-    // keeps its old version. Here it is also moot -- barrier_release drops
-    // every non-home copy right after.
-    if (n == gp.home || st.cached_version[page.index()] + 1 == next) {
-      st.cached_version[page.index()] = next;
-    }
-    note(JournalEntry::Kind::Publish, n, page, next, 0);
-    rt_->arena_for_node(n).diffs.recycle(std::move(diff));
-  }
+  // driven under a barrier gang): publish every twinned page to its home,
+  // with no pushes or invalidations -- barrier_release drops every non-home
+  // copy right after.
+  publish(n, 0, /*notify=*/false);
 }
 
 void AsyncProtocol::barrier_release(NodeId n) {

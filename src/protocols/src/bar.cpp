@@ -7,6 +7,7 @@
 #include <span>
 
 #include "updsm/common/log.hpp"
+#include "updsm/mem/diff.hpp"
 
 namespace updsm::protocols {
 
@@ -14,8 +15,6 @@ namespace {
 using dsm::OverdriveFallback;
 using mem::Diff;
 using mem::Protect;
-using sim::MsgKind;
-using sim::SimTime;
 
 /// Complete iterations observed before overdrive engages ("after gathering
 /// information for some period of time", §4.1). Homes migrate during
@@ -29,26 +28,11 @@ void BarProtocol::init(dsm::Runtime& rt) {
   rt_ = &rt;
   nodes_.resize(static_cast<std::size_t>(rt.num_nodes()));
   global_.resize(rt.num_pages());
-  // Initial homes: block distribution -- contiguous page ranges per node,
-  // matching how "owner computes" compilers lay out array slices. (Runtime
-  // migration corrects any page this guess gets wrong.)
+  // Block-distributed or annotated homes; runtime migration, if enabled,
+  // corrects any page the initial guess gets wrong.
   const std::uint32_t pages = rt.num_pages();
-  const std::uint32_t n = static_cast<std::uint32_t>(rt.num_nodes());
-  const std::uint32_t per = (pages + n - 1) / n;
   for (std::uint32_t p = 0; p < pages; ++p) {
-    global_[p].home = NodeId{std::min(p / per, n - 1)};
-  }
-  // Zhou-style user annotations override the block guess (§2.2.1: Zhou
-  // "addressed the problem of assignments by requiring user annotations on
-  // each section of data"). Runtime migration, if enabled, still corrects
-  // any page the annotation gets wrong.
-  const auto& annotated = rt.config().static_homes;
-  for (std::uint32_t p = 0;
-       p < pages && p < static_cast<std::uint32_t>(annotated.size()); ++p) {
-    UPDSM_REQUIRE(annotated[p] < n, "static home " << annotated[p]
-                                                   << " for page " << p
-                                                   << " out of range");
-    global_[p].home = NodeId{annotated[p]};
+    global_[p].home = rt.initial_home(PageId{p});
   }
   for (int i = 0; i < rt.num_nodes(); ++i) {
     const NodeId node_id{static_cast<std::uint32_t>(i)};
@@ -62,9 +46,7 @@ void BarProtocol::init(dsm::Runtime& rt) {
     st.twins.bind_pool(&rt.arena_for_node(node_id).pages);
     st.snapshots.bind_pool(&rt.arena_for_node(node_id).pages);
     // Everyone starts with an identical zero-filled copy, write-protected.
-    for (std::uint32_t p = 0; p < pages; ++p) {
-      rt.table(node_id).set_prot(PageId{p}, Protect::Read);
-    }
+    rt.table(node_id).set_all_prot(Protect::Read);
   }
 }
 
@@ -73,11 +55,7 @@ void BarProtocol::fetch_page(NodeId n, PageId page, bool count_as_miss) {
   const NodeId home = gp.home;
   UPDSM_CHECK_MSG(home != n, "node " << n << " fetching page " << page
                                      << " from itself");
-  const std::uint32_t psize = rt_->page_size();
-  const SimTime serve = static_cast<SimTime>(
-      rt_->costs().dsm.copy_per_byte_ns * static_cast<double>(psize));
-  rt_->roundtrip(n, home, MsgKind::DataRequest, 16,
-                 psize + 32, serve);
+  rt_->charge_page_transfer(n, home);
   // Install the whole page as of the LAST BARRIER: from the home's service
   // snapshot or live twin when one exists, else from the frame itself
   // (which is then read-only at the home and immutable mid-phase). The
@@ -103,7 +81,6 @@ void BarProtocol::fetch_page(NodeId n, PageId page, bool count_as_miss) {
     }
     std::memcpy(dst.data(), src.data(), dst.size());
   }
-  rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns, psize);
   if (count_as_miss) {
     // AIX-side VM bookkeeping on the demand-fault path (§3.2 calibration).
     rt_->clock(n).advance(sim::TimeCat::Os, rt_->os(n).fault_service_extra());
@@ -175,11 +152,7 @@ void BarProtocol::write_fault(NodeId n, PageId page) {
       // The frame is current again (refetched above or still readable);
       // a surviving twin holds pre-invalidation bytes and must be brought
       // up to date or the next diff would swallow foreign data.
-      if (st.twins.has(page)) {
-        st.twins.refresh(page, rt_->table(n).frame(page));
-        rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                        rt_->page_size());
-      }
+      if (st.twins.has(page)) rt_->refresh_twin(n, st.twins, page);
     } else {
       ++rt_->counters().overdrive_mispredictions;
       UPDSM_LOG(Debug, name() << " misprediction: node " << n << " page "
@@ -239,10 +212,7 @@ void BarProtocol::write_fault(NodeId n, PageId page) {
     // atomic with respect to concurrent fetch_page copies (see there).
     std::lock_guard<std::shared_mutex> lock(rt_->service_mutex(n));
     if (need_twin && !st.twins.has(page)) {
-      st.twins.create(page, rt_->table(n).frame(page));
-      ++rt_->counters().twins_created;
-      rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                      rt_->page_size());
+      rt_->create_twin(n, st.twins, page);
     } else if (!need_twin && !st.snapshots.has(page)) {
       // Home-effect write with no consumers to update: no twin, so arm a
       // service snapshot instead.
@@ -255,12 +225,7 @@ void BarProtocol::write_fault(NodeId n, PageId page) {
     // fetch of a *different* page homed at n walks the same hashtable
     // under the service mutex, so this insert must hold it too.
     std::lock_guard<std::shared_mutex> lock(rt_->service_mutex(n));
-    if (need_twin && !st.twins.has(page)) {
-      st.twins.create(page, rt_->table(n).frame(page));
-      ++rt_->counters().twins_created;
-      rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                      rt_->page_size());
-    }
+    if (need_twin && !st.twins.has(page)) rt_->create_twin(n, st.twins, page);
     rt_->mprotect(n, page, Protect::ReadWrite);
   }
   note_dirty(n, page);
@@ -272,20 +237,16 @@ void BarProtocol::barrier_begin() {
 
 void BarProtocol::barrier_arrive(NodeId n) {
   NodeState& st = node(n);
-  for (Captured& c : st.captured) {
-    PageGlobal& gp = gpage(c.page);
+  for (const Captured& c : st.captured) {
     switch (c.op) {
       case Captured::Op::Writer:
         note_writer(n, c.page);
         break;
       case Captured::Op::HomeWrote:
-        gp.home_wrote = true;
+        gpage(c.page).home_wrote = true;
         break;
       case Captured::Op::Diff:
         observe_diff(n, c.page, c.bytes);
-        break;
-      case Captured::Op::Queue:
-        gp.queued.push_back(QueuedDiff{n, std::move(c.diff)});
         break;
     }
   }
@@ -301,11 +262,10 @@ void BarProtocol::barrier_arrive(NodeId n) {
 void BarProtocol::capture_arrival(NodeId n) {
   NodeState& st = node(n);
   const EpochId epoch = rt_->epoch();
-  const auto& dsm_costs = rt_->costs().dsm;
   const bool od_m_active = od_active_ && mode_ == BarMode::OverdriveM;
   const auto log = [&st](Captured::Op op, PageId page,
                          std::uint64_t bytes = 0) {
-    st.captured.push_back(Captured{op, page, bytes, {}});
+    st.captured.push_back(Captured{op, page, bytes});
   };
 
   if (rt_->config().overdrive_audit && od_m_active) {
@@ -352,11 +312,7 @@ void BarProtocol::capture_arrival(NodeId n) {
 
   for (const PageId page : to_diff) {
     PageGlobal& gp = gpage(page);
-    Diff diff = rt_->arena_for_node(n).diffs.take();
-    Diff::create_into(diff, st.twins.get(page), rt_->table(n).frame(page));
-    rt_->charge_dsm(n, dsm_costs.diff_fixed,
-                    dsm_costs.diff_create_per_byte_ns, rt_->page_size());
-    ++rt_->counters().diffs_created;
+    Diff diff = rt_->diff_page(n, st.twins, page);
 
     // Protection re-arming: bar-i/bar-u/bar-s write-protect after diffing;
     // bar-m in overdrive never touches protections, and the adaptive
@@ -366,10 +322,7 @@ void BarProtocol::capture_arrival(NodeId n) {
     // that an adaptive page whose scan came back clean needs no refresh
     // (the twin already equals the frame).
     if (od_m_active || page_keep_writable(page)) {
-      if (od_m_active || !diff.empty()) {
-        st.twins.refresh(page, rt_->table(n).frame(page));
-        rt_->charge_dsm(n, 0, dsm_costs.copy_per_byte_ns, rt_->page_size());
-      }
+      if (od_m_active || !diff.empty()) rt_->refresh_twin(n, st.twins, page);
     } else {
       st.twins.discard(page);
       rt_->mprotect(n, page, Protect::Read);
@@ -378,7 +331,6 @@ void BarProtocol::capture_arrival(NodeId n) {
     if (diff.empty()) {
       // Predicted-but-unwritten page: pure overhead (paper §4.1), or a
       // trapped write that restored the original values.
-      ++rt_->counters().zero_diffs;
       rt_->arena_for_node(n).diffs.recycle(std::move(diff));
       continue;
     }
@@ -388,9 +340,12 @@ void BarProtocol::capture_arrival(NodeId n) {
 
     if (n != gp.home) {
       // Flush the diff to the home: reliable (rides the barrier channel).
-      // The home's copy travels via gp.queued below; the staged record only
-      // carries the cost, so no delivery callback is needed.
-      rt_->stage_flush(n, gp.home, page, n, diff, /*reliable=*/true, {});
+      // Its delivery queues the record's view on the page, and the home
+      // applies it straight from the sealed batch in barrier_master.
+      rt_->stage_flush(n, gp.home, page, n, diff, /*reliable=*/true,
+                       [this](const dsm::FlushRecordView& rec) {
+                         gpage(rec.page).queued.push_back(rec);
+                       });
     } else {
       log(Captured::Op::HomeWrote, page);
     }
@@ -413,13 +368,8 @@ void BarProtocol::capture_arrival(NodeId n) {
                          });
       });
     }
-
-    if (n != gp.home) {
-      st.captured.push_back(
-          Captured{Captured::Op::Queue, page, 0, std::move(diff)});
-    } else {
-      rt_->arena_for_node(n).diffs.recycle(std::move(diff));
-    }
+    // The staged records carry their own copies of the bytes.
+    rt_->arena_for_node(n).diffs.recycle(std::move(diff));
   }
 
   // Learning: record this epoch's write set while not yet in overdrive.
@@ -484,9 +434,8 @@ void BarProtocol::barrier_master() {
       const bool writable =
           rt_->table(home).prot(page) == Protect::ReadWrite;
       if (!writable) rt_->mprotect(home, page, Protect::ReadWrite);
-      for (const QueuedDiff& qd : gp.queued) {
-        rt_->charge_dsm(home, 0, rt_->costs().dsm.diff_apply_per_byte_ns,
-                        qd.diff.payload_bytes(), /*sigio=*/true);
+      for (const dsm::FlushRecordView& rec : gp.queued) {
+        rt_->charge_diff_apply(home, rec.payload.size(), /*sigio=*/true);
       }
       if (!writable) rt_->mprotect(home, page, Protect::Read);
       node(home).home_applies.push_back(page);
@@ -502,18 +451,9 @@ void BarProtocol::barrier_master() {
     gp.home_wrote = false;
   }
   // Pages with different homes are disjoint frames: each home applies its
-  // pages' queues as its own share. Then every diff goes back to its
-  // creator's arena, in page order, closing the loan opened at diff time
-  // (an arena has one writer at a time, so this stays serial).
+  // pages' queues as its own share.
   if (queued_any) {
     rt_->for_each_node([this](NodeId h) { apply_home_diffs(h); });
-    for (const PageId page : epoch_touched_) {
-      PageGlobal& gp = gpage(page);
-      for (QueuedDiff& qd : gp.queued) {
-        rt_->arena_for_node(qd.creator).diffs.recycle(std::move(qd.diff));
-      }
-      gp.queued.clear();
-    }
   }
   epoch_touched_.clear();
 
@@ -550,7 +490,9 @@ void BarProtocol::apply_home_diffs(NodeId h) {
   NodeState& hs = node(h);
   for (const PageId page : hs.home_applies) {
     const auto frame = rt_->table(h).frame(page);
-    for (const QueuedDiff& qd : gpage(page).queued) qd.diff.apply(frame);
+    std::vector<dsm::FlushRecordView>& queued = gpage(page).queued;
+    for (const dsm::FlushRecordView& rec : queued) rec.apply(frame);
+    queued.clear();
     // The home's twin (if pushing updates) must absorb the foreign bytes,
     // or its next diff would re-publish them as its own.
     if (hs.twins.has(page)) hs.twins.refresh(page, frame);
@@ -573,14 +515,9 @@ void BarProtocol::run_migration() {
     // The new home needs the authoritative copy.
     if (node(new_home).cached_version[p] != gp.version ||
         rt_->table(new_home).prot(page) == Protect::None) {
-      const std::uint32_t psize = rt_->page_size();
-      rt_->roundtrip(new_home, old_home, MsgKind::DataRequest, 16,
-                     psize + 32,
-                     static_cast<SimTime>(rt_->costs().dsm.copy_per_byte_ns *
-                                          static_cast<double>(psize)));
+      rt_->charge_page_transfer(new_home, old_home);
       std::memcpy(rt_->table(new_home).frame(page).data(),
-                  rt_->table(old_home).frame(page).data(), psize);
-      rt_->charge_dsm(new_home, 0, rt_->costs().dsm.copy_per_byte_ns, psize);
+                  rt_->table(old_home).frame(page).data(), rt_->page_size());
       node(new_home).cached_version[p] = gp.version;
       rt_->mprotect(new_home, page, Protect::Read);
     }
@@ -651,12 +588,7 @@ void BarProtocol::engage_overdrive() {
           union_pages.end());
       for (const PageId page : union_pages) {
         st.writable_union[page.index()] = true;
-        if (!st.twins.has(page)) {
-          st.twins.create(page, rt_->table(n).frame(page));
-          ++rt_->counters().twins_created;
-          rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                          rt_->page_size());
-        }
+        if (!st.twins.has(page)) rt_->create_twin(n, st.twins, page);
         if (rt_->table(n).prot(page) != Protect::ReadWrite) {
           rt_->mprotect(n, page, Protect::ReadWrite);
         }
@@ -687,12 +619,7 @@ void BarProtocol::overdrive_prepare(NodeId n, std::uint64_t next_epoch) {
       // segv fires (Figure 5). An invalid page cannot be pre-twinned: the
       // eventual write will fault and take the fallback path.
       if (rt_->table(n).prot(page) == Protect::None) continue;
-      if (!st.twins.has(page)) {
-        st.twins.create(page, rt_->table(n).frame(page));
-        ++rt_->counters().twins_created;
-        rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                        rt_->page_size());
-      }
+      if (!st.twins.has(page)) rt_->create_twin(n, st.twins, page);
       if (rt_->table(n).prot(page) != Protect::ReadWrite) {
         rt_->mprotect(n, page, Protect::ReadWrite);
       }
@@ -726,7 +653,6 @@ void BarProtocol::audit_unpredicted_writes(NodeId n) {
 
 void BarProtocol::release_node(NodeId n) {
   NodeState& st = node(n);
-  const auto& dsm_costs = rt_->costs().dsm;
   const bool od_m_active = od_active_ && mode_ == BarMode::OverdriveM;
   std::vector<PageId> updated_pages;
 
@@ -771,18 +697,13 @@ void BarProtocol::release_node(NodeId n) {
         for (auto e = pushes; e != next; ++e) {
           if (!need.contains(e->creator)) continue;
           e->apply(frame);
-          rt_->charge_dsm(n, 0, dsm_costs.diff_apply_per_byte_ns,
-                          e->payload.size());
+          rt_->charge_diff_apply(n, e->payload.size());
           ++rt_->counters().updates_applied;
         }
         if (!writable) rt_->mprotect(n, page, Protect::Read);
         updated_pages.push_back(page);
         // A live twin must absorb the foreign bytes.
-        if (st.twins.has(page)) {
-          st.twins.refresh(page, rt_->table(n).frame(page));
-          rt_->charge_dsm(n, 0, dsm_costs.copy_per_byte_ns,
-                          rt_->page_size());
-        }
+        if (st.twins.has(page)) rt_->refresh_twin(n, st.twins, page);
       }
       st.cached_version[page.index()] = rec.new_version;
     } else {

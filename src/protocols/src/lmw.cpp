@@ -35,10 +35,8 @@ void LmwProtocol::init(dsm::Runtime& rt) {
   // Every node starts with an identical (zero-filled) valid copy of the
   // whole segment, write-protected so that first writes are trapped.
   for (int i = 0; i < rt.num_nodes(); ++i) {
-    const NodeId n{static_cast<std::uint32_t>(i)};
-    for (std::uint32_t p = 0; p < rt.num_pages(); ++p) {
-      rt.table(n).set_prot(PageId{p}, Protect::Read);
-    }
+    rt.table(NodeId{static_cast<std::uint32_t>(i)})
+        .set_all_prot(Protect::Read);
   }
 }
 
@@ -63,14 +61,10 @@ bool LmwProtocol::validate_page(NodeId n, PageId page, bool demand) {
   const NodeId newest_creator = pl.pending.back().creator;
   if (node(newest_creator).pages[page.index()].exclusive) {
     NodeState& cs = node(newest_creator);
-    const std::uint32_t psize = rt_->page_size();
-    rt_->roundtrip(n, newest_creator, MsgKind::DataRequest, 16, psize + 32,
-                   static_cast<SimTime>(rt_->costs().dsm.copy_per_byte_ns *
-                                        static_cast<double>(psize)));
+    rt_->charge_page_transfer(n, newest_creator);
     auto src = cs.snapshots.get(page);
     auto dst = rt_->table(n).frame(page);
     std::memcpy(dst.data(), src.data(), dst.size());
-    rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns, psize);
     rt_->mprotect(n, page, Protect::Read);
     for (const WriteNotice& wn : pl.pending) {
       st.stored_updates.erase(DiffStore::Key{wn.page, wn.epoch, wn.creator});
@@ -150,8 +144,7 @@ bool LmwProtocol::validate_page(NodeId n, PageId page, bool demand) {
     if (to_apply[i] == last_applied) continue;  // squashed duplicate
     last_applied = to_apply[i];
     to_apply[i]->apply(frame);
-    rt_->charge_dsm(n, 0, rt_->costs().dsm.diff_apply_per_byte_ns,
-                    to_apply[i]->payload_bytes());
+    rt_->charge_diff_apply(n, to_apply[i]->payload_bytes());
     // Consumed stored updates are dropped (their keys may or may not have
     // been in the store; erase is a no-op for fetched ones).
     const WriteNotice& wn = pl.pending[i];
@@ -176,10 +169,7 @@ void LmwProtocol::write_fault(NodeId n, PageId page) {
     // pre-epoch contents, or the diff would swallow foreign data).
     validate_page(n, page);
   }
-  st.twins.create(page, rt_->table(n).frame(page));
-  ++rt_->counters().twins_created;
-  rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns,
-                  rt_->page_size());
+  rt_->create_twin(n, st.twins, page);
   rt_->mprotect(n, page, Protect::ReadWrite);
 }
 
@@ -239,7 +229,6 @@ void LmwProtocol::barrier_arrive(NodeId n) {
 void LmwProtocol::capture_arrival(NodeId n) {
   NodeState& st = node(n);
   const EpochId epoch = rt_->epoch();
-  const auto& dsm_costs = rt_->costs().dsm;
 
   // Re-snapshot still-exclusive pages: the frame now holds the epoch's
   // silent writes, and the snapshot must track the page barrier-to-barrier
@@ -249,11 +238,9 @@ void LmwProtocol::capture_arrival(NodeId n) {
   }
 
   for (const PageId page : st.twins.pages_sorted()) {
-    Diff diff = st.created.take_scratch();
-    Diff::create_into(diff, st.twins.get(page), rt_->table(n).frame(page));
-    rt_->charge_dsm(n, dsm_costs.diff_fixed, dsm_costs.diff_create_per_byte_ns,
-                    rt_->page_size());
-    ++rt_->counters().diffs_created;
+    // The diff comes from n's arena, which st.created is bound to: storing
+    // it (or recycling it there) closes the loan.
+    Diff diff = rt_->diff_page(n, st.twins, page);
     st.twins.discard(page);
     // Re-arm write trapping for the next epoch.
     rt_->mprotect(n, page, Protect::Read);
@@ -262,7 +249,6 @@ void LmwProtocol::capture_arrival(NodeId n) {
       // valid (nothing to propagate), but a page with NO consumers is a
       // single-writer candidate: emit one (empty) notice so every stale
       // replica is invalidated and the release-time entry check is sound.
-      ++rt_->counters().zero_diffs;
       PageLocal& pl = st.pages[page.index()];
       if (pl.copyset.empty() && !pl.exclusive) {
         st.notices.push_back(WriteNotice{page, n, epoch});
@@ -298,8 +284,9 @@ void LmwProtocol::capture_arrival(NodeId n) {
               rt_->charge_dsm(member, rt_->costs().dsm.update_store_fixed,
                               rt_->costs().dsm.update_store_per_byte_ns,
                               rec.diff_wire_bytes(), /*sigio=*/true);
-              // Materialize into a recycled diff so the stored copy reuses
-              // pooled capacity, exactly like DiffStore::put_copy.
+              // The only decode of a delivered record: a stored update
+              // outlives the batch, so it is materialized into a recycled
+              // diff that reuses pooled capacity.
               NodeState& dst = node(member);
               Diff stored = dst.stored_updates.take_scratch();
               rec.decode_into(stored);

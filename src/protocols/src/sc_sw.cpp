@@ -7,37 +7,28 @@ namespace updsm::protocols {
 namespace {
 using mem::Protect;
 using sim::MsgKind;
-using sim::SimTime;
 }  // namespace
 
 void ScSwProtocol::init(dsm::Runtime& rt) {
   rt_ = &rt;
   pages_.resize(rt.num_pages());
-  // Initial exclusive owner: block distribution, like bar's initial homes.
-  const std::uint32_t pages = rt.num_pages();
-  const auto n = static_cast<std::uint32_t>(rt.num_nodes());
-  const std::uint32_t per = (pages + n - 1) / n;
-  for (std::uint32_t p = 0; p < pages; ++p) {
-    const NodeId owner{std::min(p / per, n - 1)};
+  // Initial exclusive owner: bar's initial home. It alone holds the page,
+  // read-write; every other node's fresh page table maps nothing.
+  for (std::uint32_t p = 0; p < rt.num_pages(); ++p) {
+    const PageId page{p};
+    const NodeId owner = rt.initial_home(page);
     pages_[p].owner = owner;
     pages_[p].holders.add(owner);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      rt.table(NodeId{i}).set_prot(
-          PageId{p}, i == owner.value() ? Protect::ReadWrite : Protect::None);
-    }
+    rt.table(owner).set_prot(page, Protect::ReadWrite);
   }
 }
 
 void ScSwProtocol::transfer(NodeId n, PageId page) {
   const NodeId owner = pages_[page.index()].owner;
   UPDSM_CHECK(owner != n);
-  const std::uint32_t psize = rt_->page_size();
-  rt_->roundtrip(n, owner, MsgKind::DataRequest, 16, psize + 32,
-                 static_cast<SimTime>(rt_->costs().dsm.copy_per_byte_ns *
-                                      static_cast<double>(psize)));
+  rt_->charge_page_transfer(n, owner);
   std::memcpy(rt_->table(n).frame(page).data(),
-              rt_->table(owner).frame(page).data(), psize);
-  rt_->charge_dsm(n, 0, rt_->costs().dsm.copy_per_byte_ns, psize);
+              rt_->table(owner).frame(page).data(), rt_->page_size());
   ++rt_->counters().pages_fetched;
   ++rt_->counters().remote_misses;
 }

@@ -132,23 +132,22 @@ TEST(PoolArenaTest, DiffStoreRoutesThroughBoundPool) {
     store.put(key, std::move(scratch));
     EXPECT_EQ(pool.outstanding(), 1u);  // the stored diff is the open loan
 
-    // put_copy builds its copy inside a pooled diff too.
-    Diff src = Diff::create(twin, cur);
-    store.put_copy(dsm::DiffStore::Key{PageId{1}, EpochId{1}, NodeId{0}}, src);
-    EXPECT_EQ(pool.takes(), 2u);
-    EXPECT_EQ(pool.outstanding(), 2u);
-
-    // Content round-trip through the pooled copy.
-    const Diff* found =
-        store.find(dsm::DiffStore::Key{PageId{1}, EpochId{1}, NodeId{0}});
+    // Content round-trip through the pooled diff.
+    const Diff* found = store.find(key);
     ASSERT_NE(found, nullptr);
     std::vector<std::byte> rebuilt(64, std::byte{0});
     found->apply(rebuilt);
     EXPECT_EQ(rebuilt[3], std::byte{1});
 
+    // erase() closes the loan; a second stored diff is closed by clear()
+    // via the destructor.
     store.erase(key);
+    EXPECT_EQ(pool.outstanding(), 0u);
+    Diff other = store.take_scratch();
+    Diff::create_into(other, twin, cur);
+    store.put(dsm::DiffStore::Key{PageId{1}, EpochId{1}, NodeId{0}},
+              std::move(other));
     EXPECT_EQ(pool.outstanding(), 1u);
-    // clear() via destructor closes the rest.
   }
   EXPECT_EQ(pool.outstanding(), 0u);
 }
@@ -217,9 +216,9 @@ TEST(PoolArenaTest, ClusterRunLoansReconcileExactly) {
     const ArenaTotals t = sum_arenas(rt);
     const auto& c = rt.counters();
 
-    // Every diff loan is closed at a barrier (zero diffs and home copies
-    // immediately, queued diffs by the master hook) -- nothing may still
-    // be on loan after the run.
+    // Every diff loan is closed by the capture that opened it, right after
+    // staging (home flushes queue views into the sealed batches, not
+    // diffs) -- nothing may still be on loan after the run.
     EXPECT_EQ(t.diff_out, 0u) << "workers=" << workers;
     // Diff creation is the only diff-take site: update receipt keeps a
     // view into the sealed batch and applies it from there. The ledger
