@@ -79,6 +79,9 @@ RunResult run_sequential(std::string_view app_name,
                          const apps::AppParams& params) {
   dsm::ClusterConfig seq_config = config;
   seq_config.num_nodes = 1;
+  // One node runs on one worker; the caller's worker count is for its
+  // parallel runs and would only trip the gang's clamp warning here.
+  seq_config.workers = 1;
   // The null protocol has no async hooks; a 1-node run has nothing to
   // overlap anyway, so the baseline always executes a barrier gang.
   if (seq_config.gang == sim::GangMode::Async) {

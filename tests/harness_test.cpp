@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "updsm/harness/experiment.hpp"
 #include "updsm/harness/report.hpp"
@@ -65,6 +66,23 @@ TEST(ExperimentTest, SequentialBaselineHasNoProtocolActivity) {
   EXPECT_EQ(seq.counters.diffs_created, 0u);
   EXPECT_EQ(seq.net.total_one_way_messages(), 0u);
   EXPECT_GT(seq.elapsed, 0);
+}
+
+TEST(ExperimentTest, SequentialBaselineRunsOnOneWorker) {
+  // The 1-node baseline runs on one worker whatever the caller's parallel
+  // runs use, so it must not warn about clamping their worker count.
+  apps::AppParams params;
+  params.scale = 0.1;
+  params.warmup_iterations = 1;
+  params.measured_iterations = 2;
+  dsm::ClusterConfig cfg;
+  cfg.num_nodes = 8;
+  cfg.workers = 4;
+  testing::internal::CaptureStderr();
+  const auto seq = run_sequential("sor", cfg, params);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(seq.nodes, 1);
+  EXPECT_EQ(err.find("clamping"), std::string::npos) << err;
 }
 
 TEST(ExperimentTest, ParallelBeatsSequentialOnAStencil) {
