@@ -267,6 +267,44 @@ TEST(BarSemanticsTest, StaticHomeAnnotationsAreHonored) {
   EXPECT_EQ(b.cluster.runtime().counters().migrations, 0u);
 }
 
+TEST(BarSemanticsTest, RemoteReadFaultCostsTheModelledPageFault) {
+  // After loop entry dropped node 1's replica, one read of a page homed at
+  // node 0 takes the whole remote-fault path: segv dispatch, the page
+  // transfer, the page-in bookkeeping and the re-protect. Node 1's clock
+  // must advance by exactly the composite cost the adaptive policy prices
+  // an invalidation with.
+  for (const char* profile : {"sp2", "rdma"}) {
+    for (const ProtocolKind kind : {ProtocolKind::BarI, ProtocolKind::BarU}) {
+      ClusterConfig cfg;
+      cfg.num_nodes = 2;
+      cfg.gang = sim::GangMode::Baton;
+      cfg.costs = sim::CostModel::from_profile(profile);
+      mem::SharedHeap heap(cfg.page_size);
+      const GlobalAddr a = heap.alloc_page_aligned(2 * cfg.page_size, "x");
+      BarCluster b(cfg, heap, kind);
+      sim::SimTime cost = -1;
+      b.cluster.run([&](NodeContext& ctx) {
+        auto x = ctx.array<double>(a, 2 * cfg.page_size / 8);
+        ctx.iteration_begin();
+        if (ctx.node() == 1) {
+          const sim::VirtualClock& clock =
+              b.cluster.runtime().clock(NodeId{1});
+          const sim::SimTime before = clock.now();
+          (void)x.get(0);
+          cost = clock.now() - before;
+        }
+        ctx.barrier();
+      });
+      EXPECT_EQ(b.bar->home(PageId{0}), NodeId{0});
+      EXPECT_EQ(cost, cfg.costs.remote_page_fault(cfg.page_size))
+          << profile << " " << protocols::to_string(kind);
+    }
+  }
+  // The model's figures for the default 8 KB page.
+  EXPECT_EQ(sim::CostModel::sp2_defaults().remote_page_fault(8192), 956752);
+  EXPECT_EQ(sim::CostModel::rdma_defaults().remote_page_fault(8192), 602981);
+}
+
 TEST(BarSemanticsTest, BadStaticHomeAnnotationsRejected) {
   ClusterConfig cfg = config(2);
   cfg.static_homes = {7};  // node 7 does not exist

@@ -126,33 +126,65 @@ void expect_identical(const Observed& baton, const Observed& parallel,
   EXPECT_EQ(baton.elapsed, parallel.elapsed) << label;
   EXPECT_EQ(baton.barriers, parallel.barriers) << label;
 
+  // Every counter field, each named in the failure message.
   const dsm::ProtocolCounters& a = baton.counters;
   const dsm::ProtocolCounters& b = parallel.counters;
-  EXPECT_EQ(a.diffs_created, b.diffs_created) << label;
-  EXPECT_EQ(a.zero_diffs, b.zero_diffs) << label;
-  EXPECT_EQ(a.remote_misses, b.remote_misses) << label;
-  EXPECT_EQ(a.read_faults, b.read_faults) << label;
-  EXPECT_EQ(a.write_faults, b.write_faults) << label;
-  EXPECT_EQ(a.twins_created, b.twins_created) << label;
-  EXPECT_EQ(a.updates_sent, b.updates_sent) << label;
-  EXPECT_EQ(a.updates_received, b.updates_received) << label;
-  EXPECT_EQ(a.updates_stored, b.updates_stored) << label;
-  EXPECT_EQ(a.updates_applied, b.updates_applied) << label;
-  EXPECT_EQ(a.updates_ignored, b.updates_ignored) << label;
-  EXPECT_EQ(a.pages_fetched, b.pages_fetched) << label;
-  EXPECT_EQ(a.migrations, b.migrations) << label;
-  EXPECT_EQ(a.retained_diff_bytes_peak, b.retained_diff_bytes_peak) << label;
-  EXPECT_EQ(a.gc_rounds, b.gc_rounds) << label;
-  EXPECT_EQ(a.overdrive_mispredictions, b.overdrive_mispredictions) << label;
-  EXPECT_EQ(a.private_entries, b.private_entries) << label;
-  EXPECT_EQ(a.private_exits, b.private_exits) << label;
+#define UPDSM_EXPECT_FIELD(f) \
+  EXPECT_EQ(a.f.load(), b.f.load()) << label << " " #f
+  UPDSM_EXPECT_FIELD(diffs_created);
+  UPDSM_EXPECT_FIELD(zero_diffs);
+  UPDSM_EXPECT_FIELD(remote_misses);
+  UPDSM_EXPECT_FIELD(read_faults);
+  UPDSM_EXPECT_FIELD(write_faults);
+  UPDSM_EXPECT_FIELD(twins_created);
+  UPDSM_EXPECT_FIELD(updates_sent);
+  UPDSM_EXPECT_FIELD(updates_received);
+  UPDSM_EXPECT_FIELD(updates_stored);
+  UPDSM_EXPECT_FIELD(updates_applied);
+  UPDSM_EXPECT_FIELD(updates_ignored);
+  UPDSM_EXPECT_FIELD(pages_fetched);
+  UPDSM_EXPECT_FIELD(migrations);
+  UPDSM_EXPECT_FIELD(retained_diff_bytes_peak);
+  UPDSM_EXPECT_FIELD(gc_rounds);
+  UPDSM_EXPECT_FIELD(overdrive_mispredictions);
+  UPDSM_EXPECT_FIELD(private_entries);
+  UPDSM_EXPECT_FIELD(private_exits);
+  UPDSM_EXPECT_FIELD(reliable_retries);
+  UPDSM_EXPECT_FIELD(dup_suppressed);
+  UPDSM_EXPECT_FIELD(recovery_faults);
+  UPDSM_EXPECT_FIELD(node_stalls);
+  UPDSM_EXPECT_FIELD(flush_batches);
+  UPDSM_EXPECT_FIELD(flush_batch_records);
+  UPDSM_EXPECT_FIELD(flush_batch_records_max);
+  UPDSM_EXPECT_FIELD(flush_batch_records_min);
+  UPDSM_EXPECT_FIELD(flush_batch_header_bytes_saved);
+  UPDSM_EXPECT_FIELD(relay_batches);
+  UPDSM_EXPECT_FIELD(relay_messages);
+  UPDSM_EXPECT_FIELD(relay_forwarded_bytes);
+  UPDSM_EXPECT_FIELD(relay_subtree_losses);
+  UPDSM_EXPECT_FIELD(adaptive_switches);
+  UPDSM_EXPECT_FIELD(adaptive_window_evictions);
+  UPDSM_EXPECT_FIELD(async_steps);
+  UPDSM_EXPECT_FIELD(async_refreshes);
+  UPDSM_EXPECT_FIELD(async_invalidations);
+  UPDSM_EXPECT_FIELD(async_throttles);
+#undef UPDSM_EXPECT_FIELD
+  // The list above names all of ProtocolCounters' cells: a new counter
+  // must join it.
+  static_assert(sizeof(dsm::ProtocolCounters) ==
+                37 * sizeof(dsm::ProtocolCounters::Cell));
 
   for (std::size_t k = 0; k < sim::kMsgKindCount; ++k) {
-    EXPECT_EQ(baton.net.by_kind[k].count, parallel.net.by_kind[k].count)
-        << label << " msg kind " << k;
-    EXPECT_EQ(baton.net.by_kind[k].bytes, parallel.net.by_kind[k].bytes)
-        << label << " msg kind " << k;
+    const sim::MsgCounter& x = baton.net.by_kind[k];
+    const sim::MsgCounter& y = parallel.net.by_kind[k];
+    EXPECT_EQ(x.count, y.count) << label << " msg kind " << k;
+    EXPECT_EQ(x.bytes, y.bytes) << label << " msg kind " << k;
+    EXPECT_EQ(x.dropped, y.dropped) << label << " msg kind " << k;
+    EXPECT_EQ(x.records, y.records) << label << " msg kind " << k;
   }
+  EXPECT_EQ(baton.net.injected_dups, parallel.net.injected_dups) << label;
+  EXPECT_EQ(baton.net.injected_delays, parallel.net.injected_delays)
+      << label;
 
   ASSERT_EQ(baton.breakdown.nodes.size(), parallel.breakdown.nodes.size())
       << label;
