@@ -33,7 +33,7 @@ namespace {
 
 using namespace updsm;
 
-/// Munin-style eager write-shared protocol in ~80 lines: everything a
+/// Munin-style eager write-shared protocol in ~70 lines: everything a
 /// protocol needs is the CoherenceProtocol interface plus the Runtime's
 /// DSM primitives (twins, diffs, flush staging) and charging helpers.
 class EagerBroadcastProtocol final : public dsm::CoherenceProtocol {

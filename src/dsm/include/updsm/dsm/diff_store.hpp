@@ -42,8 +42,9 @@ class DiffStore {
   /// Stores a diff; replaces any previous diff with the same key.
   void put(const Key& key, mem::Diff diff);
 
-  /// A cleared diff with pooled capacity, for Diff::create_into(). Spent
-  /// diffs return to the pool via recycle() or any erase/clear/squash.
+  /// A cleared diff with pooled capacity, to build a diff to store in
+  /// (lmw-u decodes each stored update into one). Spent diffs return to
+  /// the pool via recycle() or any erase/clear/squash.
   [[nodiscard]] mem::Diff take_scratch() { return pool().take(); }
   void recycle(mem::Diff&& diff) { pool().recycle(std::move(diff)); }
 
