@@ -21,11 +21,29 @@
 // correct protocol/schedule must reach the same fixed point to the same
 // tolerance, and that -- not the byte pattern -- is the invariant worth
 // pinning. Elapsed times, message censuses and counters pin determinism of
-// a given configuration bit-for-bit on top.
+// a given configuration bit-for-bit on top, and tests/stencil_test.cpp pins
+// every node's final frame bytes, which nothing else sees.
+//
+// jacobi-async's kernel (relax_jacobi_rows) is a Gauss-Seidel sweep: point
+// (r, c) reads the NEW values of (r-1, c) and (r, c-1) and the OLD values of
+// (r+1, c) and (r, c+1). Done point by point, each point waits on its left
+// neighbour's store. The kernel instead relaxes K rows as a skewed
+// wavefront: row i of a block relaxes column c at step c + i, bottom row
+// first within a step. Then (r-1, c) was relaxed one step earlier and
+// (r, c-1) too, and both are still in registers; (r+1, c) and (r, c+1) are
+// relaxed one step later, so memory still holds their old values when they
+// are read. Every point therefore sees exactly the operands, and performs
+// exactly the IEEE operations in the order, of the point-by-point sweep,
+// and the grid bytes are bit-identical. Each row keeps its own residual
+// maximum; the maximum of finite values does not depend on the order it is
+// taken in.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
+#include <span>
 
 #include "updsm/apps/application.hpp"
 #include "updsm/apps/grid.hpp"
@@ -36,6 +54,26 @@ enum class StencilKind {
   Jacobi,  // damped in-place Jacobi/Gauss-Seidel hybrid sweep
   SorRb,   // red-black successive over-relaxation
 };
+
+/// Grid row r as a jacobi-async sweep takes its DSM views, in this order:
+/// the row above and the row below (read views) and row r (write view).
+struct JacobiRowViews {
+  std::span<const double> up;
+  std::span<const double> down;
+  std::span<double> out;
+};
+
+/// jacobi-async's sweep over grid rows [lo, hi) in place, top down; returns
+/// the largest |new - old|. The rows run as wavefront blocks of four, then
+/// one block of the 1-3 rows left over. `views(r)` is called once per row,
+/// r ascending, and all of a block's rows are fetched before its
+/// arithmetic; each block reads the `up` of its first row and the `down` of
+/// its last, whose views alias no row of the block. Every span must hold the
+/// same number of columns, more than the block's height (the app's grids
+/// have at least 16).
+[[nodiscard]] double relax_jacobi_rows(
+    std::size_t lo, std::size_t hi,
+    const std::function<JacobiRowViews(std::size_t)>& views);
 
 class AsyncStencilApp final : public Application {
  public:

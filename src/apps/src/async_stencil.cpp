@@ -1,6 +1,7 @@
 #include "updsm/apps/async_stencil.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "updsm/common/error.hpp"
@@ -12,16 +13,106 @@ namespace {
 /// every relaxation order -- including boundedly-stale chaotic relaxation
 /// under gang=async -- converges to the unique fixed point.
 constexpr double kKappa = 0.8;
+/// Weight of the four-neighbour sum.
+constexpr double kWeight = 0.25 * kKappa;
 /// Over-relaxation for the red-black variant; contraction factor is still
 /// |1 - w| + w * kappa = 0.89 < 1.
 constexpr double kOmega = 1.05;
 constexpr std::uint64_t kFlopsPerPoint = 8;
+/// Rows per wavefront block of relax_jacobi_rows.
+constexpr std::size_t kJacobiBlock = 4;
 
-/// Source term, a pure function of the indices (nothing to allocate).
-[[nodiscard]] double source(std::size_t r, std::size_t c) {
-  return 0.2 * (1.0 + static_cast<double>((r * 31 + c * 17) % 97) / 97.0);
+/// Source term b(r, c) = kSource[(31 r + 17 c) % 97], a pure function of the
+/// indices (nothing to allocate); along a row the index steps by 17 mod 97.
+constexpr std::size_t kSourcePeriod = 97;
+constexpr std::size_t kSourceStep = 17;
+constexpr auto kSource = [] {
+  std::array<double, kSourcePeriod> table{};
+  for (std::size_t m = 0; m < kSourcePeriod; ++m) {
+    table[m] = 0.2 * (1.0 + static_cast<double>(m) / 97.0);
+  }
+  return table;
+}();
+
+[[nodiscard]] std::size_t source_index(std::size_t r, std::size_t c) {
+  return (r * 31 + c * kSourceStep) % kSourcePeriod;
+}
+
+/// Relaxes the K rows of one block as a skewed wavefront (async_stencil.hpp
+/// gives the dependency argument): step s relaxes column s - i of every row
+/// i that has that column, bottom row first.
+template <std::size_t K>
+double relax_block(const std::array<JacobiRowViews, K>& rows,
+                   std::size_t first_row) {
+  const std::size_t cols = rows[0].out.size();
+  UPDSM_CHECK_MSG(cols > K, "a " << K << "-row jacobi block needs more than "
+                                 << K << " columns, got " << cols);
+  UPDSM_CHECK(rows[0].up.size() == cols && rows[K - 1].down.size() == cols);
+  const double* above = rows[0].up.data();
+  const double* below = rows[K - 1].down.data();
+  std::array<double*, K> out;
+  std::array<double, K> left;      // row i's newest value: its left neighbour
+  std::array<std::size_t, K> src;  // kSource index of row i's next column
+  std::array<double, K> residual{};
+  for (std::size_t i = 0; i < K; ++i) {
+    UPDSM_CHECK(rows[i].out.size() == cols);
+    out[i] = rows[i].out.data();
+    left[i] = out[i][0];
+    src[i] = source_index(first_row + i, 1);
+  }
+  for (std::size_t s = 1; s + 2 < cols + K; ++s) {
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < K; ++j) {
+      const std::size_t i = K - 1 - j;
+      const std::size_t c = s - i;
+      if (c - 1 >= cols - 2) continue;  // row i has not started or is done
+      // Row i-1 relaxed column c one step ago and has not moved on yet;
+      // row i+1 relaxes it one step from now.
+      const double up = i == 0 ? above[c] : left[i - 1];
+      const double down = i + 1 == K ? below[c] : out[i + 1][c];
+      const double old = out[i][c];
+      const double nv =
+          kSource[src[i]] + kWeight * (up + down + left[i] + out[i][c + 1]);
+      residual[i] = std::max(residual[i], std::abs(nv - old));
+      out[i][c] = nv;
+      left[i] = nv;
+      src[i] += kSourceStep;
+      src[i] -= src[i] >= kSourcePeriod ? kSourcePeriod : 0;
+    }
+  }
+  return *std::max_element(residual.begin(), residual.end());
+}
+
+template <std::size_t K>
+double relax_views(std::size_t r,
+                   const std::function<JacobiRowViews(std::size_t)>& views) {
+  std::array<JacobiRowViews, K> rows;
+  for (std::size_t i = 0; i < K; ++i) rows[i] = views(r + i);
+  return relax_block<K>(rows, r);
+}
+
+/// The last block, of the n < kJacobiBlock rows left over.
+template <std::size_t K>
+double relax_tail(std::size_t r, std::size_t n,
+                  const std::function<JacobiRowViews(std::size_t)>& views) {
+  if constexpr (K == 0) {
+    return 0.0;
+  } else {
+    return n == K ? relax_views<K>(r, views) : relax_tail<K - 1>(r, n, views);
+  }
 }
 }  // namespace
+
+double relax_jacobi_rows(
+    std::size_t lo, std::size_t hi,
+    const std::function<JacobiRowViews(std::size_t)>& views) {
+  double residual = 0.0;
+  std::size_t r = lo;
+  for (; hi - r >= kJacobiBlock; r += kJacobiBlock) {
+    residual = std::max(residual, relax_views<kJacobiBlock>(r, views));
+  }
+  return std::max(residual, relax_tail<kJacobiBlock - 1>(r, hi - r, views));
+}
 
 AsyncStencilApp::AsyncStencilApp(const AppParams& params, StencilKind kind)
     : Application(params),
@@ -53,30 +144,29 @@ double AsyncStencilApp::sweep(dsm::NodeContext& ctx) {
   Grid2<double> v(ctx, grid_addr_, rows_, cols_);
   const Range mine = block_range(rows_ - 2, ctx.num_nodes(), ctx.node());
   double residual = 0.0;
-  std::uint64_t points = 0;
-  const int colors = kind_ == StencilKind::SorRb ? 2 : 1;
-  for (int color = 0; color < colors; ++color) {
-    for (std::size_t r = 1 + mine.lo; r < 1 + mine.hi; ++r) {
-      auto up = v.row(r - 1);
-      auto down = v.row(r + 1);
-      auto out = v.row_w(r);
-      for (std::size_t c = 1; c + 1 < cols_; ++c) {
-        if (colors == 2 && (r + c) % 2 != static_cast<std::size_t>(color)) {
-          continue;
+  if (kind_ == StencilKind::Jacobi) {
+    residual = relax_jacobi_rows(1 + mine.lo, 1 + mine.hi, [&v](std::size_t r) {
+      return JacobiRowViews{v.row(r - 1), v.row(r + 1), v.row_w(r)};
+    });
+  } else {
+    for (std::size_t color = 0; color < 2; ++color) {
+      for (std::size_t r = 1 + mine.lo; r < 1 + mine.hi; ++r) {
+        auto up = v.row(r - 1);
+        auto down = v.row(r + 1);
+        auto out = v.row_w(r);
+        // The points of this color: (r + c) % 2 == color.
+        for (std::size_t c = 2 - (r + color) % 2; c + 1 < cols_; c += 2) {
+          const double relaxed =
+              kSource[source_index(r, c)] +
+              kWeight * (up[c] + down[c] + out[c - 1] + out[c + 1]);
+          const double nv = (1.0 - kOmega) * out[c] + kOmega * relaxed;
+          residual = std::max(residual, std::abs(nv - out[c]));
+          out[c] = nv;
         }
-        const double relaxed =
-            source(r, c) +
-            0.25 * kKappa * (up[c] + down[c] + out[c - 1] + out[c + 1]);
-        const double nv = kind_ == StencilKind::SorRb
-                              ? (1.0 - kOmega) * out[c] + kOmega * relaxed
-                              : relaxed;
-        residual = std::max(residual, std::abs(nv - out[c]));
-        out[c] = nv;
-        ++points;
       }
     }
   }
-  ctx.compute_flops(points * kFlopsPerPoint);
+  ctx.compute_flops(mine.size() * (cols_ - 2) * kFlopsPerPoint);
   return residual;
 }
 

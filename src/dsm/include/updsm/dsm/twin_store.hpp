@@ -45,8 +45,7 @@ class TwinStore {
       it->second = std::move(pool_.back());
       pool_.pop_back();
     }
-    it->second.resize(page_data.size());
-    std::memcpy(it->second.data(), page_data.data(), page_data.size());
+    it->second.assign(page_data.begin(), page_data.end());
   }
 
   /// Re-snapshots an existing twin in place (bar-s/bar-m refresh the twin

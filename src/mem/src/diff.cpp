@@ -94,10 +94,8 @@ void Diff::create_into(Diff& out, std::span<const std::byte> twin,
     DiffRun run;
     run.offset = static_cast<std::uint32_t>(start * sizeof(Word));
     run.length = static_cast<std::uint32_t>((w - start) * sizeof(Word));
-    const std::size_t old_size = out.data_.size();
-    out.data_.resize(old_size + run.length);
-    std::memcpy(out.data_.data() + old_size, cur.data() + run.offset,
-                run.length);
+    const auto* run_data = cur.data() + run.offset;
+    out.data_.insert(out.data_.end(), run_data, run_data + run.length);
     out.runs_.push_back(run);
   }
 }

@@ -124,9 +124,6 @@ class AdaptiveProtocol final : public BarProtocol {
   void init(dsm::Runtime& rt) override;
   void barrier_finish() override;
 
-  // ---- introspection (tests, benches) ------------------------------------
-  [[nodiscard]] const AdaptivePolicy& policy() const { return policy_; }
-
  protected:
   [[nodiscard]] bool page_pushes_updates(PageId p) const override {
     return modes_[p.index()] != PageMode::Invalidate;
