@@ -67,10 +67,10 @@ struct JacobiRowViews {
 /// the largest |new - old|. The rows run as wavefront blocks of four, then
 /// one block of the 1-3 rows left over. `views(r)` is called once per row,
 /// r ascending, and all of a block's rows are fetched before its
-/// arithmetic; each block reads the `up` of its first row and the `down` of
-/// its last, whose views alias no row of the block. Every span must hold the
-/// same number of columns, more than the block's height (the app's grids
-/// have at least 16).
+/// arithmetic. A block reads only the `up` of its first row and the `down`
+/// of its last; the other rows' `up` and `down` are rows of the block. Every
+/// span must hold the same number of columns, more than the block's height
+/// (the app's grids have at least 16); a violation throws InternalError.
 [[nodiscard]] double relax_jacobi_rows(
     std::size_t lo, std::size_t hi,
     const std::function<JacobiRowViews(std::size_t)>& views);

@@ -38,21 +38,24 @@ constexpr auto kSource = [] {
   return (r * 31 + c * kSourceStep) % kSourcePeriod;
 }
 
-/// Relaxes the K rows of one block as a skewed wavefront (async_stencil.hpp
-/// gives the dependency argument): step s relaxes column s - i of every row
-/// i that has that column, bottom row first.
+/// Takes the views of rows first_row .. first_row + K - 1, then relaxes them
+/// as a skewed wavefront (async_stencil.hpp gives the dependency argument):
+/// step s relaxes column s - i of every row i that has that column, bottom
+/// row first.
 template <std::size_t K>
-double relax_block(const std::array<JacobiRowViews, K>& rows,
-                   std::size_t first_row) {
+double relax_block(std::size_t first_row,
+                   const std::function<JacobiRowViews(std::size_t)>& views) {
+  std::array<JacobiRowViews, K> rows;
+  for (std::size_t i = 0; i < K; ++i) rows[i] = views(first_row + i);
   const std::size_t cols = rows[0].out.size();
   UPDSM_CHECK_MSG(cols > K, "a " << K << "-row jacobi block needs more than "
                                  << K << " columns, got " << cols);
   UPDSM_CHECK(rows[0].up.size() == cols && rows[K - 1].down.size() == cols);
   const double* above = rows[0].up.data();
   const double* below = rows[K - 1].down.data();
-  std::array<double*, K> out;
-  std::array<double, K> left;      // row i's newest value: its left neighbour
-  std::array<std::size_t, K> src;  // kSource index of row i's next column
+  std::array<double*, K> out{};
+  std::array<double, K> left{};      // row i's newest value: its left neighbour
+  std::array<std::size_t, K> src{};  // kSource index of row i's next column
   std::array<double, K> residual{};
   for (std::size_t i = 0; i < K; ++i) {
     UPDSM_CHECK(rows[i].out.size() == cols);
@@ -83,14 +86,6 @@ double relax_block(const std::array<JacobiRowViews, K>& rows,
   return *std::max_element(residual.begin(), residual.end());
 }
 
-template <std::size_t K>
-double relax_views(std::size_t r,
-                   const std::function<JacobiRowViews(std::size_t)>& views) {
-  std::array<JacobiRowViews, K> rows;
-  for (std::size_t i = 0; i < K; ++i) rows[i] = views(r + i);
-  return relax_block<K>(rows, r);
-}
-
 /// The last block, of the n < kJacobiBlock rows left over.
 template <std::size_t K>
 double relax_tail(std::size_t r, std::size_t n,
@@ -98,7 +93,7 @@ double relax_tail(std::size_t r, std::size_t n,
   if constexpr (K == 0) {
     return 0.0;
   } else {
-    return n == K ? relax_views<K>(r, views) : relax_tail<K - 1>(r, n, views);
+    return n == K ? relax_block<K>(r, views) : relax_tail<K - 1>(r, n, views);
   }
 }
 }  // namespace
@@ -109,7 +104,7 @@ double relax_jacobi_rows(
   double residual = 0.0;
   std::size_t r = lo;
   for (; hi - r >= kJacobiBlock; r += kJacobiBlock) {
-    residual = std::max(residual, relax_views<kJacobiBlock>(r, views));
+    residual = std::max(residual, relax_block<kJacobiBlock>(r, views));
   }
   return std::max(residual, relax_tail<kJacobiBlock - 1>(r, hi - r, views));
 }

@@ -154,7 +154,8 @@ TEST(JacobiKernelTest, RejectsRowsOfDifferentWidths) {
 std::uint64_t hash_frames(const dsm::Runtime& rt) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (int n = 0; n < rt.num_nodes(); ++n) {
-    const mem::PageTable& table = rt.table(NodeId{static_cast<std::uint32_t>(n)});
+    const mem::PageTable& table =
+        rt.table(NodeId{static_cast<std::uint32_t>(n)});
     for (std::uint32_t p = 0; p < rt.num_pages(); ++p) {
       for (const std::byte b : table.frame(PageId{p})) {
         hash ^= static_cast<std::uint8_t>(b);
