@@ -44,10 +44,12 @@ class EagerBroadcastProtocol final : public dsm::CoherenceProtocol {
     rt_ = &rt;
     twins_.resize(static_cast<std::size_t>(rt.num_nodes()));
     inbox_.resize(static_cast<std::size_t>(rt.num_nodes()));
-    // Everyone starts with a valid, write-protected copy of everything.
+    // Everyone starts with a valid, write-protected copy of everything;
+    // twin buffers come from the node's arena.
     for (int i = 0; i < rt.num_nodes(); ++i) {
-      rt.table(NodeId{static_cast<std::uint32_t>(i)})
-          .set_all_prot(mem::Protect::Read);
+      const NodeId n{static_cast<std::uint32_t>(i)};
+      rt.table(n).set_all_prot(mem::Protect::Read);
+      twins_[n.index()].bind_pool(&rt.arena_for_node(n).pages);
     }
   }
 

@@ -31,12 +31,6 @@ struct Range {
   return Range{lo, lo + base + (i < extra ? 1 : 0)};
 }
 
-/// Rows owned by `node`, as SUIF's owner-computes rule would assign them.
-[[nodiscard]] inline Range my_rows(const dsm::NodeContext& ctx,
-                                   std::size_t rows) {
-  return block_range(rows, ctx.num_nodes(), ctx.node());
-}
-
 template <typename T>
 class Grid2 {
  public:

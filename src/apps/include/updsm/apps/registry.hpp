@@ -13,11 +13,6 @@ namespace updsm::apps {
 /// barnes, expl, fft, jacobi, shal, sor, swm, tomcat.
 [[nodiscard]] std::vector<std::string_view> app_names();
 
-/// The barrier-free workload class (run-to-convergence stencils):
-/// jacobi-async, sor-async. Kept out of app_names() so the fixed-iteration
-/// sweep grids stay exactly the paper's eight workloads.
-[[nodiscard]] std::vector<std::string_view> async_app_names();
-
 /// Instantiates one application. Throws UsageError on unknown names.
 [[nodiscard]] std::unique_ptr<Application> make_app(std::string_view name,
                                                     const AppParams& params);

@@ -16,10 +16,6 @@ std::vector<std::string_view> app_names() {
   return {"barnes", "expl", "fft", "jacobi", "shal", "sor", "swm", "tomcat"};
 }
 
-std::vector<std::string_view> async_app_names() {
-  return {"jacobi-async", "sor-async"};
-}
-
 std::unique_ptr<Application> make_app(std::string_view name,
                                       const AppParams& params) {
   if (name == "barnes") return std::make_unique<BarnesApp>(params);

@@ -1,9 +1,8 @@
 // Minimal leveled logging to stderr.
 //
 // Logging is off by default (level None) so that deterministic benchmark
-// output is never interleaved with diagnostics; tests and debugging sessions
-// raise the level explicitly or via the UPDSM_LOG environment variable
-// (trace|debug|info|warn).
+// output is never interleaved with diagnostics; debugging sessions raise the
+// level through the UPDSM_LOG environment variable (trace|debug|info|warn).
 #pragma once
 
 #include <sstream>
@@ -15,7 +14,6 @@ enum class LogLevel : int { None = 0, Warn = 1, Info = 2, Debug = 3, Trace = 4 }
 
 /// Global log level. Initialised from the UPDSM_LOG environment variable.
 [[nodiscard]] LogLevel log_level();
-void set_log_level(LogLevel level);
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);

@@ -42,10 +42,6 @@ const char* level_name(LogLevel level) {
 
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void log_emit(LogLevel level, const std::string& msg) {

@@ -12,6 +12,7 @@
 #include <map>
 #include <tuple>
 
+#include "updsm/common/error.hpp"
 #include "updsm/common/types.hpp"
 #include "updsm/mem/diff.hpp"
 
@@ -30,16 +31,16 @@ class DiffStore {
     }
   };
 
-  ~DiffStore() { clear(); }  // close external-pool loans at teardown
+  ~DiffStore() { clear(); }  // close pool loans at teardown
 
-  /// Routes diff pooling through an external per-worker arena pool
-  /// (host-parallel engine) instead of the private free-list. Must be
-  /// bound while empty; the bound pool must outlive this store. Pool
-  /// contents never matter (takers clear or overwrite), so binding cannot
-  /// change results.
-  void bind_pool(mem::DiffPool* pool) { external_ = pool; }
+  /// Routes diff buffers through a pool (a worker's arena, so the
+  /// host-parallel engine never shares one). Must be bound while empty;
+  /// the bound pool must outlive this store. Pool contents never matter
+  /// (takers clear or overwrite), so the pool cannot change results.
+  void bind_pool(mem::DiffPool* pool) { pool_ = pool; }
 
-  /// Stores a diff; replaces any previous diff with the same key.
+  /// Stores a diff; replaces any previous diff with the same key. Like
+  /// take_scratch(), needs a bound pool.
   void put(const Key& key, mem::Diff diff);
 
   /// A cleared diff with pooled capacity, to build a diff to store in
@@ -76,13 +77,13 @@ class DiffStore {
 
  private:
   [[nodiscard]] mem::DiffPool& pool() {
-    return external_ != nullptr ? *external_ : pool_;
+    UPDSM_CHECK_MSG(pool_ != nullptr, "DiffStore used before bind_pool");
+    return *pool_;
   }
 
   std::map<Key, mem::Diff> diffs_;
   std::uint64_t retained_bytes_ = 0;
-  mem::DiffPool pool_;
-  mem::DiffPool* external_ = nullptr;  // per-worker arena, when bound
+  mem::DiffPool* pool_ = nullptr;
 };
 
 }  // namespace updsm::dsm

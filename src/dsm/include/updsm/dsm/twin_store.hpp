@@ -19,32 +19,28 @@ namespace updsm::dsm {
 
 class TwinStore {
  public:
-  ~TwinStore() { clear(); }  // close external-pool loans at teardown
+  ~TwinStore() { clear(); }  // close pool loans at teardown
 
-  /// Routes buffer pooling through an external per-worker arena pool
-  /// instead of the private free-list (host-parallel engine). Must be
-  /// bound before any twin exists; the bound pool must outlive this store.
-  /// Buffer contents never matter (create() overwrites the whole page), so
-  /// binding cannot change results.
+  /// Routes twin buffers through a pool (a worker's arena, so the
+  /// host-parallel engine never shares one). Must be bound before any twin
+  /// exists; the bound pool must outlive this store. Buffer contents never
+  /// matter (create() overwrites the whole page), so the pool cannot change
+  /// results.
   void bind_pool(mem::BufferPool* pool) {
     UPDSM_CHECK_MSG(twins_.empty(), "bind_pool with live twins");
-    external_ = pool;
+    pool_ = pool;
   }
 
   /// Snapshots `page_data` as the twin of `page`. A twin must not already
-  /// exist (protocols create exactly one twin per page per epoch). Reuses a
-  /// pooled buffer from an earlier discard() when one is available, so the
+  /// exist (protocols create exactly one twin per page per epoch), and a
+  /// pool must be bound. Takes the buffer from the pool, so the
   /// twin/diff/discard cycle of each epoch allocates nothing in steady
   /// state.
   void create(PageId page, std::span<const std::byte> page_data) {
+    UPDSM_CHECK_MSG(pool_ != nullptr, "TwinStore::create before bind_pool");
     auto [it, inserted] = twins_.try_emplace(page);
     UPDSM_CHECK_MSG(inserted, "twin for page " << page << " already exists");
-    if (external_ != nullptr) {
-      it->second = external_->take();
-    } else if (!pool_.empty()) {
-      it->second = std::move(pool_.back());
-      pool_.pop_back();
-    }
+    it->second = pool_->take();
     it->second.assign(page_data.begin(), page_data.end());
   }
 
@@ -89,28 +85,18 @@ class TwinStore {
 
   [[nodiscard]] std::size_t size() const { return twins_.size(); }
 
-  /// Page-sized buffers parked for reuse by the next create().
-  [[nodiscard]] std::size_t pooled_buffers() const { return pool_.size(); }
-
   /// Pages with live twins, in ascending page order (deterministic
   /// iteration for diff creation).
   [[nodiscard]] std::vector<PageId> pages_sorted() const;
 
  private:
-  static constexpr std::size_t kMaxPooled = 64;
-
+  // Every live twin came from create(), so the pool is bound.
   void recycle(std::vector<std::byte>&& buffer) {
-    if (external_ != nullptr) {
-      external_->recycle(std::move(buffer));
-      return;
-    }
-    if (buffer.capacity() == 0 || pool_.size() >= kMaxPooled) return;
-    pool_.push_back(std::move(buffer));
+    pool_->recycle(std::move(buffer));
   }
 
   std::unordered_map<PageId, std::vector<std::byte>> twins_;
-  std::vector<std::vector<std::byte>> pool_;
-  mem::BufferPool* external_ = nullptr;  // per-worker arena, when bound
+  mem::BufferPool* pool_ = nullptr;
 };
 
 inline std::vector<PageId> TwinStore::pages_sorted() const {

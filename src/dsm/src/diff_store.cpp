@@ -6,10 +6,12 @@ void DiffStore::put(const Key& key, mem::Diff diff) {
   // Replacement only happens in lmw-u update storage, where a later flush
   // for the same (page, epoch, creator) supersedes a stored one; drop the
   // stale accounting (and recycle the buffers) before the old object goes.
+  // Checked before storing: every stored diff returns to the pool.
+  mem::DiffPool& spares = pool();
   const auto it = diffs_.find(key);
   if (it != diffs_.end()) {
     retained_bytes_ -= it->second.memory_bytes();
-    pool().recycle(std::move(it->second));
+    spares.recycle(std::move(it->second));
   }
   retained_bytes_ += diff.memory_bytes();
   diffs_.insert_or_assign(key, std::move(diff));

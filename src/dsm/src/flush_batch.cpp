@@ -10,15 +10,15 @@ namespace {
 constexpr std::size_t pad4(std::size_t n) { return (n + 3u) & ~std::size_t{3}; }
 
 void put_u32(std::vector<std::byte>& buf, std::uint32_t v) {
-  std::byte raw[4];
-  std::memcpy(raw, &v, 4);
-  buf.insert(buf.end(), raw, raw + 4);
+  const std::size_t at = buf.size();
+  buf.resize(at + 4);
+  std::memcpy(buf.data() + at, &v, 4);
 }
 
 void put_u64(std::vector<std::byte>& buf, std::uint64_t v) {
-  std::byte raw[8];
-  std::memcpy(raw, &v, 8);
-  buf.insert(buf.end(), raw, raw + 8);
+  const std::size_t at = buf.size();
+  buf.resize(at + 8);
+  std::memcpy(buf.data() + at, &v, 8);
 }
 
 std::uint32_t get_u32(std::span<const std::byte> bytes, std::size_t pos) {

@@ -130,7 +130,8 @@ std::string tool_name(const char* argv0) {
 
 void append_help(std::string& out, V name, V metavar, V help) {
   constexpr std::size_t kColumn = 24;
-  std::string left = "  --" + std::string(name);
+  std::string left = "  --";
+  left += name;
   if (!metavar.empty()) left += "=" + std::string(metavar);
   out += left.size() < kColumn ? left + std::string(kColumn - left.size(), ' ')
                                : left + "\n" + std::string(kColumn, ' ');

@@ -27,8 +27,8 @@
 // both directions of their own exchanges; barrier traffic is controller
 // only), so no cell is ever written concurrently.
 //
-// A FaultSpec is serializable to a compact text form (`--faults` accepts
-// the same grammar on the command line or from a file):
+// A FaultSpec is parsed from a compact text form (`--faults` reads it from
+// the command line or from a file):
 //
 //   rule[;rule...]
 //   rule  := field[,field...]
@@ -43,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -80,8 +79,6 @@ struct FaultSpec {
 
   [[nodiscard]] bool empty() const { return rules.empty(); }
 
-  /// Compact text form; parse(to_string()) reproduces the spec exactly.
-  [[nodiscard]] std::string to_string() const;
   /// Parses the grammar above. Throws UsageError on malformed input.
   [[nodiscard]] static FaultSpec parse(std::string_view text);
 
@@ -108,15 +105,6 @@ class FaultPlan {
   /// Extra stall time for `node` after global barrier `barrier` (0 = no
   /// stall). Stateless: safe from any thread, any number of times.
   [[nodiscard]] SimTime stall(NodeId node, std::uint64_t barrier) const;
-
-  [[nodiscard]] bool active() const { return !spec_.empty(); }
-  [[nodiscard]] const FaultSpec& spec() const { return spec_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-
-  /// Full round-trippable form: "seed=0x...;" + the spec grammar.
-  [[nodiscard]] std::string serialize() const;
-  [[nodiscard]] static FaultPlan deserialize(std::string_view text,
-                                             int num_nodes);
 
  private:
   [[nodiscard]] double draw(std::uint64_t stream, std::uint64_t k,

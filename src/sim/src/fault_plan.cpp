@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "updsm/common/error.hpp"
 #include "updsm/common/rng.hpp"
@@ -64,54 +63,7 @@ constexpr std::uint64_t kSaltStall = 0x7374u;  // 'st'
   return usec(v);
 }
 
-// Probabilities print with enough digits to round-trip exactly; trailing
-// zeros are trimmed so to_string(parse(x)) is stable.
-void append_prob(std::ostringstream& os, const char* key, double v) {
-  char buf[64];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  (void)ec;
-  os << ',' << key << '=' << std::string_view(buf, p - buf);
-}
-
 }  // namespace
-
-std::string FaultSpec::to_string() const {
-  std::ostringstream os;
-  bool first_rule = true;
-  for (const FaultRule& r : rules) {
-    if (!first_rule) os << ';';
-    first_rule = false;
-    os << "kind=";
-    if (r.kind < 0) {
-      os << '*';
-    } else {
-      os << sim::to_string(static_cast<MsgKind>(r.kind));
-    }
-    os << ",from=";
-    if (r.from < 0) {
-      os << '*';
-    } else {
-      os << r.from;
-    }
-    os << ",to=";
-    if (r.to < 0) {
-      os << '*';
-    } else {
-      os << r.to;
-    }
-    if (r.drop > 0) append_prob(os, "drop", r.drop);
-    if (r.dup > 0) append_prob(os, "dup", r.dup);
-    if (r.delay > 0) {
-      append_prob(os, "delay", r.delay);
-      os << ",delay_us=" << r.delay_time / usec(1);
-    }
-    if (r.stall > 0) {
-      append_prob(os, "stall", r.stall);
-      os << ",stall_us=" << r.stall_time / usec(1);
-    }
-  }
-  return os.str();
-}
 
 FaultSpec FaultSpec::parse(std::string_view text) {
   FaultSpec spec;
@@ -254,36 +206,6 @@ SimTime FaultPlan::stall(NodeId node, std::uint64_t barrier) const {
     return 0;
   }
   return 0;
-}
-
-std::string FaultPlan::serialize() const {
-  std::ostringstream os;
-  os << "seed=" << seed_;
-  const std::string body = spec_.to_string();
-  if (!body.empty()) os << ';' << body;
-  return os.str();
-}
-
-FaultPlan FaultPlan::deserialize(std::string_view text, int num_nodes) {
-  std::uint64_t seed = 0;
-  constexpr std::string_view kSeedKey = "seed=";
-  if (text.substr(0, kSeedKey.size()) != kSeedKey) {
-    throw UsageError(
-        "fault plan: serialized form must start with 'seed='");
-  }
-  std::string_view rest = text.substr(kSeedKey.size());
-  const std::size_t semi = rest.find(';');
-  const std::string_view seed_text = rest.substr(0, semi);
-  const auto [p, ec] = std::from_chars(
-      seed_text.data(), seed_text.data() + seed_text.size(), seed);
-  if (ec != std::errc{} || p != seed_text.data() + seed_text.size()) {
-    throw UsageError("fault plan: bad seed '" +
-                             std::string(seed_text) + "'");
-  }
-  const std::string_view body =
-      semi == std::string_view::npos ? std::string_view{}
-                                     : rest.substr(semi + 1);
-  return FaultPlan(FaultSpec::parse(body), seed, num_nodes);
 }
 
 }  // namespace updsm::sim

@@ -7,101 +7,35 @@
 // a battery of seeded random fault plans, and requires every run to be
 // bit-identical on every observable -- data, virtual time, and the adaptive
 // counters themselves.
-//
-// Plan count defaults to 10; UPDSM_ADAPTIVE_PLANS=<n> shrinks (or grows)
-// the battery, which CI uses to keep the sanitizer job inside its budget.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "updsm/harness/experiment.hpp"
-#include "updsm/sim/cost_model.hpp"
+#include "conformance.hpp"
 
 namespace updsm {
 namespace {
 
+using conformance::RunSpec;
 using protocols::ProtocolKind;
 using sim::GangMode;
 
 constexpr const char* kApps[] = {"jacobi", "tomcat"};
 constexpr const char* kProfiles[] = {"sp2", "rdma"};
+constexpr std::uint64_t kSalt = 2000;
 
-int plan_count() {
-  if (const char* env = std::getenv("UPDSM_ADAPTIVE_PLANS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 10;
-}
-
-/// Deterministic fault-plan battery, a pure function of i (same shape as
-/// fault_conformance_test's: broad loss, loss+dup+delay, kind-targeted,
-/// asymmetric + stalls).
-std::string make_plan(int i) {
-  const int pct = 2 + (i * 7) % 12;  // 2..13 percent
-  const std::string p = "0.0" + std::to_string(pct);
-  switch (i % 4) {
-    case 0:
-      return "drop=" + p;
-    case 1:
-      return "drop=" + p + ",dup=0.05,delay=0.05,delay_us=200";
-    case 2:
-      return "kind=flush,drop=0.2;drop=0.02";
-    default:
-      return "from=0,to=1,drop=0.25;node=1,stall=0.2,stall_us=300;drop=" + p;
-  }
-}
-
-struct RunSpec {
-  const char* app = "jacobi";
-  const char* profile = "sp2";
-  GangMode gang = GangMode::Parallel;
-  int workers = 0;
-  std::string plan;
-  std::uint64_t fault_seed = 0;
-};
-
-harness::RunResult run_one(const RunSpec& spec) {
-  apps::AppParams params;
-  params.scale = 0.1;
+RunSpec adaptive(const char* app, const char* profile) {
+  RunSpec spec;
+  spec.app = app;
+  spec.protocol = ProtocolKind::Adaptive;
+  spec.net_profile = profile;
   // One warmup iteration only: mode switches land a few epochs after the
   // window fills, and the measured counters must SEE them (the acceptance
   // bench reports adaptive_switches from the same window).
-  params.warmup_iterations = 1;
-  params.measured_iterations = 6;
-  dsm::ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.gang = spec.gang;
-  cfg.workers = spec.workers;
-  cfg.net_profile = spec.profile;
-  cfg.costs = sim::CostModel::from_profile(spec.profile);
-  cfg.adaptive_window = 3;
-  if (!spec.plan.empty()) {
-    cfg.faults = sim::FaultSpec::parse(spec.plan);
-    cfg.fault_seed = spec.fault_seed;
-  }
-  return harness::run_app(spec.app, ProtocolKind::Adaptive, cfg, params);
-}
-
-void expect_identical(const harness::RunResult& a, const harness::RunResult& b,
-                      const std::string& ctx) {
-  EXPECT_EQ(a.checksum, b.checksum) << ctx;
-  EXPECT_EQ(a.elapsed, b.elapsed) << ctx;
-  EXPECT_EQ(a.barriers, b.barriers) << ctx;
-  EXPECT_EQ(a.net.total_bytes(), b.net.total_bytes()) << ctx;
-  EXPECT_EQ(a.counters.adaptive_switches.load(),
-            b.counters.adaptive_switches.load())
-      << ctx;
-  EXPECT_EQ(a.counters.adaptive_window_evictions.load(),
-            b.counters.adaptive_window_evictions.load())
-      << ctx;
-  EXPECT_EQ(a.counters.diffs_created.load(), b.counters.diffs_created.load())
-      << ctx;
-  EXPECT_EQ(a.counters.updates_applied.load(),
-            b.counters.updates_applied.load())
-      << ctx;
+  spec.warmup = 1;
+  spec.measured = 6;
+  spec.adaptive_window = 3;
+  return spec;
 }
 
 // The protocol actually adapts in the measured window on both apps and
@@ -110,10 +44,7 @@ void expect_identical(const harness::RunResult& a, const harness::RunResult& b,
 TEST(AdaptiveConformanceTest, SwitchesHappenInTheMeasuredWindow) {
   for (const char* app : kApps) {
     for (const char* profile : kProfiles) {
-      RunSpec spec;
-      spec.app = app;
-      spec.profile = profile;
-      const harness::RunResult r = run_one(spec);
+      const harness::RunResult r = conformance::run(adaptive(app, profile));
       EXPECT_GT(r.counters.adaptive_switches.load(), 0u)
           << app << " on " << profile;
     }
@@ -125,22 +56,17 @@ TEST(AdaptiveConformanceTest, SwitchesHappenInTheMeasuredWindow) {
 TEST(AdaptiveConformanceTest, SchedulesAgree) {
   for (const char* app : kApps) {
     for (const char* profile : kProfiles) {
-      RunSpec base;
-      base.app = app;
-      base.profile = profile;
-      base.gang = GangMode::Baton;
-      base.workers = 1;
-      const harness::RunResult baton1 = run_one(base);
+      RunSpec spec = adaptive(app, profile);
+      spec.gang = GangMode::Baton;
+      spec.workers = 1;
+      const harness::RunResult baton1 = conformance::run(spec);
       for (const GangMode gang : {GangMode::Baton, GangMode::Parallel}) {
         for (const int workers : {1, 2, 4, 16}) {
-          RunSpec spec = base;
           spec.gang = gang;
           spec.workers = workers;
-          const harness::RunResult r = run_one(spec);
-          expect_identical(baton1, r,
-                           std::string(app) + " on " + profile + " gang " +
-                               (gang == GangMode::Baton ? "baton" : "parallel") +
-                               " workers " + std::to_string(workers));
+          conformance::expect_same_run(
+              baton1, conformance::run(spec),
+              spec.replay() + " vs --gang=baton --workers=1");
         }
       }
     }
@@ -151,51 +77,43 @@ TEST(AdaptiveConformanceTest, SchedulesAgree) {
 // bit for bit, and the decision pipeline itself is schedule-independent:
 // both gang modes agree on every observable including the switch counters.
 TEST(AdaptiveConformanceTest, FaultPlansNeverChangeData) {
-  const int plans = plan_count();
+  std::uint64_t target_drops = 0;
   for (const char* app : kApps) {
     for (const char* profile : kProfiles) {
-      RunSpec base;
-      base.app = app;
-      base.profile = profile;
-      const harness::RunResult clean = run_one(base);
-      ASSERT_NE(clean.checksum, 0.0) << app;
-      for (int i = 0; i < plans; ++i) {
-        RunSpec spec = base;
-        spec.plan = make_plan(i);
+      RunSpec spec = adaptive(app, profile);
+      const harness::RunResult clean = conformance::run(spec);
+      ASSERT_NE(clean.checksum, 0.0) << spec.replay();
+      for (int i = 0; i < conformance::kAdaptivePlans; ++i) {
+        const conformance::Plan plan =
+            conformance::make_plan(kSalt, i, clean.net);
+        spec.plan = plan.text;
         spec.fault_seed = 2000u + static_cast<std::uint64_t>(i);
-        const std::string ctx = std::string(app) + " on " + profile +
-                                " plan " + std::to_string(i) + " [" +
-                                spec.plan + "]";
-        const harness::RunResult faulty = run_one(spec);
-        EXPECT_EQ(faulty.checksum, clean.checksum) << ctx;
-        EXPECT_EQ(faulty.barriers, clean.barriers) << ctx;
+        spec.gang = GangMode::Parallel;
+        spec.workers = 0;
+        const harness::RunResult faulty = conformance::run(spec);
+        target_drops += plan.target_drops(faulty);
+        EXPECT_EQ(faulty.checksum, clean.checksum) << spec.replay();
+        EXPECT_EQ(faulty.barriers, clean.barriers) << spec.replay();
 
-        RunSpec other = spec;
-        other.gang = GangMode::Baton;
-        other.workers = 1;
-        expect_identical(faulty, run_one(other), ctx + " (gang cross-check)");
+        spec.gang = GangMode::Baton;
+        spec.workers = 1;
+        conformance::expect_same_run(faulty, conformance::run(spec),
+                                     spec.replay() + " vs --gang=parallel");
       }
     }
   }
+  EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
 }
 
 // The window length is part of the configuration, not a tuning accident:
 // different windows may pick different modes (and different virtual
 // times), but each is individually bit-exact on the data.
 TEST(AdaptiveConformanceTest, WindowLengthNeverChangesData) {
-  RunSpec base;
-  const harness::RunResult r3 = run_one(base);
+  RunSpec spec = adaptive("jacobi", "sp2");
+  const harness::RunResult r3 = conformance::run(spec);
   for (const int window : {2, 6, 12}) {
-    apps::AppParams params;
-    params.scale = 0.1;
-    params.warmup_iterations = 1;
-    params.measured_iterations = 6;
-    dsm::ClusterConfig cfg;
-    cfg.num_nodes = 4;
-    cfg.adaptive_window = window;
-    const harness::RunResult r =
-        harness::run_app("jacobi", ProtocolKind::Adaptive, cfg, params);
-    EXPECT_EQ(r.checksum, r3.checksum) << "window " << window;
+    spec.adaptive_window = window;
+    EXPECT_EQ(conformance::run(spec).checksum, r3.checksum) << spec.replay();
   }
 }
 

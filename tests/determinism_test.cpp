@@ -8,7 +8,7 @@
 // constants knowingly.
 #include <gtest/gtest.h>
 
-#include "updsm/harness/experiment.hpp"
+#include "conformance.hpp"
 
 namespace updsm {
 namespace {
@@ -29,14 +29,8 @@ harness::RunResult run_fixture(ProtocolKind kind, std::uint64_t seed) {
 TEST(DeterminismTest, IdenticalRunsAreBitIdentical) {
   for (const auto kind :
        {ProtocolKind::LmwU, ProtocolKind::BarU, ProtocolKind::BarM}) {
-    const auto a = run_fixture(kind, 42);
-    const auto b = run_fixture(kind, 42);
-    EXPECT_EQ(a.elapsed, b.elapsed) << protocols::to_string(kind);
-    EXPECT_EQ(a.checksum, b.checksum);
-    EXPECT_EQ(a.counters.diffs_created, b.counters.diffs_created);
-    EXPECT_EQ(a.counters.remote_misses, b.counters.remote_misses);
-    EXPECT_EQ(a.net.total_bytes(), b.net.total_bytes());
-    EXPECT_EQ(a.net.table_messages(), b.net.table_messages());
+    conformance::expect_same_run(run_fixture(kind, 42), run_fixture(kind, 42),
+                                 protocols::to_string(kind));
   }
 }
 
@@ -58,11 +52,10 @@ TEST(DeterminismTest, LossyRunsAreSeedDeterministic) {
   cfg.num_nodes = 4;
   cfg.faults = sim::FaultSpec::parse("kind=flushbatch,drop=0.3");
   cfg.fault_seed = 7;
-  const auto a = harness::run_app("sor", ProtocolKind::BarU, cfg, params);
-  const auto b = harness::run_app("sor", ProtocolKind::BarU, cfg, params);
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.counters.updates_ignored, b.counters.updates_ignored);
-  EXPECT_EQ(a.counters.remote_misses, b.counters.remote_misses);
+  conformance::expect_same_run(
+      harness::run_app("sor", ProtocolKind::BarU, cfg, params),
+      harness::run_app("sor", ProtocolKind::BarU, cfg, params),
+      "lossy sor under bar-u");
 }
 
 // A coarse regression pin: exact counters would churn with every cost

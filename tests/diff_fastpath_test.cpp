@@ -194,23 +194,28 @@ TEST(DiffFastPathTest, CreateIntoReusesCapacityAndMatchesCreate) {
 }
 
 TEST(DiffFastPathTest, TwinStoreRecyclesDiscardedBuffers) {
+  mem::BufferPool pool;
   dsm::TwinStore twins;
+  twins.bind_pool(&pool);
   const auto page = filled_page(4096, 9);
   twins.create(PageId{1}, page);
-  EXPECT_EQ(twins.pooled_buffers(), 0u);
+  EXPECT_EQ(pool.pooled(), 0u);
   twins.discard(PageId{1});
-  EXPECT_EQ(twins.pooled_buffers(), 1u);
+  EXPECT_EQ(pool.pooled(), 1u);
   // Re-creating consumes the pooled buffer and snapshots correctly.
   const auto page2 = filled_page(4096, 10);
   twins.create(PageId{2}, page2);
-  EXPECT_EQ(twins.pooled_buffers(), 0u);
+  EXPECT_EQ(pool.hits(), 1u);
+  EXPECT_EQ(pool.pooled(), 0u);
   EXPECT_EQ(std::memcmp(twins.get(PageId{2}).data(), page2.data(),
                         page2.size()),
             0);
 }
 
 TEST(DiffFastPathTest, DiffStoreScratchRoundTrip) {
+  mem::DiffPool pool;
   dsm::DiffStore store;
+  store.bind_pool(&pool);
   const auto twin = filled_page(1024, 11);
   auto cur = twin;
   cur[100] ^= std::byte{0xff};
@@ -221,6 +226,7 @@ TEST(DiffFastPathTest, DiffStoreScratchRoundTrip) {
   ASSERT_NE(store.find(key), nullptr);
   store.erase(key);  // recycles into the pool
   Diff reused = store.take_scratch();
+  EXPECT_EQ(pool.hits(), 1u);
   Diff::create_into(reused, twin, cur);
   ASSERT_EQ(reused.run_count(), 1u);
   std::vector<std::byte> rebuilt(twin.begin(), twin.end());

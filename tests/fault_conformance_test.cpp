@@ -4,25 +4,25 @@
 // irregular mesh (tomcat), in both gang modes, under a battery of seeded
 // random fault plans (drops, dups, delays, stalls, targeted rules), and
 // requires every run to be bit-identical to its fault-free baseline with
-// internally consistent fault counters.
-//
-// Plan count defaults to 20; UPDSM_FAULT_PLANS=<n> shrinks (or grows) the
-// battery, which CI uses to keep the sanitizer job inside its time budget.
+// internally consistent fault counters. Every barrier flush travels in one
+// batch per (sender, destination) pair, so a lost batch loses all of its
+// records; the data must not notice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "updsm/common/rng.hpp"
-#include "updsm/harness/experiment.hpp"
+#include "conformance.hpp"
 
 namespace updsm {
 namespace {
 
+using conformance::RunSpec;
 using protocols::ProtocolKind;
 using sim::GangMode;
+
+constexpr std::uint64_t kSalt = 0;
 
 struct Scenario {
   const char* app;
@@ -44,82 +44,27 @@ const std::vector<Scenario>& scenarios() {
   return s;
 }
 
-int plan_count() {
-  if (const char* env = std::getenv("UPDSM_FAULT_PLANS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 20;
-}
-
-/// Deterministic plan battery: plan i is a pure function of i. Mixes broad
-/// low-rate plans, aggressive drop plans, kind-targeted rules and stalls.
-std::string make_plan(int i) {
-  std::uint64_t x = 0x1998'0330u + static_cast<std::uint64_t>(i);
-  auto draw = [&x] {
-    x = splitmix64(x);
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
-  };
-  auto pct = [&](double lo, double hi) {
-    const double p = lo + draw() * (hi - lo);
-    return std::to_string(p).substr(0, 6);
-  };
-  std::string plan;
-  switch (i % 4) {
-    case 0:  // uniform lossy channel
-      plan = "drop=" + pct(0.02, 0.15);
-      break;
-    case 1:  // drops + dups + reordering delays everywhere
-      plan = "drop=" + pct(0.01, 0.1) + ",dup=" + pct(0.01, 0.1) +
-             ",delay=" + pct(0.01, 0.1) + ",delay_us=" +
-             std::to_string(50 + static_cast<int>(draw() * 400));
-      break;
-    case 2:  // hammer one message kind, lightly stress the rest
-      plan = std::string("kind=") +
-             (i % 8 < 4 ? "data-reply" : "flush") + ",drop=" +
-             pct(0.1, 0.3) + ";drop=" + pct(0.0, 0.05);
-      break;
-    default:  // asymmetric pair loss + a flaky node that stalls
-      plan = "from=0,to=1,drop=" + pct(0.1, 0.3) + ";drop=" +
-             pct(0.01, 0.08) + ";node=1,stall=" + pct(0.1, 0.4) +
-             ",stall_us=" + std::to_string(100 + static_cast<int>(draw() * 800));
-      break;
-  }
-  return plan;
-}
-
-harness::RunResult run_one(const char* app, ProtocolKind kind, GangMode gang,
-                           const std::string& plan, std::uint64_t fault_seed) {
-  apps::AppParams params;
-  params.scale = 0.1;
-  params.warmup_iterations = 4;
-  params.measured_iterations = 2;
-  dsm::ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.gang = gang;
-  if (!plan.empty()) {
-    cfg.faults = sim::FaultSpec::parse(plan);
-    cfg.fault_seed = fault_seed;
-  }
-  return harness::run_app(app, kind, cfg, params);
-}
-
+// The contract: faults shift time, never data. The injected schedule is
+// keyed by traffic content, not thread timing, so both gang modes must
+// also agree on every observable under every plan.
 TEST(FaultConformanceTest, AllProtocolsBitExactUnderRandomPlans) {
-  const int plans = plan_count();
+  std::uint64_t target_drops = 0;
   for (const Scenario& sc : scenarios()) {
     for (const ProtocolKind kind : sc.kinds) {
-      const harness::RunResult base =
-          run_one(sc.app, kind, GangMode::Parallel, "", 0);
-      ASSERT_NE(base.checksum, 0.0) << sc.app;
-      for (int i = 0; i < plans; ++i) {
-        const std::string plan = make_plan(i);
-        const std::uint64_t seed = 1000u + static_cast<std::uint64_t>(i);
-        const harness::RunResult faulty =
-            run_one(sc.app, kind, GangMode::Parallel, plan, seed);
-        const std::string ctx = std::string(sc.app) + " under " +
-                                protocols::to_string(kind) + " plan " +
-                                std::to_string(i) + " [" + plan + "]";
-        // The contract: faults shift time, never data.
+      RunSpec spec;
+      spec.app = sc.app;
+      spec.protocol = kind;
+      const harness::RunResult base = conformance::run(spec);
+      ASSERT_NE(base.checksum, 0.0) << spec.replay();
+      for (int i = 0; i < conformance::kFaultPlans; ++i) {
+        const conformance::Plan plan =
+            conformance::make_plan(kSalt, i, base.net);
+        spec.plan = plan.text;
+        spec.fault_seed = 1000u + static_cast<std::uint64_t>(i);
+        spec.gang = GangMode::Parallel;
+        const harness::RunResult faulty = conformance::run(spec);
+        const std::string ctx = spec.replay();
+        target_drops += plan.target_drops(faulty);
         EXPECT_EQ(faulty.checksum, base.checksum) << ctx;
         EXPECT_EQ(faulty.barriers, base.barriers) << ctx;
         // Counter consistency: every retry was provoked by a loss, every
@@ -135,57 +80,28 @@ TEST(FaultConformanceTest, AllProtocolsBitExactUnderRandomPlans) {
         // allow a 2% tolerance instead of strict monotonicity.
         EXPECT_GE(faulty.elapsed * 100, base.elapsed * 98)
             << ctx << ": recovery made the run substantially faster";
-      }
-    }
-  }
-}
 
-// The injected schedule is keyed by traffic content, not thread timing, so
-// the two gang modes must agree on every observable -- times, counters and
-// traffic -- under every plan, exactly as they do fault-free.
-TEST(FaultConformanceTest, GangModesAgreeUnderFaults) {
-  const int plans = plan_count();
-  for (const Scenario& sc : scenarios()) {
-    for (const ProtocolKind kind : sc.kinds) {
-      for (int i = 0; i < plans; ++i) {
-        const std::string plan = make_plan(i);
-        const std::uint64_t seed = 1000u + static_cast<std::uint64_t>(i);
-        const harness::RunResult baton =
-            run_one(sc.app, kind, GangMode::Baton, plan, seed);
-        const harness::RunResult par =
-            run_one(sc.app, kind, GangMode::Parallel, plan, seed);
-        const std::string ctx = std::string(sc.app) + " under " +
-                                protocols::to_string(kind) + " plan " +
-                                std::to_string(i);
-        EXPECT_EQ(baton.checksum, par.checksum) << ctx;
-        EXPECT_EQ(baton.elapsed, par.elapsed) << ctx;
-        EXPECT_EQ(baton.net.total_bytes(), par.net.total_bytes()) << ctx;
-        EXPECT_EQ(baton.net.total_dropped(), par.net.total_dropped()) << ctx;
-        EXPECT_EQ(baton.net.injected_dups, par.net.injected_dups) << ctx;
-        EXPECT_EQ(baton.counters.reliable_retries,
-                  par.counters.reliable_retries)
-            << ctx;
-        EXPECT_EQ(baton.counters.dup_suppressed, par.counters.dup_suppressed)
-            << ctx;
-        EXPECT_EQ(baton.counters.recovery_faults, par.counters.recovery_faults)
-            << ctx;
-        EXPECT_EQ(baton.counters.node_stalls, par.counters.node_stalls) << ctx;
+        spec.gang = GangMode::Baton;
+        conformance::expect_same_run(conformance::run(spec), faulty,
+                                     spec.replay() + " vs --gang=parallel");
       }
     }
   }
+  EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
 }
 
 // sc-sw rides its own single-writer machinery (and is baton-only); give it
 // a lighter soak of its own so the whole protocol roster is covered.
 TEST(FaultConformanceTest, ScSwSurvivesFaults) {
-  const int plans = std::min(plan_count(), 5);
-  const harness::RunResult base =
-      run_one("jacobi", ProtocolKind::ScSw, GangMode::Baton, "", 0);
-  for (int i = 0; i < plans; ++i) {
-    const harness::RunResult faulty = run_one(
-        "jacobi", ProtocolKind::ScSw, GangMode::Baton, make_plan(i),
-        1000u + static_cast<std::uint64_t>(i));
-    EXPECT_EQ(faulty.checksum, base.checksum) << make_plan(i);
+  RunSpec spec;
+  spec.protocol = ProtocolKind::ScSw;
+  spec.gang = GangMode::Baton;
+  const harness::RunResult base = conformance::run(spec);
+  for (int i = 0; i < std::min(conformance::kFaultPlans, 5); ++i) {
+    spec.plan = conformance::make_plan(kSalt, i, base.net).text;
+    spec.fault_seed = 1000u + static_cast<std::uint64_t>(i);
+    EXPECT_EQ(conformance::run(spec).checksum, base.checksum)
+        << spec.replay();
   }
 }
 

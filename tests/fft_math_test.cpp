@@ -102,7 +102,9 @@ TEST_P(FftLengthTest, ParsevalHolds) {
 INSTANTIATE_TEST_SUITE_P(Lengths, FftLengthTest,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256),
                          [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return "n" + std::to_string(i.param);
+                           std::string name = "n";
+                           name += std::to_string(i.param);
+                           return name;
                          });
 
 TEST(FftTest, LinearityOfTransform) {

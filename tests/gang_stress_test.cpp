@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "conformance.hpp"
 #include "updsm/common/rng.hpp"
 #include "updsm/dsm/cluster.hpp"
 #include "updsm/dsm/node_context.hpp"
@@ -33,14 +34,6 @@ constexpr int kNodes = 4;
 constexpr std::size_t kElems = 768;  // 6 pages of 1024 B
 constexpr int kIters = 8;
 
-std::uint64_t mix(std::uint64_t x) {
-  // splitmix64 finalizer: cheap, stateless, good dispersion.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // Which node writes element i during `iter`. With `rotate`, ownership is
 // re-dealt every third iteration (migration and copyset churn); without, the
 // hash-scattered pattern is iteration-stable -- the shape overdrive
@@ -48,17 +41,13 @@ std::uint64_t mix(std::uint64_t x) {
 // dynamic-sharing apps from those protocols.
 int owner(std::size_t i, int iter, bool rotate) {
   const unsigned block = rotate ? static_cast<unsigned>(iter / 3) : 0u;
-  return static_cast<int>(mix(i * 1315423911u + block) % kNodes);
+  return static_cast<int>(splitmix64(i * 1315423911u + block) % kNodes);
 }
 
 /// Everything a run exposes; compared field-by-field across gang modes.
 struct Observed {
-  std::vector<double> result;
-  sim::SimTime elapsed = 0;
-  std::uint64_t barriers = 0;
-  dsm::ProtocolCounters counters;
-  sim::NetworkStats net;
-  dsm::BreakdownReport breakdown;
+  std::vector<double> result;  // node 0's reductions: sum, min, max
+  harness::RunResult run;
 };
 
 Observed run_stress(ProtocolKind kind, GangMode mode, int workers = 0,
@@ -89,7 +78,7 @@ Observed run_stress(ProtocolKind kind, GangMode mode, int workers = 0,
       ctx.iteration_begin();
       for (std::size_t i = 0; i < kElems; ++i) {
         if (owner(i, iter, rotate) == me) {
-          x.set(i, mix(i + static_cast<unsigned>(iter)));
+          x.set(i, splitmix64(i + static_cast<unsigned>(iter)));
         }
       }
       // Scattered remote reads, racing with the current epoch's writes on
@@ -112,91 +101,22 @@ Observed run_stress(ProtocolKind kind, GangMode mode, int workers = 0,
     if (me == 0) obs.result = {sum, lo, hi};
     ctx.barrier();
   });
-  obs.elapsed = cluster.elapsed();
-  obs.barriers = cluster.barriers();
-  obs.counters = cluster.runtime().counters();
-  obs.net = cluster.runtime().net().stats();
-  obs.breakdown = cluster.breakdown();
+  obs.run.elapsed = cluster.elapsed();
+  obs.run.barriers = cluster.barriers();
+  obs.run.counters = cluster.runtime().counters();
+  obs.run.net = cluster.runtime().net().stats();
+  obs.run.breakdown = cluster.breakdown();
+  obs.run.shared_bytes = heap.bytes_used();
+  obs.run.page_stats = cluster.runtime().page_stats();
+  obs.run.allocations = heap.allocations();
+  obs.run.page_size = cfg.page_size;
   return obs;
 }
 
-void expect_identical(const Observed& baton, const Observed& parallel,
-                      const char* label) {
-  EXPECT_EQ(baton.result, parallel.result) << label;
-  EXPECT_EQ(baton.elapsed, parallel.elapsed) << label;
-  EXPECT_EQ(baton.barriers, parallel.barriers) << label;
-
-  // Every counter field, each named in the failure message.
-  const dsm::ProtocolCounters& a = baton.counters;
-  const dsm::ProtocolCounters& b = parallel.counters;
-#define UPDSM_EXPECT_FIELD(f) \
-  EXPECT_EQ(a.f.load(), b.f.load()) << label << " " #f
-  UPDSM_EXPECT_FIELD(diffs_created);
-  UPDSM_EXPECT_FIELD(zero_diffs);
-  UPDSM_EXPECT_FIELD(remote_misses);
-  UPDSM_EXPECT_FIELD(read_faults);
-  UPDSM_EXPECT_FIELD(write_faults);
-  UPDSM_EXPECT_FIELD(twins_created);
-  UPDSM_EXPECT_FIELD(updates_sent);
-  UPDSM_EXPECT_FIELD(updates_received);
-  UPDSM_EXPECT_FIELD(updates_stored);
-  UPDSM_EXPECT_FIELD(updates_applied);
-  UPDSM_EXPECT_FIELD(updates_ignored);
-  UPDSM_EXPECT_FIELD(pages_fetched);
-  UPDSM_EXPECT_FIELD(migrations);
-  UPDSM_EXPECT_FIELD(retained_diff_bytes_peak);
-  UPDSM_EXPECT_FIELD(gc_rounds);
-  UPDSM_EXPECT_FIELD(overdrive_mispredictions);
-  UPDSM_EXPECT_FIELD(private_entries);
-  UPDSM_EXPECT_FIELD(private_exits);
-  UPDSM_EXPECT_FIELD(reliable_retries);
-  UPDSM_EXPECT_FIELD(dup_suppressed);
-  UPDSM_EXPECT_FIELD(recovery_faults);
-  UPDSM_EXPECT_FIELD(node_stalls);
-  UPDSM_EXPECT_FIELD(flush_batches);
-  UPDSM_EXPECT_FIELD(flush_batch_records);
-  UPDSM_EXPECT_FIELD(flush_batch_records_max);
-  UPDSM_EXPECT_FIELD(flush_batch_records_min);
-  UPDSM_EXPECT_FIELD(flush_batch_header_bytes_saved);
-  UPDSM_EXPECT_FIELD(relay_batches);
-  UPDSM_EXPECT_FIELD(relay_messages);
-  UPDSM_EXPECT_FIELD(relay_forwarded_bytes);
-  UPDSM_EXPECT_FIELD(relay_subtree_losses);
-  UPDSM_EXPECT_FIELD(adaptive_switches);
-  UPDSM_EXPECT_FIELD(adaptive_window_evictions);
-  UPDSM_EXPECT_FIELD(async_steps);
-  UPDSM_EXPECT_FIELD(async_refreshes);
-  UPDSM_EXPECT_FIELD(async_invalidations);
-  UPDSM_EXPECT_FIELD(async_throttles);
-#undef UPDSM_EXPECT_FIELD
-  // The list above names all of ProtocolCounters' cells: a new counter
-  // must join it.
-  static_assert(sizeof(dsm::ProtocolCounters) ==
-                37 * sizeof(dsm::ProtocolCounters::Cell));
-
-  for (std::size_t k = 0; k < sim::kMsgKindCount; ++k) {
-    const sim::MsgCounter& x = baton.net.by_kind[k];
-    const sim::MsgCounter& y = parallel.net.by_kind[k];
-    EXPECT_EQ(x.count, y.count) << label << " msg kind " << k;
-    EXPECT_EQ(x.bytes, y.bytes) << label << " msg kind " << k;
-    EXPECT_EQ(x.dropped, y.dropped) << label << " msg kind " << k;
-    EXPECT_EQ(x.records, y.records) << label << " msg kind " << k;
-  }
-  EXPECT_EQ(baton.net.injected_dups, parallel.net.injected_dups) << label;
-  EXPECT_EQ(baton.net.injected_delays, parallel.net.injected_delays)
-      << label;
-
-  ASSERT_EQ(baton.breakdown.nodes.size(), parallel.breakdown.nodes.size())
-      << label;
-  for (std::size_t n = 0; n < baton.breakdown.nodes.size(); ++n) {
-    const auto& x = baton.breakdown.nodes[n];
-    const auto& y = parallel.breakdown.nodes[n];
-    EXPECT_EQ(x.app, y.app) << label << " node " << n;
-    EXPECT_EQ(x.dsm, y.dsm) << label << " node " << n;
-    EXPECT_EQ(x.os, y.os) << label << " node " << n;
-    EXPECT_EQ(x.wait, y.wait) << label << " node " << n;
-    EXPECT_EQ(x.sigio, y.sigio) << label << " node " << n;
-  }
+void expect_identical(const Observed& a, const Observed& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.result, b.result) << label << ": reduction results";
+  conformance::expect_same_run(a.run, b.run, label);
 }
 
 class GangStressTest : public ::testing::TestWithParam<ProtocolKind> {};
@@ -208,8 +128,8 @@ TEST_P(GangStressTest, BatonAndParallelAreIndistinguishable) {
   ASSERT_EQ(baton.result.size(), 3u);
   // The equality must not hold vacuously: the workload has to exercise the
   // remote-service paths whose scheduling the two modes actually differ on.
-  EXPECT_GT(parallel.counters.remote_misses, 10u);
-  EXPECT_GT(parallel.counters.write_faults, 10u);
+  EXPECT_GT(parallel.run.counters.remote_misses, 10u);
+  EXPECT_GT(parallel.run.counters.write_faults, 10u);
   expect_identical(baton, parallel, protocols::to_string(kind));
 }
 
@@ -230,7 +150,7 @@ TEST_P(GangStressTest, WorkerCountsAreIndistinguishable) {
       const std::string label = std::string(protocols::to_string(kind)) +
                                 " workers=" + std::to_string(workers) +
                                 (faults.empty() ? "" : " +faults");
-      expect_identical(baton, pool, label.c_str());
+      expect_identical(baton, pool, label);
     }
     // The baton itself must also be worker-count independent.
     const Observed baton4 = run_stress(kind, GangMode::Baton, kNodes, faults);

@@ -12,6 +12,7 @@
 
 #include "updsm/dsm/diff_store.hpp"
 #include "updsm/dsm/twin_store.hpp"
+#include "updsm/mem/buffer_pool.hpp"
 #include "updsm/mem/page_table.hpp"
 #include "updsm/mem/shared_heap.hpp"
 
@@ -174,8 +175,16 @@ std::vector<std::byte> bytes(std::initializer_list<int> values) {
   return out;
 }
 
-TEST(TwinStoreTest, CreateGetDiscard) {
+// Protocols bind every store to their worker's arena; the tests bind a
+// local pool the same way.
+class TwinStoreTest : public ::testing::Test {
+ protected:
+  TwinStoreTest() { twins.bind_pool(&pool); }
+  mem::BufferPool pool;
   TwinStore twins;
+};
+
+TEST_F(TwinStoreTest, CreateGetDiscard) {
   const auto data = bytes({1, 2, 3, 4});
   twins.create(PageId{7}, data);
   EXPECT_TRUE(twins.has(PageId{7}));
@@ -183,17 +192,23 @@ TEST(TwinStoreTest, CreateGetDiscard) {
   EXPECT_EQ(twins.get(PageId{7})[2], std::byte{3});
   twins.discard(PageId{7});
   EXPECT_FALSE(twins.has(PageId{7}));
+  // The discarded buffer serves the next twin.
+  twins.create(PageId{8}, data);
+  EXPECT_EQ(pool.hits(), 1u);
 }
 
-TEST(TwinStoreTest, DoubleCreateIsABug) {
-  TwinStore twins;
+TEST_F(TwinStoreTest, CreateNeedsABoundPool) {
+  TwinStore unbound;
+  EXPECT_THROW(unbound.create(PageId{0}, bytes({1})), InternalError);
+}
+
+TEST_F(TwinStoreTest, DoubleCreateIsABug) {
   const auto data = bytes({1});
   twins.create(PageId{1}, data);
   EXPECT_THROW(twins.create(PageId{1}, data), InternalError);
 }
 
-TEST(TwinStoreTest, RefreshRequiresExistingTwin) {
-  TwinStore twins;
+TEST_F(TwinStoreTest, RefreshRequiresExistingTwin) {
   const auto v1 = bytes({1, 2});
   const auto v2 = bytes({3, 4});
   EXPECT_THROW(twins.refresh(PageId{0}, v1), InternalError);
@@ -202,8 +217,7 @@ TEST(TwinStoreTest, RefreshRequiresExistingTwin) {
   EXPECT_EQ(twins.get(PageId{0})[0], std::byte{3});
 }
 
-TEST(TwinStoreTest, PagesSortedIsSortedAndComplete) {
-  TwinStore twins;
+TEST_F(TwinStoreTest, PagesSortedIsSortedAndComplete) {
   const auto data = bytes({0});
   for (const std::uint32_t p : {9u, 3u, 27u, 1u}) {
     twins.create(PageId{p}, data);
@@ -222,8 +236,22 @@ Diff make_diff(std::size_t page_size, std::size_t lo, std::size_t hi) {
   return Diff::create(twin, cur);
 }
 
-TEST(DiffStoreTest, PutFindEraseAccounting) {
+class DiffStoreTest : public ::testing::Test {
+ protected:
+  DiffStoreTest() { store.bind_pool(&pool); }
+  mem::DiffPool pool;
   DiffStore store;
+};
+
+TEST_F(DiffStoreTest, ScratchAndPutNeedABoundPool) {
+  DiffStore unbound;
+  EXPECT_THROW((void)unbound.take_scratch(), InternalError);
+  EXPECT_THROW(unbound.put({PageId{0}, EpochId{1}, NodeId{0}},
+                           make_diff(1024, 0, 8)),
+               InternalError);
+}
+
+TEST_F(DiffStoreTest, PutFindEraseAccounting) {
   const DiffStore::Key key{PageId{3}, EpochId{5}, NodeId{1}};
   store.put(key, make_diff(1024, 0, 64));
   EXPECT_NE(store.find(key), nullptr);
@@ -234,10 +262,13 @@ TEST(DiffStoreTest, PutFindEraseAccounting) {
   store.erase(key);
   EXPECT_EQ(store.find(key), nullptr);
   EXPECT_EQ(store.retained_bytes(), 0u);
+  // The replaced and the erased diff both wait in the pool.
+  (void)store.take_scratch();
+  (void)store.take_scratch();
+  EXPECT_EQ(pool.hits(), 2u);
 }
 
-TEST(DiffStoreTest, SquashErasesCoveredOlderDiffs) {
-  DiffStore store;
+TEST_F(DiffStoreTest, SquashErasesCoveredOlderDiffs) {
   const PageId page{2};
   const NodeId creator{4};
   store.squash_put({page, EpochId{1}, creator}, make_diff(1024, 0, 64));
@@ -249,8 +280,7 @@ TEST(DiffStoreTest, SquashErasesCoveredOlderDiffs) {
   EXPECT_NE(store.find({page, EpochId{3}, creator}), nullptr);
 }
 
-TEST(DiffStoreTest, SquashLeavesOtherCreatorsAndPagesAlone) {
-  DiffStore store;
+TEST_F(DiffStoreTest, SquashLeavesOtherCreatorsAndPagesAlone) {
   store.squash_put({PageId{2}, EpochId{1}, NodeId{0}}, make_diff(1024, 0, 64));
   store.squash_put({PageId{9}, EpochId{1}, NodeId{1}}, make_diff(1024, 0, 64));
   store.squash_put({PageId{2}, EpochId{2}, NodeId{1}},
@@ -258,8 +288,7 @@ TEST(DiffStoreTest, SquashLeavesOtherCreatorsAndPagesAlone) {
   EXPECT_EQ(store.size(), 3u);  // different creator: node 0's diff stays
 }
 
-TEST(DiffStoreTest, FindOrSuccessorSkipsToNewerEpoch) {
-  DiffStore store;
+TEST_F(DiffStoreTest, FindOrSuccessorSkipsToNewerEpoch) {
   const PageId page{1};
   const NodeId creator{0};
   store.put({page, EpochId{5}, creator}, make_diff(1024, 0, 1024));

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 
+#include "conformance.hpp"
 #include "updsm/harness/parallel_grid.hpp"
 
 namespace updsm {
@@ -48,22 +49,8 @@ TEST(ParallelGridTest, JobsOneMatchesJobsFourPerCell) {
   const auto parallel = harness::run_grid(small_grid_tasks(), 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    const auto& a = serial[i];
-    const auto& b = parallel[i];
-    EXPECT_EQ(a.app, b.app) << "cell " << i;
-    EXPECT_EQ(a.protocol, b.protocol) << "cell " << i;
-    EXPECT_EQ(a.checksum, b.checksum) << "cell " << i;
-    EXPECT_EQ(a.elapsed, b.elapsed) << "cell " << i;
-    EXPECT_EQ(a.barriers, b.barriers) << "cell " << i;
-    EXPECT_EQ(a.counters.diffs_created, b.counters.diffs_created)
-        << "cell " << i;
-    EXPECT_EQ(a.counters.zero_diffs, b.counters.zero_diffs) << "cell " << i;
-    EXPECT_EQ(a.counters.remote_misses, b.counters.remote_misses)
-        << "cell " << i;
-    EXPECT_EQ(a.counters.updates_sent, b.counters.updates_sent)
-        << "cell " << i;
-    EXPECT_EQ(a.net.table_messages(), b.net.table_messages()) << "cell " << i;
-    EXPECT_EQ(a.net.total_bytes(), b.net.total_bytes()) << "cell " << i;
+    conformance::expect_same_run(serial[i], parallel[i],
+                                 "cell " + std::to_string(i));
   }
 }
 

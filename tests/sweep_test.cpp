@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "conformance.hpp"
 
 namespace {
 
@@ -80,13 +81,8 @@ TEST(SweepTest, ResultsLandByPlanIndexAtAnyJobCount) {
     EXPECT_EQ(serial[i].app, apps[i]) << "run " << i;
     EXPECT_EQ(serial[i].protocol, protocols[i]) << "run " << i;
     EXPECT_EQ(serial[i].nodes, nodes[i]) << "run " << i;
-    EXPECT_EQ(pooled[i].app, serial[i].app) << "run " << i;
-    EXPECT_EQ(pooled[i].protocol, serial[i].protocol) << "run " << i;
-    EXPECT_EQ(pooled[i].checksum, serial[i].checksum) << "run " << i;
-    EXPECT_EQ(pooled[i].elapsed, serial[i].elapsed) << "run " << i;
-    EXPECT_EQ(pooled[i].barriers, serial[i].barriers) << "run " << i;
-    EXPECT_EQ(pooled[i].net.table_messages(), serial[i].net.table_messages())
-        << "run " << i;
+    updsm::conformance::expect_same_run(pooled[i], serial[i],
+                                        "run " + std::to_string(i));
   }
   EXPECT_EQ(serial[2].checksum, serial[1].checksum);
   EXPECT_EQ(serial[3].checksum, serial[0].checksum);

@@ -5,31 +5,29 @@
 // shape changes exactly as designed (the same 2(n-1) sync messages per
 // barrier re-routed along the tree; relayed batches noted once in the
 // record census however many hops they ride).
-//
-// Plan count defaults to 6; UPDSM_TOPO_PLANS=<n> shrinks (or grows) the
-// battery, which CI uses to keep the sanitizer job inside its time budget.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "updsm/common/rng.hpp"
-#include "updsm/harness/experiment.hpp"
+#include "conformance.hpp"
 
 namespace updsm {
 namespace {
 
+using conformance::RunSpec;
 using protocols::ProtocolKind;
 using sim::GangMode;
 using sim::MsgKind;
+
+constexpr std::uint64_t kSalt = 31337;
 
 struct Scenario {
   const char* app;
   std::vector<ProtocolKind> kinds;
 };
 
-// Same roster as the aggregation suite: tomcat's shifting write set
+// Same roster as the fault-conformance soak: tomcat's shifting write set
 // excludes the overdrive predictors (bar-s / bar-m).
 const std::vector<Scenario>& scenarios() {
   static const std::vector<Scenario> s{
@@ -43,68 +41,10 @@ const std::vector<Scenario>& scenarios() {
   return s;
 }
 
-int plan_count() {
-  if (const char* env = std::getenv("UPDSM_TOPO_PLANS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 6;
-}
-
-/// Same deterministic plan construction as the fault / aggregation
-/// batteries, offset so this suite exercises different draws -- and with
-/// one arm that hammers the relay hops directly.
-std::string make_plan(int i) {
-  std::uint64_t x = 0x1998'0330u + 31337u + static_cast<std::uint64_t>(i);
-  auto draw = [&x] {
-    x = splitmix64(x);
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
-  };
-  auto pct = [&](double lo, double hi) {
-    const double p = lo + draw() * (hi - lo);
-    return std::to_string(p).substr(0, 6);
-  };
-  switch (i % 4) {
-    case 0:
-      return "drop=" + pct(0.02, 0.15);
-    case 1:
-      return "drop=" + pct(0.01, 0.1) + ",dup=" + pct(0.01, 0.1) +
-             ",delay=" + pct(0.01, 0.1) + ",delay_us=" +
-             std::to_string(50 + static_cast<int>(draw() * 400));
-    case 2:  // hammer the dissemination tree directly: a lost hop loses
-             // every segment aboard, the whole destination subtree heals
-      return std::string("kind=flush-relay,drop=") + pct(0.1, 0.3) +
-             ";drop=" + pct(0.0, 0.05);
-    default:
-      return "from=0,to=1,drop=" + pct(0.1, 0.3) + ";drop=" + pct(0.01, 0.08) +
-             ";node=1,stall=" + pct(0.1, 0.4) + ",stall_us=" +
-             std::to_string(100 + static_cast<int>(draw() * 800));
-  }
-}
-
 struct Topology {
   int barrier_fanout = 0;   // 0 = flat master barrier
   int relay_threshold = 0;  // 0 = unicast flush batches
 };
-
-harness::RunResult run_one(const char* app, ProtocolKind kind, GangMode gang,
-                           Topology topo, int nodes, double scale,
-                           const std::string& plan, std::uint64_t fault_seed) {
-  apps::AppParams params;
-  params.scale = scale;
-  params.warmup_iterations = 4;
-  params.measured_iterations = 2;
-  dsm::ClusterConfig cfg;
-  cfg.num_nodes = nodes;
-  cfg.gang = gang;
-  cfg.barrier_fanout = topo.barrier_fanout;
-  cfg.relay_threshold = topo.relay_threshold;
-  if (!plan.empty()) {
-    cfg.faults = sim::FaultSpec::parse(plan);
-    cfg.fault_seed = fault_seed;
-  }
-  return harness::run_app(app, kind, cfg, params);
-}
 
 // The flat master barrier is the one-level tree: fanout 0 charges exactly
 // what fanout n-1 does (every slave a child of the master), down to each
@@ -116,31 +56,15 @@ TEST(TopologyConformanceTest, FlatBarrierIsTheOneLevelTree) {
       "kind=sync-release,drop=0.2,dup=0.2,delay=0.2,delay_us=100";
   for (const std::string& plan : {std::string(), sync_faults}) {
     for (const int nodes : {3, 8}) {
-      const harness::RunResult flat = run_one(
-          "jacobi", ProtocolKind::BarU, GangMode::Parallel, {0, 0}, nodes,
-          0.1, plan, 7);
-      const harness::RunResult tree = run_one(
-          "jacobi", ProtocolKind::BarU, GangMode::Parallel, {nodes - 1, 0},
-          nodes, 0.1, plan, 7);
-      const std::string ctx =
-          std::to_string(nodes) + " nodes, plan '" + plan + "'";
-      EXPECT_EQ(tree.checksum, flat.checksum) << ctx;
-      EXPECT_EQ(tree.elapsed, flat.elapsed) << ctx;
-      EXPECT_EQ(tree.net.table_messages(), flat.net.table_messages()) << ctx;
-      EXPECT_EQ(tree.net.total_bytes(), flat.net.total_bytes()) << ctx;
-      EXPECT_EQ(tree.counters.reliable_retries.load(),
-                flat.counters.reliable_retries.load())
-          << ctx;
-      ASSERT_EQ(tree.breakdown.nodes.size(), flat.breakdown.nodes.size());
-      for (std::size_t i = 0; i < flat.breakdown.nodes.size(); ++i) {
-        const auto& a = flat.breakdown.nodes[i];
-        const auto& b = tree.breakdown.nodes[i];
-        EXPECT_EQ(b.app, a.app) << ctx << " node " << i;
-        EXPECT_EQ(b.dsm, a.dsm) << ctx << " node " << i;
-        EXPECT_EQ(b.os, a.os) << ctx << " node " << i;
-        EXPECT_EQ(b.wait, a.wait) << ctx << " node " << i;
-        EXPECT_EQ(b.sigio, a.sigio) << ctx << " node " << i;
-      }
+      RunSpec flat;
+      flat.nodes = nodes;
+      flat.plan = plan;
+      flat.fault_seed = 7;
+      RunSpec tree = flat;
+      tree.fanout = nodes - 1;
+      conformance::expect_same_run(conformance::run(tree),
+                                   conformance::run(flat),
+                                   tree.replay() + " vs --fanout=0");
     }
   }
 }
@@ -154,15 +78,16 @@ TEST(TopologyConformanceTest, TreeBarrierMatchesFlat) {
   for (const Scenario& sc : scenarios()) {
     for (const ProtocolKind kind : sc.kinds) {
       for (const GangMode gang : {GangMode::Baton, GangMode::Parallel}) {
-        const harness::RunResult flat =
-            run_one(sc.app, kind, gang, {0, 0}, 8, 0.1, "", 0);
+        RunSpec spec;
+        spec.app = sc.app;
+        spec.protocol = kind;
+        spec.gang = gang;
+        spec.nodes = 8;
+        const harness::RunResult flat = conformance::run(spec);
         for (const int fanout : {2, 8}) {
-          const harness::RunResult tree =
-              run_one(sc.app, kind, gang, {fanout, 0}, 8, 0.1, "", 0);
-          const std::string ctx =
-              std::string(sc.app) + " under " + protocols::to_string(kind) +
-              (gang == GangMode::Baton ? " baton" : " par") + " fanout " +
-              std::to_string(fanout);
+          spec.fanout = fanout;
+          const harness::RunResult tree = conformance::run(spec);
+          const std::string ctx = spec.replay();
           ASSERT_NE(flat.checksum, 0.0) << ctx;
           EXPECT_EQ(tree.checksum, flat.checksum) << ctx;
           EXPECT_EQ(tree.barriers, flat.barriers) << ctx;
@@ -207,12 +132,15 @@ TEST(TopologyConformanceTest, RelayMatchesUnicast) {
   for (const char* app : {"jacobi", "fft"}) {
     for (const ProtocolKind kind :
          {ProtocolKind::LmwU, ProtocolKind::BarU, ProtocolKind::BarI}) {
-      const harness::RunResult uni =
-          run_one(app, kind, GangMode::Parallel, {0, 0}, 8, 0.25, "", 0);
-      const harness::RunResult rel =
-          run_one(app, kind, GangMode::Parallel, {0, 2}, 8, 0.25, "", 0);
-      const std::string ctx =
-          std::string(app) + " under " + protocols::to_string(kind);
+      RunSpec spec;
+      spec.app = app;
+      spec.protocol = kind;
+      spec.nodes = 8;
+      spec.scale = 0.25;
+      const harness::RunResult uni = conformance::run(spec);
+      spec.relay_threshold = 2;
+      const harness::RunResult rel = conformance::run(spec);
+      const std::string ctx = spec.replay();
       ASSERT_NE(uni.checksum, 0.0) << ctx;
       EXPECT_EQ(rel.checksum, uni.checksum) << ctx;
       EXPECT_EQ(rel.barriers, uni.barriers) << ctx;
@@ -246,12 +174,13 @@ TEST(TopologyConformanceTest, RelayMatchesUnicast) {
   }
   // The headline claim for the all-to-all app: relaying actually shrinks
   // the flush-class message total (that is its whole point).
-  const harness::RunResult uni =
-      run_one("fft", ProtocolKind::BarU, GangMode::Parallel, {0, 0}, 8, 0.25,
-              "", 0);
-  const harness::RunResult rel =
-      run_one("fft", ProtocolKind::BarU, GangMode::Parallel, {0, 2}, 8, 0.25,
-              "", 0);
+  RunSpec spec;
+  spec.app = "fft";
+  spec.nodes = 8;
+  spec.scale = 0.25;
+  const harness::RunResult uni = conformance::run(spec);
+  spec.relay_threshold = 2;
+  const harness::RunResult rel = conformance::run(spec);
   ASSERT_GT(rel.counters.relay_batches.load(), 0u);
   EXPECT_LT(rel.net.flush_class_messages(), uni.net.flush_class_messages());
 }
@@ -262,43 +191,40 @@ TEST(TopologyConformanceTest, RelayMatchesUnicast) {
 // baseline bit-for-bit in every topology, and both gang modes must agree
 // on every observable.
 TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
-  const int plans = plan_count();
   const std::vector<Topology> topologies{{0, 0}, {4, 0}, {0, 2}, {4, 2}};
+  std::uint64_t target_drops = 0;
   for (const Scenario& sc : scenarios()) {
     for (const ProtocolKind kind : sc.kinds) {
-      const harness::RunResult base =
-          run_one(sc.app, kind, GangMode::Parallel, {0, 0}, 8, 0.1, "", 0);
-      for (int i = 0; i < plans; ++i) {
-        const std::string plan = make_plan(i);
-        const std::uint64_t seed = 6000u + static_cast<std::uint64_t>(i);
-        for (const Topology topo : topologies) {
-          const harness::RunResult faulty = run_one(
-              sc.app, kind, GangMode::Parallel, topo, 8, 0.1, plan, seed);
-          const std::string ctx =
-              std::string(sc.app) + " under " + protocols::to_string(kind) +
-              " plan " + std::to_string(i) + " [" + plan + "] fanout " +
-              std::to_string(topo.barrier_fanout) + " relay " +
-              std::to_string(topo.relay_threshold);
-          EXPECT_EQ(faulty.checksum, base.checksum) << ctx;
-          EXPECT_EQ(faulty.barriers, base.barriers) << ctx;
+      RunSpec spec;
+      spec.app = sc.app;
+      spec.protocol = kind;
+      spec.nodes = 8;
+      const harness::RunResult base = conformance::run(spec);
+      for (const Topology topo : topologies) {
+        spec.fanout = topo.barrier_fanout;
+        spec.relay_threshold = topo.relay_threshold;
+        spec.plan.clear();
+        spec.gang = GangMode::Parallel;
+        const harness::RunResult clean = conformance::run(spec);
+        for (int i = 0; i < conformance::kTopologyPlans; ++i) {
+          const conformance::Plan plan =
+              conformance::make_plan(kSalt, i, clean.net);
+          spec.plan = plan.text;
+          spec.fault_seed = 6000u + static_cast<std::uint64_t>(i);
+          spec.gang = GangMode::Parallel;
+          const harness::RunResult faulty = conformance::run(spec);
+          target_drops += plan.target_drops(faulty);
+          EXPECT_EQ(faulty.checksum, base.checksum) << spec.replay();
+          EXPECT_EQ(faulty.barriers, base.barriers) << spec.replay();
 
-          const harness::RunResult baton = run_one(
-              sc.app, kind, GangMode::Baton, topo, 8, 0.1, plan, seed);
-          EXPECT_EQ(baton.checksum, faulty.checksum) << ctx;
-          EXPECT_EQ(baton.elapsed, faulty.elapsed) << ctx;
-          EXPECT_EQ(baton.net.total_bytes(), faulty.net.total_bytes()) << ctx;
-          EXPECT_EQ(baton.net.total_dropped(), faulty.net.total_dropped())
-              << ctx;
-          EXPECT_EQ(baton.counters.relay_messages.load(),
-                    faulty.counters.relay_messages.load())
-              << ctx;
-          EXPECT_EQ(baton.counters.relay_subtree_losses.load(),
-                    faulty.counters.relay_subtree_losses.load())
-              << ctx;
+          spec.gang = GangMode::Baton;
+          conformance::expect_same_run(conformance::run(spec), faulty,
+                                       spec.replay() + " vs --gang=parallel");
         }
       }
     }
   }
+  EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
 }
 
 // The scaling smoke at a post-64 cluster size the flat protocol stack was
@@ -308,14 +234,16 @@ TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
 TEST(TopologyConformanceTest, SixtyFourNodesBitExactAcrossTopologies) {
   for (const char* app : {"jacobi", "fft"}) {
     for (const ProtocolKind kind : {ProtocolKind::LmwU, ProtocolKind::BarU}) {
-      const std::string ctx = std::string(app) + " at 64 nodes under " +
-                              protocols::to_string(kind);
-      const harness::RunResult flat =
-          run_one(app, kind, GangMode::Parallel, {0, 0}, 64, 0.1, "", 0);
-      const harness::RunResult tree =
-          run_one(app, kind, GangMode::Parallel, {4, 0}, 64, 0.1, "", 0);
-      const harness::RunResult both =
-          run_one(app, kind, GangMode::Parallel, {4, 4}, 64, 0.1, "", 0);
+      RunSpec spec;
+      spec.app = app;
+      spec.protocol = kind;
+      spec.nodes = 64;
+      const std::string ctx = spec.replay();
+      const harness::RunResult flat = conformance::run(spec);
+      spec.fanout = 4;
+      const harness::RunResult tree = conformance::run(spec);
+      spec.relay_threshold = 4;
+      const harness::RunResult both = conformance::run(spec);
       ASSERT_NE(flat.checksum, 0.0) << ctx;
       EXPECT_EQ(tree.checksum, flat.checksum) << ctx;
       EXPECT_EQ(both.checksum, flat.checksum) << ctx;
@@ -323,11 +251,11 @@ TEST(TopologyConformanceTest, SixtyFourNodesBitExactAcrossTopologies) {
       // At 64 nodes the O(n) master barrier dominates; the tree must win.
       EXPECT_LT(tree.elapsed, flat.elapsed) << ctx;
       // ...and stay bit-exact under a fault plan in the full topology.
-      const std::string plan = "drop=0.08,dup=0.03";
-      const harness::RunResult faulty = run_one(
-          app, kind, GangMode::Parallel, {4, 4}, 64, 0.1, plan, 7);
-      EXPECT_EQ(faulty.checksum, flat.checksum) << ctx;
-      EXPECT_EQ(faulty.barriers, flat.barriers) << ctx;
+      spec.plan = "drop=0.08,dup=0.03";
+      spec.fault_seed = 7;
+      const harness::RunResult faulty = conformance::run(spec);
+      EXPECT_EQ(faulty.checksum, flat.checksum) << spec.replay();
+      EXPECT_EQ(faulty.barriers, flat.barriers) << spec.replay();
     }
   }
 }
