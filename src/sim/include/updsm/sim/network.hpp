@@ -38,7 +38,7 @@ enum class MsgKind : int {
   Flush = 2,         // one-off unreliable push (async residual report)
   SyncArrive = 3,    // barrier arrival at the master
   SyncRelease = 4,   // barrier release from the master
-  Control = 5,       // home-migration directives etc.
+  Control = 5,       // async-i's 16-byte invalidations
   FlushBatch = 6,    // aggregated per-destination flush (many page records)
   FlushRelay = 7,    // batches forwarded along the dissemination tree
 };
