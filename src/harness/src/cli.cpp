@@ -132,7 +132,10 @@ void append_help(std::string& out, V name, V metavar, V help) {
   constexpr std::size_t kColumn = 24;
   std::string left = "  --";
   left += name;
-  if (!metavar.empty()) left += "=" + std::string(metavar);
+  if (!metavar.empty()) {
+    left += '=';
+    left += metavar;
+  }
   out += left.size() < kColumn ? left + std::string(kColumn - left.size(), ' ')
                                : left + "\n" + std::string(kColumn, ' ');
   for (const char c : help) {
