@@ -103,14 +103,21 @@ struct Plan {
   std::string text;
   std::optional<sim::MsgKind> target;  // the hammered kind, if any
 
-  /// Messages of the hammered kind `run` lost; 0 for untargeted plans. A
-  /// suite whose targeted plans together drop nothing only ever tested
-  /// the background loss rate.
+  /// Messages of the hammered kind `run` lost; 0 for untargeted plans.
   [[nodiscard]] std::uint64_t target_drops(
       const harness::RunResult& run) const {
     return target ? run.net.of(*target).dropped : 0;
   }
 };
+
+/// A battery of `plans` plans whose kind-targeted plans (plan 2, 6, ...)
+/// together dropped nothing of their kinds only ever tested the
+/// background loss rate.
+inline void expect_targets_hit(int plans, std::uint64_t target_drops) {
+  if (plans > 2) {
+    EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
+  }
+}
 
 /// Plan i of the battery a suite draws with `salt`: a pure function of
 /// (salt, i, sent). By i mod 4: uniform loss; loss with duplicates and

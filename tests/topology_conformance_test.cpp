@@ -224,7 +224,7 @@ TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
       }
     }
   }
-  EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
+  conformance::expect_targets_hit(conformance::kTopologyPlans, target_drops);
 }
 
 // The scaling smoke at a post-64 cluster size the flat protocol stack was
