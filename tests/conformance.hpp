@@ -40,6 +40,8 @@ inline constexpr int kAdaptivePlans = 10;
 inline constexpr int kAsyncPlans = 10;
 #endif
 
+/// One run: every axis a suite varies. The defaults are the fault
+/// battery's cell (jacobi under bar-u, 4 nodes, scale 0.1, 4 + 2 iterations).
 struct RunSpec {
   std::string app = "jacobi";
   protocols::ProtocolKind protocol = protocols::ProtocolKind::BarU;
