@@ -112,15 +112,6 @@ struct Plan {
   }
 };
 
-/// A battery of `plans` plans whose kind-targeted plans (plan 2, 6, ...)
-/// together dropped nothing of their kinds only ever tested the
-/// background loss rate.
-inline void expect_targets_hit(int plans, std::uint64_t target_drops) {
-  if (plans > 2) {
-    EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
-  }
-}
-
 /// Plan i of the battery a suite draws with `salt`: a pure function of
 /// (salt, i, sent). By i mod 4: uniform loss; loss with duplicates and
 /// delays; one message kind hammered over light background loss; and
@@ -173,6 +164,15 @@ inline void expect_targets_hit(int plans, std::uint64_t target_drops) {
       break;
   }
   return plan;
+}
+
+/// Fails a battery whose kind-targeted plans (plans 2, 6, ...) together
+/// dropped nothing of their kinds: it only ever tested the background loss
+/// rate. A battery of `plans` <= 2 has no targeted plan.
+inline void expect_targets_hit(int plans, std::uint64_t target_drops) {
+  if (plans > 2) {
+    EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
+  }
 }
 
 /// Expects `a` and `b` to agree on every field of a RunResult, naming
