@@ -77,21 +77,20 @@ TEST(AdaptiveConformanceTest, SchedulesAgree) {
 // bit for bit, and the decision pipeline itself is schedule-independent:
 // both gang modes agree on every observable including the switch counters.
 TEST(AdaptiveConformanceTest, FaultPlansNeverChangeData) {
-  std::uint64_t target_drops = 0;
+  conformance::Battery battery(kSalt);
   for (const char* app : kApps) {
     for (const char* profile : kProfiles) {
       RunSpec spec = adaptive(app, profile);
       const harness::RunResult clean = conformance::run(spec);
       ASSERT_NE(clean.checksum, 0.0) << spec.replay();
       for (int i = 0; i < conformance::kAdaptivePlans; ++i) {
-        const conformance::Plan plan =
-            conformance::make_plan(kSalt, i, clean.net);
+        const conformance::Plan plan = battery.plan(i, clean.net);
         spec.plan = plan.text;
         spec.fault_seed = 2000u + static_cast<std::uint64_t>(i);
         spec.gang = GangMode::Parallel;
         spec.workers = 0;
         const harness::RunResult faulty = conformance::run(spec);
-        target_drops += plan.target_drops(faulty);
+        battery.record(plan, faulty);
         EXPECT_EQ(faulty.checksum, clean.checksum) << spec.replay();
         EXPECT_EQ(faulty.barriers, clean.barriers) << spec.replay();
 
@@ -102,7 +101,8 @@ TEST(AdaptiveConformanceTest, FaultPlansNeverChangeData) {
       }
     }
   }
-  conformance::expect_targets_hit(conformance::kAdaptivePlans, target_drops);
+  // Update-mode pages are pushed in aggregated batches.
+  battery.expect_hit({sim::MsgKind::FlushBatch});
 }
 
 // The window length is part of the configuration, not a tuning accident:

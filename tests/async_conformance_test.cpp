@@ -78,20 +78,19 @@ TEST(AsyncConformanceTest, WorkerCountsAgree) {
 // detector tolerates silent settled nodes), and the entire run -- fault
 // decisions included -- is bit-identical across worker counts.
 TEST(AsyncConformanceTest, FaultPlansConvergeAndAgree) {
-  std::uint64_t target_drops = 0;
+  conformance::Battery battery(kSalt);
   for (const char* app : kApps) {
     for (const ProtocolKind protocol : kProtocols) {
       RunSpec spec = async_run(app, protocol);
       const harness::RunResult clean = conformance::run(spec);
       for (int i = 0; i < conformance::kAsyncPlans; ++i) {
-        const conformance::Plan plan =
-            conformance::make_plan(kSalt, i, clean.net);
+        const conformance::Plan plan = battery.plan(i, clean.net);
         spec.plan = plan.text;
         spec.fault_seed = 3000u + static_cast<std::uint64_t>(i);
         spec.workers = 1;
         const harness::RunResult faulty = conformance::run(spec);
         const std::string ctx = spec.replay();
-        target_drops += plan.target_drops(faulty);
+        battery.record(plan, faulty);
         EXPECT_EQ(faulty.checksum, 1.0) << ctx;
         // final_residual is the worst drain-sweep reading: after sticky
         // global convergence a node's last sweep can be jolted slightly
@@ -107,7 +106,8 @@ TEST(AsyncConformanceTest, FaultPlansConvergeAndAgree) {
       }
     }
   }
-  conformance::expect_targets_hit(conformance::kAsyncPlans, target_drops);
+  // async-u's update pushes ride aggregated batches.
+  battery.expect_hit({sim::MsgKind::FlushBatch});
 }
 
 // Same seed, same plan => same run; different seed => the plan actually

@@ -2,7 +2,8 @@
 // change WHEN things happen, never WHAT is computed. Every battery and
 // every "these two runs are the same" check goes through this one file:
 //  * RunSpec / run(): one run, every axis the suites vary;
-//  * make_plan(): the seeded fault-plan battery;
+//  * Battery: the seeded fault plans, and what their kind-targeted
+//    plans hit;
 //  * expect_same_run(): compares every field of two harness::RunResults
 //    and names each field that differs.
 // A failure's context is spec.replay(): updsm_run flags that repeat the
@@ -11,13 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "updsm/common/rng.hpp"
 #include "updsm/harness/experiment.hpp"
@@ -104,76 +106,106 @@ struct RunSpec {
 struct Plan {
   std::string text;
   std::optional<sim::MsgKind> target;  // the hammered kind, if any
-
-  /// Messages of the hammered kind `run` lost; 0 for untargeted plans.
-  [[nodiscard]] std::uint64_t target_drops(
-      const harness::RunResult& run) const {
-    return target ? run.net.of(*target).dropped : 0;
-  }
 };
 
-/// Plan i of the battery a suite draws with `salt`: a pure function of
-/// (salt, i, sent). By i mod 4: uniform loss; loss with duplicates and
-/// delays; one message kind hammered over light background loss; and
-/// asymmetric pair loss with a node that stalls. The hammered kind is one
-/// that the cell's fault-free run `sent`, so no plan targets traffic that
-/// never flies; the draw is keyed by those message counts too, so cells
-/// with different traffic hammer different kinds.
-[[nodiscard]] inline Plan make_plan(std::uint64_t salt, int i,
-                                    const sim::NetworkStats& sent) {
-  std::uint64_t x = 0x1998'0330u + salt + static_cast<std::uint64_t>(i);
-  auto draw = [&x] {
-    x = splitmix64(x);
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
-  };
-  auto pct = [&](double lo, double hi) {
-    return std::to_string(lo + draw() * (hi - lo)).substr(0, 6);
-  };
-  Plan plan;
-  switch (i % 4) {
-    case 0:
-      plan.text = "drop=" + pct(0.02, 0.15);
-      break;
-    case 1:
-      plan.text = "drop=" + pct(0.01, 0.1) + ",dup=" + pct(0.01, 0.1) +
-                  ",delay=" + pct(0.01, 0.1) + ",delay_us=" +
-                  std::to_string(50 + static_cast<int>(draw() * 400));
-      break;
-    case 2: {
-      std::vector<sim::MsgKind> kinds;
-      std::uint64_t key = x;
-      for (std::size_t k = 0; k < sim::kMsgKindCount; ++k) {
-        if (sent.by_kind[k].count > 0) {
-          kinds.push_back(static_cast<sim::MsgKind>(k));
-          key = splitmix64(key ^ sent.by_kind[k].count);
-        }
-      }
-      if (kinds.empty()) {
-        throw std::invalid_argument("the fault-free run sent no message");
-      }
-      plan.target = kinds[key % kinds.size()];
-      plan.text = std::string("kind=") + sim::to_string(*plan.target) +
-                  ",drop=" + pct(0.1, 0.3) + ";drop=" + pct(0.0, 0.05);
-      break;
-    }
-    default:
-      plan.text = "from=0,to=1,drop=" + pct(0.1, 0.3) + ";drop=" +
-                  pct(0.01, 0.08) + ";node=1,stall=" + pct(0.1, 0.4) +
-                  ",stall_us=" +
-                  std::to_string(100 + static_cast<int>(draw() * 800));
-      break;
-  }
-  return plan;
-}
+/// A suite's seeded fault-plan battery. By i mod 4, plan i is: uniform
+/// loss; loss with duplicates and delays; one message kind hammered over
+/// light background loss; or asymmetric pair loss with a node that stalls.
+/// The ranges reach 30% loss (40% on a hammered kind) and 2 ms stalls.
+/// Each arm's first plan (i < 4) takes the top of every range, so a
+/// battery that runs an arm faces its harshest form; later plans draw
+/// their rates from (salt, i). The hammered kind is, of the kinds the
+/// cell's fault-free run sent, the one the battery has hammered least so
+/// far (the first in MsgKind order on a tie): no plan targets traffic that
+/// never flies, and the targeted plans spread over every kind sent.
+class Battery {
+ public:
+  explicit Battery(std::uint64_t salt) : salt_(salt) {}
 
-/// Fails a battery whose kind-targeted plans (plans 2, 6, ...) together
-/// dropped nothing of their kinds: it only ever tested the background loss
-/// rate. A battery of `plans` <= 2 has no targeted plan.
-inline void expect_targets_hit(int plans, std::uint64_t target_drops) {
-  if (plans > 2) {
-    EXPECT_GT(target_drops, 0u) << "no kind-targeted plan dropped its kind";
+  /// Plan i of a cell whose fault-free run sent `sent`.
+  [[nodiscard]] Plan plan(int i, const sim::NetworkStats& sent) {
+    std::uint64_t x = 0x1998'0330u + salt_ + static_cast<std::uint64_t>(i);
+    auto draw = [&x, i] {
+      if (i < 4) return 1.0;
+      x = splitmix64(x);
+      return static_cast<double>(x >> 11) * 0x1.0p-53;
+    };
+    auto pct = [&](double lo, double hi) {
+      return std::to_string(lo + draw() * (hi - lo)).substr(0, 6);
+    };
+    auto micros = [&](int lo, int hi) {
+      return std::to_string(lo + static_cast<int>(draw() * (hi - lo)));
+    };
+    Plan plan;
+    switch (i % 4) {
+      case 0:
+        plan.text = "drop=" + pct(0.02, 0.3);
+        break;
+      case 1:
+        plan.text = "drop=" + pct(0.01, 0.3) + ",dup=" + pct(0.01, 0.1) +
+                    ",delay=" + pct(0.01, 0.1) +
+                    ",delay_us=" + micros(50, 450);
+        break;
+      case 2: {
+        std::size_t kind = sim::kMsgKindCount;
+        for (std::size_t k = 0; k < sim::kMsgKindCount; ++k) {
+          if (sent.by_kind[k].count > 0 &&
+              (kind == sim::kMsgKindCount || hammered_[k] < hammered_[kind])) {
+            kind = k;
+          }
+        }
+        if (kind == sim::kMsgKindCount) {
+          throw std::invalid_argument("the fault-free run sent no message");
+        }
+        ++hammered_[kind];
+        plan.target = static_cast<sim::MsgKind>(kind);
+        plan.text = std::string("kind=") + sim::to_string(*plan.target) +
+                    ",drop=" + pct(0.1, 0.4) + ";drop=" + pct(0.0, 0.05);
+        break;
+      }
+      default:
+        plan.text = "from=0,to=1,drop=" + pct(0.1, 0.3) + ";drop=" +
+                    pct(0.01, 0.3) + ";node=1,stall=" + pct(0.1, 0.4) +
+                    ",stall_us=" + micros(100, 2000);
+        break;
+    }
+    return plan;
   }
-}
+
+  /// Counts the messages of `plan`'s hammered kind that `run` lost.
+  void record(const Plan& plan, const harness::RunResult& run) {
+    if (plan.target) {
+      dropped_[static_cast<std::size_t>(*plan.target)] +=
+          run.net.of(*plan.target).dropped;
+    }
+  }
+
+  /// Expects each kind in `required` to have been hammered and to have
+  /// lost messages, unless the battery is too small to run a kind-targeted
+  /// plan at all.
+  void expect_hit(std::initializer_list<sim::MsgKind> required) const {
+    std::ostringstream census;
+    int plans = 0;
+    for (std::size_t k = 0; k < sim::kMsgKindCount; ++k) {
+      plans += hammered_[k];
+      if (hammered_[k] > 0) {
+        census << " " << sim::to_string(static_cast<sim::MsgKind>(k)) << ": "
+               << hammered_[k] << " plans, " << dropped_[k] << " dropped;";
+      }
+    }
+    if (plans == 0) return;
+    for (const sim::MsgKind kind : required) {
+      EXPECT_GT(dropped_[static_cast<std::size_t>(kind)], 0u)
+          << "no plan hammered " << sim::to_string(kind)
+          << " and dropped it:" << census.str();
+    }
+  }
+
+ private:
+  std::uint64_t salt_;
+  std::array<int, sim::kMsgKindCount> hammered_{};  // targeted plans per kind
+  std::array<std::uint64_t, sim::kMsgKindCount> dropped_{};
+};
 
 /// Expects `a` and `b` to agree on every field of a RunResult, naming
 /// each field that differs. Floating-point results compare bit for bit.

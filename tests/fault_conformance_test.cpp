@@ -21,6 +21,7 @@ namespace {
 using conformance::RunSpec;
 using protocols::ProtocolKind;
 using sim::GangMode;
+using sim::MsgKind;
 
 constexpr std::uint64_t kSalt = 0;
 
@@ -48,7 +49,7 @@ const std::vector<Scenario>& scenarios() {
 // keyed by traffic content, not thread timing, so both gang modes must
 // also agree on every observable under every plan.
 TEST(FaultConformanceTest, AllProtocolsBitExactUnderRandomPlans) {
-  std::uint64_t target_drops = 0;
+  conformance::Battery battery(kSalt);
   for (const Scenario& sc : scenarios()) {
     for (const ProtocolKind kind : sc.kinds) {
       RunSpec spec;
@@ -57,14 +58,13 @@ TEST(FaultConformanceTest, AllProtocolsBitExactUnderRandomPlans) {
       const harness::RunResult base = conformance::run(spec);
       ASSERT_NE(base.checksum, 0.0) << spec.replay();
       for (int i = 0; i < conformance::kFaultPlans; ++i) {
-        const conformance::Plan plan =
-            conformance::make_plan(kSalt, i, base.net);
+        const conformance::Plan plan = battery.plan(i, base.net);
         spec.plan = plan.text;
         spec.fault_seed = 1000u + static_cast<std::uint64_t>(i);
         spec.gang = GangMode::Parallel;
         const harness::RunResult faulty = conformance::run(spec);
         const std::string ctx = spec.replay();
-        target_drops += plan.target_drops(faulty);
+        battery.record(plan, faulty);
         EXPECT_EQ(faulty.checksum, base.checksum) << ctx;
         EXPECT_EQ(faulty.barriers, base.barriers) << ctx;
         // Counter consistency: every retry was provoked by a loss, every
@@ -87,7 +87,8 @@ TEST(FaultConformanceTest, AllProtocolsBitExactUnderRandomPlans) {
       }
     }
   }
-  conformance::expect_targets_hit(conformance::kFaultPlans, target_drops);
+  // Lost batches lose every record aboard; lost replies stall a fault.
+  battery.expect_hit({MsgKind::FlushBatch, MsgKind::DataReply});
 }
 
 // sc-sw rides its own single-writer machinery (and is baton-only); give it
@@ -97,8 +98,9 @@ TEST(FaultConformanceTest, ScSwSurvivesFaults) {
   spec.protocol = ProtocolKind::ScSw;
   spec.gang = GangMode::Baton;
   const harness::RunResult base = conformance::run(spec);
+  conformance::Battery battery(kSalt);
   for (int i = 0; i < std::min(conformance::kFaultPlans, 5); ++i) {
-    spec.plan = conformance::make_plan(kSalt, i, base.net).text;
+    spec.plan = battery.plan(i, base.net).text;
     spec.fault_seed = 1000u + static_cast<std::uint64_t>(i);
     EXPECT_EQ(conformance::run(spec).checksum, base.checksum)
         << spec.replay();

@@ -192,7 +192,7 @@ TEST(TopologyConformanceTest, RelayMatchesUnicast) {
 // on every observable.
 TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
   const std::vector<Topology> topologies{{0, 0}, {4, 0}, {0, 2}, {4, 2}};
-  std::uint64_t target_drops = 0;
+  conformance::Battery battery(kSalt);
   for (const Scenario& sc : scenarios()) {
     for (const ProtocolKind kind : sc.kinds) {
       RunSpec spec;
@@ -205,15 +205,18 @@ TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
         spec.relay_threshold = topo.relay_threshold;
         spec.plan.clear();
         spec.gang = GangMode::Parallel;
-        const harness::RunResult clean = conformance::run(spec);
+        // The flat, unicast topology's fault-free run is `base` itself.
+        const sim::NetworkStats sent =
+            topo.barrier_fanout == 0 && topo.relay_threshold == 0
+                ? base.net
+                : conformance::run(spec).net;
         for (int i = 0; i < conformance::kTopologyPlans; ++i) {
-          const conformance::Plan plan =
-              conformance::make_plan(kSalt, i, clean.net);
+          const conformance::Plan plan = battery.plan(i, sent);
           spec.plan = plan.text;
           spec.fault_seed = 6000u + static_cast<std::uint64_t>(i);
           spec.gang = GangMode::Parallel;
           const harness::RunResult faulty = conformance::run(spec);
-          target_drops += plan.target_drops(faulty);
+          battery.record(plan, faulty);
           EXPECT_EQ(faulty.checksum, base.checksum) << spec.replay();
           EXPECT_EQ(faulty.barriers, base.barriers) << spec.replay();
 
@@ -224,7 +227,9 @@ TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
       }
     }
   }
-  conformance::expect_targets_hit(conformance::kTopologyPlans, target_drops);
+  // A lost relay hop loses every segment aboard: the whole destination
+  // subtree heals.
+  battery.expect_hit({MsgKind::FlushRelay});
 }
 
 // The scaling smoke at a post-64 cluster size the flat protocol stack was
