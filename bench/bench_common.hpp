@@ -32,8 +32,6 @@ struct BenchOptions : harness::RunOptions {
   /// byte-identical for every value (results land by plan index, and each
   /// run is an independent deterministic simulation).
   int jobs = harness::default_jobs();
-  /// Set by --quick (wallclock_scaling also sweeps fewer node counts).
-  bool quick = false;
 };
 
 /// --quick: quarter-scale problems and 4 measured iterations. It applies
@@ -43,7 +41,6 @@ inline harness::ToolFlag quick_flag(BenchOptions& opt) {
           [&opt](std::string_view) {
             opt.app.scale = 0.25;
             opt.app.measured_iterations = 4;
-            opt.quick = true;
           }};
 }
 

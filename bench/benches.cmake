@@ -27,15 +27,5 @@ updsm_add_bench(ablation_migration)
 updsm_add_bench(ablation_faults)
 updsm_add_bench(ablation_profiles)
 updsm_add_bench(ablation_async)
-
-add_executable(micro_primitives ${CMAKE_SOURCE_DIR}/bench/micro_primitives.cpp)
-target_link_libraries(micro_primitives PRIVATE
-  updsm::mem updsm::sim updsm::dsm updsm::harness updsm::apps
-  updsm::protocols benchmark::benchmark)
-target_compile_definitions(micro_primitives
-  PRIVATE UPDSM_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
-set_target_properties(micro_primitives PROPERTIES
-  RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 updsm_add_bench(sweep_matrix)
 updsm_add_bench(convergence_timeline)
-updsm_add_bench(wallclock_scaling)

@@ -86,8 +86,9 @@ struct PageSignal {
 };
 
 /// The pure cost comparison, separated from the protocol so
-/// bench/micro_primitives can price one evaluation (BM_AdaptivePolicyEval)
-/// and cost_model_test can pin its decisions platform-by-platform.
+/// cost_model_test can pin its decisions platform-by-platform. The
+/// protocol charges each evaluation dsm.policy_eval_per_page_ns of
+/// simulated time.
 struct AdaptivePolicy {
   const sim::CostModel* costs = nullptr;
   std::uint32_t page_bytes = 8192;

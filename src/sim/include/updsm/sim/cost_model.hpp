@@ -97,8 +97,9 @@ struct DsmCosts {
   /// Per-page cost of the adaptive protocol's barrier-time policy
   /// evaluation (window fold + three modeled delivery costs). Charged to
   /// the barrier master for every page re-evaluated, so the predictor
-  /// bookkeeping is priced, not free; calibrated against
-  /// bench/micro_primitives BM_AdaptivePolicyEval.
+  /// bookkeeping is priced, not free. 200 ns is a modeled charge on the
+  /// simulated 66 MHz CPU, not a host measurement (EXPERIMENTS.md records
+  /// the host reading).
   double policy_eval_per_page_ns = 200.0;
 };
 

@@ -9,8 +9,6 @@
 # BUILD_DIR followed by its flags, e.g. "bench/ablation_nodes --quick".
 #   SAME      "CMD | V1 | V2 ...": CMD V1, CMD V2, ... all print the same
 #             stdout and BENCH results (repeat a variant to check a rerun).
-#   SAME_STDOUT  like SAME, for a bench whose results are host timings:
-#             only stdout is compared.
 #   CHANGED   "CMD | V1 | V2 ...": CMD V2, ... each print other stdout than
 #             CMD V1 (the variant reaches the simulation).
 #   MATCH     "CMD | REGEX": the stdout plus BENCH results of CMD match.
@@ -72,7 +70,7 @@ macro(run_ok cmd var)
   endif()
 endmacro()
 
-foreach(kind SAME SAME_STDOUT CHANGED)
+foreach(kind SAME CHANGED)
   foreach(group IN LISTS ${kind})
     string(REPLACE "|" ";" variants "${group}")
     list(POP_FRONT variants base first)
@@ -81,7 +79,7 @@ foreach(kind SAME SAME_STDOUT CHANGED)
     foreach(variant IN LISTS variants)
       run_ok("${base} ${variant}" run)
       string(STRIP "${variant}" variant)
-      if(kind MATCHES "^SAME" AND NOT ref_out STREQUAL run_out)
+      if(kind STREQUAL "SAME" AND NOT ref_out STREQUAL run_out)
         message(FATAL_ERROR
           "${base}: stdout differs between '${first}' and '${variant}'")
       elseif(kind STREQUAL "SAME" AND NOT ref_results STREQUAL run_results)

@@ -235,7 +235,9 @@ TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
 // The scaling smoke at a post-64 cluster size the flat protocol stack was
 // never allowed to reach before: 64 nodes, every topology combination,
 // bit-identical results -- and the tree barrier strictly cheaper in
-// simulated time for the barrier-dominated update protocol.
+// simulated time for the barrier-dominated update protocol. The flat
+// reference runs under the baton on one worker; the parallel gang must
+// match it on every field at 1, 2 and 4 workers.
 TEST(TopologyConformanceTest, SixtyFourNodesBitExactAcrossTopologies) {
   for (const char* app : {"jacobi", "fft"}) {
     for (const ProtocolKind kind : {ProtocolKind::LmwU, ProtocolKind::BarU}) {
@@ -243,8 +245,17 @@ TEST(TopologyConformanceTest, SixtyFourNodesBitExactAcrossTopologies) {
       spec.app = app;
       spec.protocol = kind;
       spec.nodes = 64;
+      spec.gang = GangMode::Baton;
+      spec.workers = 1;
       const std::string ctx = spec.replay();
       const harness::RunResult flat = conformance::run(spec);
+      spec.gang = GangMode::Parallel;
+      for (const int workers : {1, 2, 4}) {
+        spec.workers = workers;
+        conformance::expect_same_run(conformance::run(spec), flat,
+                                     spec.replay() + " vs " + ctx);
+      }
+      spec.workers = 0;
       spec.fanout = 4;
       const harness::RunResult tree = conformance::run(spec);
       spec.relay_threshold = 4;
