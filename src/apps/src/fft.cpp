@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "updsm/apps/grid.hpp"
@@ -30,7 +33,7 @@ std::uint64_t fft_flops(std::size_t n) {
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   UPDSM_REQUIRE(n >= 2 && (n & (n - 1)) == 0,
                 "fft length must be a power of two >= 2, got " << n);
-  // Bit-reversal permutation over complex slots.
+  // Bit-reversal permutation over element indices.
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
@@ -38,7 +41,8 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     if (i < j) swaps_.emplace_back(i, j);
   }
   // Twiddles exactly as the butterfly recurrence produces them.
-  twiddles_.reserve(4 * (n - 1));
+  tw_re_.reserve(2 * (n - 1));
+  tw_im_.reserve(2 * (n - 1));
   for (const bool inverse : {false, true}) {
     for (std::size_t len = 2; len <= n; len <<= 1) {
       const double ang = 2.0 * std::numbers::pi / static_cast<double>(len) *
@@ -48,8 +52,8 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
       double cur_re = 1.0;
       double cur_im = 0.0;
       for (std::size_t k = 0; k < len / 2; ++k) {
-        twiddles_.push_back(cur_re);
-        twiddles_.push_back(cur_im);
+        tw_re_.push_back(cur_re);
+        tw_im_.push_back(cur_im);
         const double next_re = cur_re * w_re - cur_im * w_im;
         cur_im = cur_re * w_im + cur_im * w_re;
         cur_re = next_re;
@@ -58,39 +62,152 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   }
 }
 
-void FftPlan::transform(double* data, std::size_t width,
-                        bool inverse) const {
-  const std::size_t row = 2 * width;  // doubles per element index
-  for (const auto& [i, j] : swaps_) {
-    std::swap_ranges(data + i * row, data + (i + 1) * row, data + j * row);
+namespace {
+/// Two doubles of adjacent lines (one SSE2 register on x86-64). Its
+/// arithmetic is element-wise, so each lane gets exactly the scalar
+/// operations (fft.hpp says why the vectors are spelled out).
+using Lanes = double __attribute__((vector_size(16)));
+
+template <typename T>
+T load(const double* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename T>
+void store(double* p, T v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+template <typename T>
+T splat(double v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return v;
+  } else {
+    return T{v, v};
   }
-  const double* stage = twiddles_.data() + (inverse ? 2 * (n_ - 1) : 0);
-  for (std::size_t half = 1; half < n_; stage += 2 * half, half <<= 1) {
-    for (std::size_t i = 0; i < n_; i += 2 * half) {
-      for (std::size_t k = 0; k < half; ++k) {
-        const double cur_re = stage[2 * k];
-        const double cur_im = stage[2 * k + 1];
-        double* a = data + (i + k) * row;
-        double* b = a + half * row;
-        for (std::size_t c = 0; c < row; c += 2) {
-          const double a_re = a[c];
-          const double a_im = a[c + 1];
-          const double b_re = b[c];
-          const double b_im = b[c + 1];
-          const double t_re = b_re * cur_re - b_im * cur_im;
-          const double t_im = b_re * cur_im + b_im * cur_re;
-          b[c] = a_re - t_re;
-          b[c + 1] = a_im - t_im;
-          a[c] = a_re + t_re;
-          a[c + 1] = a_im + t_im;
-        }
+}
+
+/// (a, b) <- (a + b*w, a - b*w) with the recurrence kernel's operations.
+template <typename T>
+void butterfly(T& a_re, T& a_im, T& b_re, T& b_im, T w_re, T w_im) {
+  const T t_re = b_re * w_re - b_im * w_im;
+  const T t_im = b_re * w_im + b_im * w_re;
+  b_re = a_re - t_re;
+  b_im = a_im - t_im;
+  a_re = a_re + t_re;
+  a_im = a_im + t_im;
+}
+
+/// Swaps two rows of `width` doubles.
+void swap_rows(double* a, double* b, std::size_t width) {
+  std::size_t c = 0;
+  for (; c + 2 <= width; c += 2) {
+    const Lanes t = load<Lanes>(a + c);
+    store(a + c, load<Lanes>(b + c));
+    store(b + c, t);
+  }
+  if (c < width) std::swap(a[c], b[c]);
+}
+
+// The passes below run over columns [c0, c1), sizeof(T)/8 at a time, with
+// one direction's twiddle tables `tw_re`/`tw_im`, where the stage of
+// half-span h starts at index h - 1. Each reads its twiddles into locals
+// before the column loop: the compiler cannot tell the tables from the
+// planes, so it would reload them after every store.
+
+/// Stages h and 2h.
+template <typename T>
+void radix4_pass(double* re, double* im, std::size_t n, std::size_t width,
+                 std::size_t c0, std::size_t c1, std::size_t h,
+                 const double* tw_re, const double* tw_im) {
+  if (c0 == c1) return;
+  const std::size_t q = h * width;  // from element e to element e + h
+  for (std::size_t i = 0; i < n; i += 4 * h) {
+    for (std::size_t k = 0; k < h; ++k) {
+      const T u_re = splat<T>(tw_re[h - 1 + k]);  // stage h
+      const T u_im = splat<T>(tw_im[h - 1 + k]);
+      const T v_re = splat<T>(tw_re[2 * h - 1 + k]);  // stage 2h
+      const T v_im = splat<T>(tw_im[2 * h - 1 + k]);
+      const T w_re = splat<T>(tw_re[3 * h - 1 + k]);
+      const T w_im = splat<T>(tw_im[3 * h - 1 + k]);
+      double* r = re + (i + k) * width;
+      double* m = im + (i + k) * width;
+      for (std::size_t c = c0; c < c1; c += sizeof(T) / sizeof(double)) {
+        T x0_re = load<T>(r + c);
+        T x0_im = load<T>(m + c);
+        T x1_re = load<T>(r + q + c);
+        T x1_im = load<T>(m + q + c);
+        T x2_re = load<T>(r + 2 * q + c);
+        T x2_im = load<T>(m + 2 * q + c);
+        T x3_re = load<T>(r + 3 * q + c);
+        T x3_im = load<T>(m + 3 * q + c);
+        butterfly(x0_re, x0_im, x1_re, x1_im, u_re, u_im);
+        butterfly(x2_re, x2_im, x3_re, x3_im, u_re, u_im);
+        butterfly(x0_re, x0_im, x2_re, x2_im, v_re, v_im);
+        butterfly(x1_re, x1_im, x3_re, x3_im, w_re, w_im);
+        store(r + c, x0_re);
+        store(m + c, x0_im);
+        store(r + q + c, x1_re);
+        store(m + q + c, x1_im);
+        store(r + 2 * q + c, x2_re);
+        store(m + 2 * q + c, x2_im);
+        store(r + 3 * q + c, x3_re);
+        store(m + 3 * q + c, x3_im);
       }
     }
   }
 }
 
-void fft_radix2(double* data, std::size_t n, bool inverse) {
-  FftPlan(n).transform(data, 1, inverse);
+/// Stage h alone.
+template <typename T>
+void radix2_pass(double* re, double* im, std::size_t n, std::size_t width,
+                 std::size_t c0, std::size_t c1, std::size_t h,
+                 const double* tw_re, const double* tw_im) {
+  if (c0 == c1) return;
+  const std::size_t q = h * width;
+  for (std::size_t i = 0; i < n; i += 2 * h) {
+    for (std::size_t k = 0; k < h; ++k) {
+      const T w_re = splat<T>(tw_re[h - 1 + k]);
+      const T w_im = splat<T>(tw_im[h - 1 + k]);
+      double* r = re + (i + k) * width;
+      double* m = im + (i + k) * width;
+      for (std::size_t c = c0; c < c1; c += sizeof(T) / sizeof(double)) {
+        T a_re = load<T>(r + c);
+        T a_im = load<T>(m + c);
+        T b_re = load<T>(r + q + c);
+        T b_im = load<T>(m + q + c);
+        butterfly(a_re, a_im, b_re, b_im, w_re, w_im);
+        store(r + c, a_re);
+        store(m + c, a_im);
+        store(r + q + c, b_re);
+        store(m + q + c, b_im);
+      }
+    }
+  }
+}
+}  // namespace
+
+void FftPlan::transform(double* re, double* im, std::size_t width,
+                        bool inverse) const {
+  for (const auto& [i, j] : swaps_) {
+    swap_rows(re + i * width, re + j * width, width);
+    swap_rows(im + i * width, im + j * width, width);
+  }
+  const std::size_t dir = inverse ? n_ - 1 : 0;
+  const double* w_re = tw_re_.data() + dir;
+  const double* w_im = tw_im_.data() + dir;
+  const std::size_t pairs = width & ~std::size_t{1};  // columns in Lanes
+  std::size_t h = 1;
+  for (; 4 * h <= n_; h *= 4) {
+    radix4_pass<Lanes>(re, im, n_, width, 0, pairs, h, w_re, w_im);
+    radix4_pass<double>(re, im, n_, width, pairs, width, h, w_re, w_im);
+  }
+  if (h < n_) {  // log2 n is odd: stage n/2 remains
+    radix2_pass<Lanes>(re, im, n_, width, 0, pairs, h, w_re, w_im);
+    radix2_pass<double>(re, im, n_, width, pairs, width, h, w_re, w_im);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -115,36 +232,78 @@ constexpr std::size_t kLayoutBlocks = 8;
 // A plane of the blocked layout is L blocks of n rows x B columns, and the
 // line along the blocked axis at row y is row y of every block in turn
 // (element b*B + w sits in block b, row y, column w). These copy the B
-// lines of rows y0 .. y0+B-1 to and from `band`, where element e of line
-// g sits at complex slot e*B + g: B lines as FftPlan::transform takes them.
+// lines of rows y0 .. y0+B-1 between a plane and the split planes of
+// `band`, where element e of line g sits at index e*B + g: B lines as
+// FftPlan::transform takes them. B = n/L is a power of two >= 2, so each
+// copy moves two lines or two columns at a time through `zip`.
+
+/// The 2x2 transpose: (a0, b0) and (a1, b1) from (a0, a1) and (b0, b1).
+std::pair<Lanes, Lanes> zip(Lanes a, Lanes b) {
+  return {__builtin_shufflevector(a, b, 0, 2),
+          __builtin_shufflevector(a, b, 1, 3)};
+}
+
+/// Band lines from an interleaved plane (the frame).
 void gather_band(const double* plane, std::size_t n, std::size_t y0,
-                 double* band) {
+                 double* band_re, double* band_im) {
   const std::size_t B = n / kLayoutBlocks;
   for (std::size_t b = 0; b < kLayoutBlocks; ++b) {
     const double* tile = plane + 2 * (b * n + y0) * B;
-    for (std::size_t g = 0; g < B; ++g) {
+    for (std::size_t g = 0; g < B; g += 2) {
       for (std::size_t w = 0; w < B; ++w) {
         const std::size_t e = b * B + w;
-        band[2 * (e * B + g)] = tile[2 * (g * B + w)];
-        band[2 * (e * B + g) + 1] = tile[2 * (g * B + w) + 1];
+        const auto [re, im] = zip(load<Lanes>(tile + 2 * (g * B + w)),
+                                  load<Lanes>(tile + 2 * ((g + 1) * B + w)));
+        store(band_re + e * B + g, re);
+        store(band_im + e * B + g, im);
       }
     }
   }
 }
 
-void scatter_band(const double* band, std::size_t n, std::size_t y0,
-                  double* plane) {
+/// Band lines back into an interleaved plane: gather_band's inverse.
+void scatter_band(const double* band_re, const double* band_im,
+                  std::size_t n, std::size_t y0, double* plane) {
   const std::size_t B = n / kLayoutBlocks;
   for (std::size_t b = 0; b < kLayoutBlocks; ++b) {
     double* tile = plane + 2 * (b * n + y0) * B;
-    for (std::size_t g = 0; g < B; ++g) {
+    for (std::size_t g = 0; g < B; g += 2) {
       for (std::size_t w = 0; w < B; ++w) {
         const std::size_t e = b * B + w;
-        tile[2 * (g * B + w)] = band[2 * (e * B + g)];
-        tile[2 * (g * B + w) + 1] = band[2 * (e * B + g) + 1];
+        const auto [c0, c1] = zip(load<Lanes>(band_re + e * B + g),
+                                  load<Lanes>(band_im + e * B + g));
+        store(tile + 2 * (g * B + w), c0);
+        store(tile + 2 * ((g + 1) * B + w), c1);
       }
     }
   }
+}
+
+/// Band lines into a split plane (index s of the plane at re[s], im[s]).
+void scatter_band_split(const double* band_re, const double* band_im,
+                        std::size_t n, std::size_t y0, double* re,
+                        double* im) {
+  const std::size_t B = n / kLayoutBlocks;
+  for (std::size_t b = 0; b < kLayoutBlocks; ++b) {
+    const std::size_t tile = (b * n + y0) * B;
+    for (std::size_t g = 0; g < B; g += 2) {
+      for (std::size_t w = 0; w < B; w += 2) {
+        const std::size_t e = b * B + w;
+        for (const auto& [from, to] : {std::pair{band_re, re},
+                                       std::pair{band_im, im}}) {
+          const auto [row0, row1] = zip(load<Lanes>(from + e * B + g),
+                                        load<Lanes>(from + (e + 1) * B + g));
+          store(to + tile + g * B + w, row0);
+          store(to + tile + (g + 1) * B + w, row1);
+        }
+      }
+    }
+  }
+}
+
+/// min(i, n - i): the wavenumber index of position i along an axis.
+std::size_t fold(std::size_t i, std::size_t n) {
+  return i <= n / 2 ? i : n - i;
 }
 }  // namespace
 
@@ -161,6 +320,26 @@ void FftApp::allocate(mem::SharedHeap& heap) {
 
 void FftApp::init(dsm::NodeContext& ctx) {
   if (ctx.node() != 0) return;
+  // The decay table: host memory, so filling it moves no virtual time.
+  const std::size_t m = n_ / 2 + 1;
+  const double norm = 1.0 / (static_cast<double>(n_) * static_cast<double>(n_) *
+                             static_cast<double>(n_));
+  auto wavenumber = [&](std::size_t k) {
+    return 2.0 * std::numbers::pi * static_cast<double>(k) /
+           static_cast<double>(n_);
+  };
+  decay_.resize(m * m * m);
+  for (std::size_t ix = 0; ix < m; ++ix) {
+    const double kx = wavenumber(ix);
+    for (std::size_t iy = 0; iy < m; ++iy) {
+      const double ky = wavenumber(iy);
+      for (std::size_t iz = 0; iz < m; ++iz) {
+        const double kz = wavenumber(iz);
+        decay_[(ix * m + iy) * m + iz] =
+            std::exp(-(kx * kx + ky * ky + kz * kz) * kDt) * norm;
+      }
+    }
+  }
   auto data = ctx.array<double>(data_addr_, n_ * n_ * n_ * 2);
   auto w = data.write_all();
   for (std::size_t i = 0; i < n_ * n_ * n_; ++i) {
@@ -178,20 +357,31 @@ void FftApp::planar_fft(dsm::NodeContext& ctx, GlobalAddr cube,
   constexpr std::size_t L = kLayoutBlocks;
   const std::size_t B = n_ / L;
   const Range mine = block_range(n_, ctx.num_nodes(), ctx.node());
-  const std::size_t plane_slots = n_ * n_ * 2;  // doubles per plane
+  const std::size_t plane_slots = n_ * n_;  // complex values per plane
   std::vector<double> band(2 * n_ * B);
+  std::vector<double> split(2 * plane_slots);  // the plane: re, then im
+  double* band_re = band.data();
+  double* band_im = band_re + n_ * B;
+  double* re = split.data();
+  double* im = re + plane_slots;
   for (std::size_t plane = mine.lo; plane < mine.hi; ++plane) {
-    auto pv = arr.write_view(plane * plane_slots, (plane + 1) * plane_slots);
-    // FFT along x, B rows at a time.
+    auto pv = arr.write_view(2 * plane * plane_slots,
+                             2 * (plane + 1) * plane_slots);
+    // FFT along x, B rows at a time, into the split copy.
     for (std::size_t y0 = 0; y0 < n_; y0 += B) {
-      gather_band(pv.data(), n_, y0, band.data());
-      plan_.transform(band.data(), B, inverse);
-      scatter_band(band.data(), n_, y0, pv.data());
+      gather_band(pv.data(), n_, y0, band_re, band_im);
+      plan_.transform(band_re, band_im, B, inverse);
+      scatter_band_split(band_re, band_im, n_, y0, re, im);
     }
     // FFT along y: block b holds the B lines of its x-range, element y of
-    // line w at slot y*B + w, so it transforms in place.
+    // line w at index y*B + w, so it transforms in place.
     for (std::size_t b = 0; b < L; ++b) {
-      plan_.transform(pv.data() + 2 * b * n_ * B, B, inverse);
+      plan_.transform(re + b * n_ * B, im + b * n_ * B, B, inverse);
+    }
+    for (std::size_t i = 0; i < plane_slots; i += 2) {
+      const auto [c0, c1] = zip(load<Lanes>(re + i), load<Lanes>(im + i));
+      store(pv.data() + 2 * i, c0);
+      store(pv.data() + 2 * i + 2, c1);
     }
   }
   const std::uint64_t lines = mine.size() * 2 * n_;  // n along x, n along y
@@ -210,26 +400,47 @@ void FftApp::transpose(dsm::NodeContext& ctx, GlobalAddr src,
   const std::size_t block_slots = n_ * B;  // complex slots per block
   const Range mine = block_range(n_, ctx.num_nodes(), ctx.node());
   auto out = d.write_view(mine.lo * n_ * n_ * 2, mine.hi * n_ * n_ * 2);
-  const std::size_t out_base = mine.lo * n_ * n_;  // complex-slot origin
-  const std::size_t b_first = mine.lo / B;
-  const std::size_t b_last = (mine.hi - 1) / B;
-  for (std::size_t z = 0; z < n_; ++z) {
-    // dst slot of (x, y, z) in the z-blocked scratch layout:
-    // (x*L + z/B) * block_slots + y*B + z%B.
-    const std::size_t z_block = z / B;
-    const std::size_t z_col = z % B;
-    for (std::size_t b = b_first; b <= b_last; ++b) {
-      const std::size_t src_block = (z * L + b) * block_slots;
-      auto in = s.read_view(2 * src_block, 2 * (src_block + block_slots));
-      const std::size_t x_lo = std::max(mine.lo, b * B);
-      const std::size_t x_hi = std::min(mine.hi, (b + 1) * B);
-      for (std::size_t y = 0; y < n_; ++y) {
-        for (std::size_t x = x_lo; x < x_hi; ++x) {
-          const std::size_t slot =
-              (x * L + z_block) * block_slots + y * B + z_col - out_base;
-          const std::size_t from = y * B + (x - b * B);
-          out[2 * slot] = in[2 * from];
-          out[2 * slot + 1] = in[2 * from + 1];
+  if (mine.size() > 0) {
+    const std::size_t out_base = mine.lo * n_ * n_;  // complex-slot origin
+    const std::size_t b_first = mine.lo / B;
+    const std::size_t blocks = (mine.hi - 1) / B + 1 - b_first;
+    // Every read view first, z then b, as the element-by-element loop
+    // took them: the DSM sees the same touches in the same order.
+    std::vector<const double*> in(n_ * blocks);
+    for (std::size_t z = 0; z < n_; ++z) {
+      for (std::size_t j = 0; j < blocks; ++j) {
+        const std::size_t src_block = (z * L + b_first + j) * block_slots;
+        in[z * blocks + j] =
+            s.read_view(2 * src_block, 2 * (src_block + block_slots)).data();
+      }
+    }
+    // Then one BxB tile per (z-block zb, x-block, row y): row y of the B
+    // src blocks of z = zb*B .. zb*B+B-1 into `tile` as they lie, then out
+    // transposed, one dst row per x: row y of dst block (x, zb) holds those
+    // B values of z, at slots (x*L + zb)*block_slots + y*B + z%B. Both
+    // sides move whole rows, so each cache line is read or written in one
+    // go: the src rows sit whole blocks apart at one offset, and element
+    // by element their lines would evict each other before being used up.
+    std::vector<double> tile(2 * B * B);
+    for (std::size_t zb = 0; zb < L; ++zb) {
+      for (std::size_t j = 0; j < blocks; ++j) {
+        const std::size_t b = b_first + j;
+        const std::size_t x_lo = std::max(mine.lo, b * B);
+        const std::size_t x_hi = std::min(mine.hi, (b + 1) * B);
+        for (std::size_t y = 0; y < n_; ++y) {
+          for (std::size_t zc = 0; zc < B; ++zc) {
+            std::memcpy(&tile[2 * zc * B], in[(zb * B + zc) * blocks + j] +
+                                               2 * y * B,
+                        2 * B * sizeof(double));
+          }
+          for (std::size_t x = x_lo; x < x_hi; ++x) {
+            double* to = out.data() +
+                         2 * ((x * L + zb) * block_slots + y * B - out_base);
+            for (std::size_t zc = 0; zc < B; ++zc) {
+              std::memcpy(to + 2 * zc, &tile[2 * (zc * B + x - b * B)],
+                          2 * sizeof(double));
+            }
+          }
         }
       }
     }
@@ -244,44 +455,28 @@ void FftApp::spectral_step(dsm::NodeContext& ctx) {
   auto arr = ctx.array<double>(scratch_addr_, n_ * n_ * n_ * 2);
   constexpr std::size_t L = kLayoutBlocks;
   const std::size_t B = n_ / L;
+  const std::size_t m = n_ / 2 + 1;
   const std::size_t plane_slots = n_ * n_ * 2;  // doubles per x-plane
   const Range mine = block_range(n_, ctx.num_nodes(), ctx.node());
-  const double norm = 1.0 / (static_cast<double>(n_) * static_cast<double>(n_) *
-                             static_cast<double>(n_));
-  auto wavenumber = [&](std::size_t i) {
-    const double k = static_cast<double>(i <= n_ / 2 ? i : n_ - i);
-    return 2.0 * std::numbers::pi * k / static_cast<double>(n_);
-  };
   auto pv = arr.write_view(mine.lo * plane_slots, mine.hi * plane_slots);
   std::vector<double> band(2 * n_ * B);
-  // decay[k*B + g]: line g's factor at every z with min(z, n - z) = k.
-  // The decay depends on z only through wavenumber(z), which is built
-  // from that k.
-  std::vector<double> decay((n_ / 2 + 1) * B);
+  double* band_re = band.data();
+  double* band_im = band_re + n_ * B;
   for (std::size_t x = mine.lo; x < mine.hi; ++x) {
-    const double kx = wavenumber(x);
+    const double* decay_x = decay_.data() + fold(x, n_) * m * m;
     double* plane = pv.data() + (x - mine.lo) * plane_slots;
     for (std::size_t y0 = 0; y0 < n_; y0 += B) {
+      gather_band(plane, n_, y0, band_re, band_im);
+      plan_.transform(band_re, band_im, B, /*inverse=*/false);
       for (std::size_t g = 0; g < B; ++g) {
-        const double ky = wavenumber(y0 + g);
-        for (std::size_t k = 0; k <= n_ / 2; ++k) {
-          const double kz = wavenumber(k);
-          decay[k * B + g] =
-              std::exp(-(kx * kx + ky * ky + kz * kz) * kDt) * norm;
+        const double* factor = decay_x + fold(y0 + g, n_) * m;
+        for (std::size_t z = 0; z < n_; ++z) {
+          band_re[z * B + g] *= factor[fold(z, n_)];
+          band_im[z * B + g] *= factor[fold(z, n_)];
         }
       }
-      gather_band(plane, n_, y0, band.data());
-      plan_.transform(band.data(), B, /*inverse=*/false);
-      for (std::size_t z = 0; z < n_; ++z) {
-        const double* factor = &decay[(z <= n_ / 2 ? z : n_ - z) * B];
-        double* row = &band[2 * z * B];
-        for (std::size_t g = 0; g < B; ++g) {
-          row[2 * g] *= factor[g];
-          row[2 * g + 1] *= factor[g];
-        }
-      }
-      plan_.transform(band.data(), B, /*inverse=*/true);
-      scatter_band(band.data(), n_, y0, plane);
+      plan_.transform(band_re, band_im, B, /*inverse=*/true);
+      scatter_band(band_re, band_im, n_, y0, plane);
     }
   }
   const std::uint64_t lines = mine.size() * n_ * 2;  // forward + inverse

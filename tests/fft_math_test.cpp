@@ -1,7 +1,7 @@
 // Validates the radix-2 FFT kernel against a direct DFT, plus transform
-// identities (roundtrip, linearity, Parseval); checks the planned kernel
-// bit for bit against the twiddle recurrence it replaced; and pins the
-// bits of the sequential fft answer.
+// identities (roundtrip, linearity, Parseval); checks the planned split-
+// plane kernel bit for bit against the interleaved twiddle recurrence it
+// replaced; and pins the bits of the sequential fft answer.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,6 +21,24 @@ namespace updsm::apps {
 namespace {
 
 using Cvec = std::vector<std::complex<double>>;
+
+/// In-place FFT of `n` interleaved (re, im) values through a plan built
+/// for the call: split into planes, one line, interleave back. `inverse`
+/// applies the conjugate transform WITHOUT the 1/n scaling.
+void fft_radix2(double* data, std::size_t n, bool inverse) {
+  const FftPlan plan(n);
+  std::vector<double> re(n);
+  std::vector<double> im(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    re[i] = data[2 * i];
+    im[i] = data[2 * i + 1];
+  }
+  plan.transform(re.data(), im.data(), 1, inverse);
+  for (std::size_t i = 0; i < n; ++i) {
+    data[2 * i] = re[i];
+    data[2 * i + 1] = im[i];
+  }
+}
 
 Cvec to_complex(const std::vector<double>& interleaved) {
   Cvec out(interleaved.size() / 2);
@@ -239,27 +257,35 @@ TEST(FftPlanTest, BitIdenticalToRecurrence) {
   }
 }
 
-// The app transforms B lines at once (element e of line c at slot
-// e*width + c); each line must come out exactly as if transformed alone.
+// The app transforms B lines at once (element e of line c at index
+// e*width + c of each plane); each line must come out exactly as if
+// transformed alone. Width 1 is the scalar tail alone, 2 and 8 lane pairs
+// alone, 3 lane pairs plus a tail; n = 2..1024 gives both odd and even
+// stage counts.
 TEST(FftPlanTest, BatchedLinesBitIdenticalToRecurrence) {
   for (std::size_t n = 2; n <= 1024; n *= 2) {
     const FftPlan plan(n);
-    for (const std::size_t width : {2, 3, 8}) {
+    for (const std::size_t width : {1, 2, 3, 8}) {
       for (const bool inverse : {false, true}) {
         SCOPED_TRACE("n=" + std::to_string(n) + " width=" +
                      std::to_string(width) +
                      (inverse ? " inverse" : " forward"));
         const auto input = edge_signal(2 * n * width, 7 * n + width);
-        auto batched = input;
-        plan.transform(batched.data(), width, inverse);
+        std::vector<double> re(n * width);
+        std::vector<double> im(n * width);
+        for (std::size_t i = 0; i < n * width; ++i) {
+          re[i] = input[2 * i];
+          im[i] = input[2 * i + 1];
+        }
+        plan.transform(re.data(), im.data(), width, inverse);
         for (std::size_t c = 0; c < width; ++c) {
           std::vector<double> line(2 * n);
           std::vector<double> got(2 * n);
           for (std::size_t e = 0; e < n; ++e) {
-            for (std::size_t part = 0; part < 2; ++part) {
-              line[2 * e + part] = input[2 * (e * width + c) + part];
-              got[2 * e + part] = batched[2 * (e * width + c) + part];
-            }
+            line[2 * e] = input[2 * (e * width + c)];
+            line[2 * e + 1] = input[2 * (e * width + c) + 1];
+            got[2 * e] = re[e * width + c];
+            got[2 * e + 1] = im[e * width + c];
           }
           recurrence_fft(line.data(), n, inverse);
           expect_same_bits(got, line, "FftPlan::transform");

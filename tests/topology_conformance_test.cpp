@@ -237,9 +237,11 @@ TEST(TopologyConformanceTest, TopologiesBitExactUnderFaults) {
 // bit-identical results -- and the tree barrier strictly cheaper in
 // simulated time for the barrier-dominated update protocol. The flat
 // reference runs under the baton on one worker; the parallel gang must
-// match it on every field at 1, 2 and 4 workers.
+// match it on every field at 1, 2 and 4 workers, and fft also at 8: at
+// this scale its grid has 16 planes, written by nodes 0-15, which share
+// worker 0 up to 4 workers and span workers 0 and 1 at 8.
 TEST(TopologyConformanceTest, SixtyFourNodesBitExactAcrossTopologies) {
-  for (const char* app : {"jacobi", "fft"}) {
+  for (const std::string app : {"jacobi", "fft"}) {
     for (const ProtocolKind kind : {ProtocolKind::LmwU, ProtocolKind::BarU}) {
       RunSpec spec;
       spec.app = app;
@@ -250,7 +252,10 @@ TEST(TopologyConformanceTest, SixtyFourNodesBitExactAcrossTopologies) {
       const std::string ctx = spec.replay();
       const harness::RunResult flat = conformance::run(spec);
       spec.gang = GangMode::Parallel;
-      for (const int workers : {1, 2, 4}) {
+      const std::vector<int> worker_counts =
+          app == "fft" ? std::vector<int>{1, 2, 4, 8}
+                       : std::vector<int>{1, 2, 4};
+      for (const int workers : worker_counts) {
         spec.workers = workers;
         conformance::expect_same_run(conformance::run(spec), flat,
                                      spec.replay() + " vs " + ctx);
