@@ -58,7 +58,8 @@ inline harness::ToolFlag jobs_flag(BenchOptions& opt) {
 
 /// Host provenance of one BENCH file: what ran the numbers, not what they
 /// are, so determinism checks skip it. `workers` is the gang's resolved
-/// worker count; `gang` is the mode, or "sweep" when the bench varies it.
+/// worker count (1 for the baton and async gangs, which run on the calling
+/// thread); `gang` is the mode, or "sweep" when the bench varies it.
 /// Host time depends on the compiler and build type, so they are stamped
 /// next to the host's core count.
 struct Provenance {
@@ -70,8 +71,10 @@ struct Provenance {
 };
 
 inline Provenance provenance(const BenchOptions& opt) {
-  return {sim::Gang::resolve_workers(opt.cluster.workers,
-                                     opt.cluster.num_nodes),
+  return {opt.cluster.gang == sim::GangMode::Parallel
+              ? sim::Gang::resolve_workers(opt.cluster.workers,
+                                           opt.cluster.num_nodes)
+              : 1,
           opt.jobs, sim::to_string(opt.cluster.gang)};
 }
 

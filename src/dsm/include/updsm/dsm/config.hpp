@@ -54,13 +54,15 @@ struct ClusterConfig {
   std::uint64_t seed = 0x1998'0330;
   /// Intra-run node scheduling. Parallel runs all ready nodes concurrently
   /// between barriers (results are bit-identical to Baton -- a ctest pins
-  /// it); the cluster silently downgrades to Baton for protocols whose
-  /// fault handlers are not parallel-safe (sc-sw).
+  /// it); Baton and Async run one node at a time on the thread that calls
+  /// Cluster::run. The cluster silently downgrades to Baton for protocols
+  /// whose fault handlers are not parallel-safe (sc-sw).
   sim::GangMode gang = sim::GangMode::Parallel;
   /// OS threads the parallel gang multiplexes the node contexts over.
   /// 0 = auto (hardware concurrency); values above num_nodes are clamped
   /// with a warning. Results are bit-identical for every worker count --
-  /// only host wall-clock changes. `--workers` on the tools.
+  /// only host wall-clock changes. The baton and async gangs ignore it and
+  /// run on one thread. `--workers` on the tools.
   int workers = 0;
 
   // --- large-cluster topology ---------------------------------------------

@@ -96,7 +96,8 @@ class Runtime {
 
   // --- host-parallel allocation arenas -------------------------------------
   /// Worker count the gang will run with (resolved: auto-detected and
-  /// clamped). Arenas are sized to match.
+  /// clamped; 1 for the baton and async gangs, which Cluster decides).
+  /// Arenas are sized to match.
   [[nodiscard]] int workers() const { return workers_; }
   /// The allocation arena owned by gang worker `w`.
   [[nodiscard]] PoolArena& arena(int w) { return *arenas_[w]; }
@@ -116,9 +117,10 @@ class Runtime {
 
   /// Runs `fn(n)` once for every node as a share of the gang worker that
   /// owns n (sim::Gang::for_each_node: concurrently under the parallel
-  /// gang, in node order under the baton and async gangs; worker 0's share
-  /// on the calling controller), then appends the lines the shares traced,
-  /// in node order. For the node-local part of a protocol's barrier work:
+  /// gang, in node order on the calling controller under the baton and
+  /// async gangs; worker 0's share on the controller in every mode), then
+  /// appends the lines the shares traced, in node order. For the
+  /// node-local part of a protocol's barrier work:
   /// a share may write only node n's frames, clocks, arena, outbox and
   /// per-node state plus commutative counters, and must leave every
   /// cross-node write to the controller. It may read controller state that

@@ -20,30 +20,32 @@ constexpr std::uint64_t kReduceWireBytes = 16;
 /// iterating (the bounded-asynchrony throttle in node_async_step).
 constexpr std::uint64_t kAsyncMaxLead = 64;
 
-/// Parallel scheduling is opt-in per protocol: anything whose fault
-/// handlers mutate remote state mid-phase (sc-sw) keeps the baton. The
-/// async gang cannot be silently downgraded (the app's iteration structure
-/// depends on it), so an unsafe protocol there is a hard error.
-sim::GangMode effective_gang_mode(const ClusterConfig& config,
+/// The gang the cluster runs, decided once for the Runtime's arenas and
+/// the Gang alike. Parallel scheduling is opt-in per protocol: anything
+/// whose fault handlers mutate remote state mid-phase (sc-sw) keeps the
+/// baton. The async gang cannot be silently downgraded (the app's
+/// iteration structure depends on it), so an unsafe protocol there is a
+/// hard error. A serial gang runs on one thread, whatever config.workers
+/// asks.
+ClusterConfig with_effective_gang(ClusterConfig config,
                                   const CoherenceProtocol* protocol) {
   if (protocol != nullptr && config.gang == sim::GangMode::Async) {
     validate_gang_protocol(config.gang, protocol->parallel_safe(),
                            std::string(protocol->name()));
-    return config.gang;
+  } else if (protocol != nullptr && !protocol->parallel_safe()) {
+    config.gang = sim::GangMode::Baton;
   }
-  if (protocol != nullptr && !protocol->parallel_safe()) {
-    return sim::GangMode::Baton;
-  }
-  return config.gang;
+  if (config.gang != sim::GangMode::Parallel) config.workers = 1;
+  return config;
 }
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, const mem::SharedHeap& heap,
                  std::unique_ptr<CoherenceProtocol> protocol)
-    : rt_(config, heap.segment_pages()),
+    // rt_ is initialised before protocol_ takes the protocol over.
+    : rt_(with_effective_gang(config, protocol.get()), heap.segment_pages()),
       protocol_(std::move(protocol)),
-      gang_(config.num_nodes, effective_gang_mode(config, protocol_.get()),
-            config.workers) {
+      gang_(config.num_nodes, rt_.config().gang, rt_.config().workers) {
   UPDSM_REQUIRE(protocol_ != nullptr, "cluster needs a protocol");
   UPDSM_REQUIRE(heap.page_size() == config.page_size,
                 "heap page size " << heap.page_size()

@@ -53,14 +53,22 @@ sim::GangMode parse_gang(V value) {
   throw UsageError("expected parallel, baton or async");
 }
 
-/// An inline spec or the name of a file holding one; a readable file wins
-/// (a spec is never a valid relative path).
+/// An inline spec or the name of a file holding one; a file that opens wins
+/// (a spec is never a valid relative path). A spec with no rule would run
+/// fault-free, so the flag refuses it, as it refuses a file it opens but
+/// cannot read.
 sim::FaultSpec parse_faults(V value) {
-  std::ifstream in{std::string(value)};
-  if (!in) return sim::FaultSpec::parse(value);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return sim::FaultSpec::parse(text.str());
+  std::string text(value);
+  if (std::ifstream in{text}) {
+    in.peek();  // a directory opens, then fails its first read
+    if (in.bad()) throw UsageError("cannot read the file");
+    std::ostringstream content;
+    content << in.rdbuf();
+    text = content.str();
+  }
+  sim::FaultSpec spec = sim::FaultSpec::parse(text);
+  if (spec.empty()) throw UsageError("names no rule (e.g. drop=0.1)");
+  return spec;
 }
 
 /// One flag of the shared table: `--name=METAVAR`, or a switch when the
@@ -92,7 +100,7 @@ const Flag kFlags[] = {
      "parallel|baton|async node scheduling (default\n"
      "parallel); async needs a parallel-safe protocol",
      [](RunOptions& o, V v) { o.cluster.gang = parse_gang(v); }},
-    {"workers", "M", "OS threads running the nodes (default: cores)",
+    {"workers", "M", "OS threads of the parallel gang (default: cores)",
      [](RunOptions& o, V v) { o.cluster.workers = parse_int(v, 1); }},
     {"fanout", "K", "k-ary tree barrier (default 0 = flat master barrier)",
      [](RunOptions& o, V v) { o.cluster.barrier_fanout = parse_int(v); }},

@@ -1,12 +1,14 @@
 // Thread-local identity of the simulated node running on this OS thread.
 //
-// The gang scheduler stamps each worker thread with its node id before the
-// node function runs (in both baton and parallel modes); every other thread
-// -- the controller that executes barrier callbacks, test main threads,
-// harness grid workers -- reports kControllerContext. Shared simulator
-// facilities (Network stat shards, TraceLog buffers) key their per-node
-// storage off this value so call sites need no explicit node argument and
-// cannot pick the wrong shard.
+// The gang scheduler stamps the thread that resumes a node fiber -- the
+// caller of Gang::run under the baton and async gangs, a pool worker under
+// the parallel one -- with the node id for as long as the fiber runs, and
+// with n inside each for_each_node share; otherwise a thread (the
+// controller running barrier callbacks, test main threads, harness grid
+// workers) reports kControllerContext. Shared simulator facilities (Network
+// stat shards, TraceLog buffers) key their per-node storage off this value
+// so call sites need no explicit node argument and cannot pick the wrong
+// shard.
 #pragma once
 
 namespace updsm::sim {
@@ -19,18 +21,18 @@ inline constexpr int kControllerContext = -1;
 /// kControllerContext outside node functions.
 [[nodiscard]] int current_exec_node();
 
-/// The gang worker thread this OS thread is (0..workers-1), or
-/// kControllerContext on any non-worker thread. Unlike current_exec_node,
-/// this is a property of the thread itself, not of the fiber it is
-/// running; the gang's baton hand-off uses it to skip the OS wake when the
-/// next node already lives on the running worker.
+/// The parallel gang's pool thread this OS thread is (0..workers-1), or
+/// kControllerContext on any other thread, the caller of a serial gang's
+/// run included. Unlike current_exec_node, this is a property of the
+/// thread itself, not of the fiber it is running; Runtime::stage_flush
+/// uses it to check that a node stages only on its owner worker.
 [[nodiscard]] int current_exec_worker();
 
 namespace detail {
 /// Set by Gang around each node fiber resume; pass kControllerContext to
 /// clear.
 void set_exec_node(int node);
-/// Set once by each Gang worker thread at startup.
+/// Set once by each parallel pool thread at startup.
 void set_exec_worker(int worker);
 }  // namespace detail
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "updsm/sim/exec_context.hpp"
 
@@ -42,13 +43,17 @@ Gang::Gang(int num_nodes, GangMode mode, int workers)
     : mode_(mode), num_nodes_(num_nodes) {
   UPDSM_REQUIRE(num_nodes >= 1,
                 "gang needs at least one node, got " << num_nodes);
-  if (workers > num_nodes) {
+  num_workers_ = resolve_workers(workers, num_nodes);
+  if (mode != GangMode::Parallel) {
+    // One node runs at a time either way; a second thread could only take
+    // it over, so a serial gang runs every node on the caller of run().
+    num_workers_ = 1;
+  } else if (workers > num_nodes) {
     std::fprintf(stderr,
                  "updsm: workers=%d exceeds %d simulated nodes; clamping to "
                  "%d\n",
                  workers, num_nodes, num_nodes);
   }
-  num_workers_ = resolve_workers(workers, num_nodes);
 
   slots_.reserve(static_cast<std::size_t>(num_nodes));
   for (int i = 0; i < num_nodes; ++i) {
@@ -62,10 +67,11 @@ Gang::Gang(int num_nodes, GangMode mode, int workers)
     span_[static_cast<std::size_t>(w) + 1] =
         span_[w] + base + (w < rem ? 1 : 0);
   }
+  task_errors_.resize(static_cast<std::size_t>(num_workers_));
+  if (mode != GangMode::Parallel) return;
   parkers_.reserve(static_cast<std::size_t>(num_workers_));
   threads_.reserve(static_cast<std::size_t>(num_workers_));
   live_workers_.reserve(static_cast<std::size_t>(num_workers_));
-  task_errors_.resize(static_cast<std::size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     parkers_.push_back(std::make_unique<Parker>());
   }
@@ -83,7 +89,7 @@ Gang::~Gang() {
   // of one node (node 0's initialisation) land in a different arena every
   // few runs, and each arena grows to hold them: +2 MB peak RSS on a
   // 64-node async run, +12 % on a 256-node bar-i run.
-  for (int w = num_workers_ - 1; w >= 0; --w) {
+  for (int w = static_cast<int>(threads_.size()) - 1; w >= 0; --w) {
     parkers_[static_cast<std::size_t>(w)]->wake();
     threads_[static_cast<std::size_t>(w)].join();
   }
@@ -146,32 +152,20 @@ void Gang::detach_worker() {
   }
 }
 
-void Gang::advance_baton_locked(int after) {
-  if (mode_ == GangMode::Async) {
-    // Async turns are clock-ordered, not round-ordered; the round position
-    // of the yielding node is irrelevant.
-    advance_async_locked();
-    return;
-  }
-  for (int j = after + 1; j < num_nodes_; ++j) {
-    if (slots_[static_cast<std::size_t>(j)]->status == NodeStatus::Ready) {
-      turn_ = j;
-      const int ow = owner_worker(j, num_nodes_, num_workers_);
-      // Targeted hand-off: wake only the next node's owning worker -- and
-      // not even that when the next node lives on the worker already
-      // running (its scheduler loop re-checks turn_ before parking).
-      if (ow != current_exec_worker()) parkers_[ow]->wake();
-      return;
+int Gang::pick_next(int after) const {
+  if (mode_ == GangMode::Baton) {
+    // A phase resumes nodes in ascending order and each leaves Ready (for
+    // the barrier or for good) before the next one runs, so no node at or
+    // below `after` is Ready: the first Ready node past it is the lowest.
+    for (int j = after + 1; j < num_nodes_; ++j) {
+      if (slots_[static_cast<std::size_t>(j)]->status == NodeStatus::Ready) {
+        return j;
+      }
     }
+    return kController;
   }
-  turn_ = kController;
-  controller_.wake();
-}
-
-void Gang::advance_async_locked() {
-  // Grant the turn to the Ready node with the minimum (clock, id) pair --
-  // the ascending scan plus strict < makes the lowest id win ties, so the
-  // event order is a pure function of the virtual clocks.
+  // Async: the ascending scan plus strict < gives ties to the lowest id, so
+  // the event order is a pure function of the virtual clocks.
   int best = kController;
   std::uint64_t best_clock = 0;
   for (int j = 0; j < num_nodes_; ++j) {
@@ -184,56 +178,38 @@ void Gang::advance_async_locked() {
       best_clock = c;
     }
   }
-  if (best == kController) {
-    turn_ = kController;
-    controller_.wake();
-    return;
-  }
-  turn_ = best;
-  const int ow = owner_worker(best, num_nodes_, num_workers_);
-  if (ow != current_exec_worker()) parkers_[static_cast<std::size_t>(ow)]->wake();
+  return best;
 }
 
-void Gang::fail_baton_locked(std::exception_ptr error) {
-  record_failure(std::move(error));
-  for (auto& p : parkers_) p->wake();
-  controller_.wake();
+void Gang::check_running(int node, const char* call) const {
+  // The serial loop stamps the node whose fiber it resumes; a
+  // for_each_node share carries its node's stamp but is no running fiber.
+  UPDSM_CHECK_MSG(current_exec_node() == node && task_fn_ == nullptr,
+                  call << "(" << node << ") called out of turn (running "
+                       << current_exec_node() << ")");
 }
 
 void Gang::async_step(int node) {
   UPDSM_CHECK_MSG(mode_ == GangMode::Async,
                   "async_step requires GangMode::Async");
-  NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
-  {
-    std::lock_guard<std::mutex> lock(baton_mu_);
-    UPDSM_CHECK_MSG(turn_ == node,
-                    "async_step(" << node << ") called out of turn (turn="
-                                  << turn_ << ")");
-    // The node stays Ready -- it is yielding its turn, not parking at a
-    // barrier -- so advance_async_locked may grant the turn right back.
-    advance_async_locked();
-    if (turn_ == node) return;  // still the minimum: keep running in place
-  }
-  slot.fiber.yield();
+  check_running(node, "async_step");
+  // The node stays Ready -- it yields its turn, not parking at a barrier --
+  // so the pick may be the node itself, which then keeps running in place.
+  const int next = pick_next(node);
+  if (next == node) return;
+  next_ = next;
+  slots_[static_cast<std::size_t>(node)]->fiber.yield();
   if (shutdown_.load(std::memory_order_acquire)) throw Shutdown{};
 }
 
 void Gang::barrier_wait(int node) {
   NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
-  if (mode_ != GangMode::Parallel) {
-    std::lock_guard<std::mutex> lock(baton_mu_);
-    UPDSM_CHECK_MSG(turn_ == node,
-                    "barrier_wait(" << node << ") called out of turn (turn="
-                                    << turn_ << ")");
-    slot.status = NodeStatus::AtBarrier;
-    advance_baton_locked(node);
-  } else {
-    // Plain write: the owning worker's arrival decrement publishes it to
-    // the controller.
-    slot.status = NodeStatus::AtBarrier;
-  }
-  // Yield with no locks held: switches back to the owning worker's
-  // scheduler loop until the barrier releases this node again.
+  if (mode_ != GangMode::Parallel) check_running(node, "barrier_wait");
+  // Under Parallel a plain write: the owning worker's arrival decrement
+  // publishes it to the controller.
+  slot.status = NodeStatus::AtBarrier;
+  // Switches back to the loop that resumed this node (the serial loop, or
+  // the owning worker's) until the barrier releases this node again.
   slot.fiber.yield();
   if (shutdown_.load(std::memory_order_acquire)) throw Shutdown{};
 }
@@ -241,9 +217,7 @@ void Gang::barrier_wait(int node) {
 bool Gang::task_ready(int worker, std::uint64_t task_seen) const {
   // Worker 0's share is always run by the caller of for_each_node.
   return worker != 0 &&
-         task_epoch_.load(std::memory_order_acquire) != task_seen &&
-         (mode_ == GangMode::Parallel ||
-          task_turn_.load(std::memory_order_acquire) == worker);
+         task_epoch_.load(std::memory_order_acquire) != task_seen;
 }
 
 void Gang::run_share(int worker) {
@@ -260,18 +234,9 @@ void Gang::run_share(int worker) {
   detail::set_exec_node(saved);
 }
 
-void Gang::pass_turn(int worker) {
-  if (mode_ != GangMode::Parallel && worker + 1 < num_workers_) {
-    // One share at a time: hand the turn to the next worker in node order.
-    task_turn_.store(worker + 1, std::memory_order_release);
-    parkers_[static_cast<std::size_t>(worker) + 1]->wake();
-  }
-}
-
 void Gang::run_task(int worker, std::uint64_t& task_seen) {
   task_seen = task_epoch_.load(std::memory_order_relaxed);
   run_share(worker);
-  pass_turn(worker);
   if (task_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     controller_.wake();
   }
@@ -283,23 +248,20 @@ void Gang::for_each_node(const NodeFn& fn) {
                     task_fn_ == nullptr,
                 "Gang::for_each_node may only be called by the controller "
                 "from inside the barrier callback");
-  // Every node is parked at the barrier, so every worker owns a live node
-  // and sits in its parking loop, where task_ready() picks its share up.
-  // Worker 0's share runs right here on the caller instead: that worker
-  // stays parked, so its nodes and arena are still touched by one thread
-  // at a time, the caller does work instead of waiting, and one worker
-  // fewer is woken (none at all with a single worker).
+  // Every node is parked at the barrier, so every parallel worker owns a
+  // live node and sits in its parking loop, where task_ready() picks its
+  // share up. Worker 0's share runs right here on the caller instead: that
+  // worker stays parked, so its nodes and arena are still touched by one
+  // thread at a time, the caller does work instead of waiting, and one
+  // worker fewer is woken (none at all with a single worker, which is
+  // every serial gang).
   task_fn_ = &fn;
-  task_turn_.store(0, std::memory_order_relaxed);  // the caller's turn
   task_remaining_.store(num_workers_ - 1, std::memory_order_relaxed);
   task_epoch_.fetch_add(1, std::memory_order_release);
-  if (mode_ == GangMode::Parallel) {
-    for (int w = 1; w < num_workers_; ++w) {
-      parkers_[static_cast<std::size_t>(w)]->wake();
-    }
+  for (int w = 1; w < num_workers_; ++w) {
+    parkers_[static_cast<std::size_t>(w)]->wake();
   }
   run_share(0);
-  pass_turn(0);
   for (;;) {
     const std::uint64_t ticket = controller_.prepare();
     if (task_remaining_.load(std::memory_order_acquire) == 0) break;
@@ -341,60 +303,8 @@ void Gang::worker_main(int worker) {
       }
       parkers_[static_cast<std::size_t>(worker)]->wait(ticket);
     }
-    if (mode_ == GangMode::Parallel) {
-      run_job_parallel(worker, task_seen);
-    } else {
-      // Baton and Async share the one-at-a-time loop.
-      run_job_baton(worker, task_seen);
-    }
+    run_job_parallel(worker, task_seen);
   }
-}
-
-void Gang::run_job_baton(int worker, std::uint64_t& task_seen) {
-  Parker& parker = *parkers_[static_cast<std::size_t>(worker)];
-  int live = span_last(worker) - span_first(worker);
-  for (;;) {
-    const std::uint64_t ticket = parker.prepare();
-    int to_run = kController;
-    bool unwind = false;
-    {
-      std::lock_guard<std::mutex> lock(baton_mu_);
-      if (shutdown_.load(std::memory_order_relaxed)) {
-        unwind = true;
-      } else if (turn_ >= span_first(worker) && turn_ < span_last(worker) &&
-                 slots_[static_cast<std::size_t>(turn_)]->status ==
-                     NodeStatus::Ready) {
-        to_run = turn_;
-      }
-    }
-    if (unwind) {
-      unwind_owned(worker);
-      break;
-    }
-    if (to_run == kController) {
-      if (live == 0) break;
-      if (task_ready(worker, task_seen)) {
-        run_task(worker, task_seen);
-      } else {
-        parker.wait(ticket);
-      }
-      continue;
-    }
-    // Run the node until it parks at a barrier (barrier_wait advances the
-    // baton itself) or finishes.
-    if (run_node_fiber(to_run)) {
-      --live;
-      NodeSlot& slot = *slots_[static_cast<std::size_t>(to_run)];
-      std::lock_guard<std::mutex> lock(baton_mu_);
-      slot.status = NodeStatus::Done;
-      if (slot.exit == NodeExit::Errored) {
-        fail_baton_locked(slot.error);
-      } else {
-        advance_baton_locked(to_run);
-      }
-    }
-  }
-  detach_worker();
 }
 
 void Gang::run_job_parallel(int worker, std::uint64_t& task_seen) {
@@ -445,56 +355,56 @@ void Gang::run_job_parallel(int worker, std::uint64_t& task_seen) {
   detach_worker();
 }
 
-void Gang::controller_baton(const BarrierFn& barrier_cb) {
-  for (;;) {
+bool Gang::at_barrier() const {
+  bool all_done = true;
+  bool any_done = false;
+  for (const auto& s : slots_) {
+    if (s->status == NodeStatus::Done) {
+      any_done = true;
+    } else {
+      all_done = false;
+    }
+  }
+  if (all_done) return false;
+  if (any_done) {
+    throw UsageError(
+        "a node exited while other nodes are still waiting at a barrier "
+        "(mismatched barrier counts)");
+  }
+  return true;
+}
+
+void Gang::open_next_phase() {
+  ++barriers_;
+  for (auto& s : slots_) {
+    if (s->status == NodeStatus::AtBarrier) s->status = NodeStatus::Ready;
+  }
+}
+
+void Gang::run_serial(const BarrierFn& barrier_cb) {
+  try {
     for (;;) {
-      const std::uint64_t ticket = controller_.prepare();
-      bool quiescent;
-      {
-        std::lock_guard<std::mutex> lock(baton_mu_);
-        quiescent = shutdown_.load(std::memory_order_relaxed) ||
-                    turn_ == kController;
-      }
-      if (quiescent) break;
-      controller_.wait(ticket);
-    }
-    {
-      std::lock_guard<std::mutex> lock(baton_mu_);
-      if (shutdown_.load(std::memory_order_relaxed)) return;
-      bool all_done = true;
-      bool any_done = false;
-      for (const auto& s : slots_) {
-        if (s->status == NodeStatus::Done) {
-          any_done = true;
-        } else {
-          all_done = false;
+      // Resume the picked node until it parks at the barrier, finishes or,
+      // under Async, yields its turn to the node async_step picked.
+      int node = pick_next(kController);
+      while (node != kController) {
+        if (run_node_fiber(node)) {
+          NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
+          slot.status = NodeStatus::Done;
+          if (slot.exit == NodeExit::Errored) {
+            std::rethrow_exception(slot.error);
+          }
         }
+        node = next_ != kController ? std::exchange(next_, kController)
+                                    : pick_next(node);
       }
-      if (all_done) return;
-      // Every non-done node must be at the barrier; a mix of Done and
-      // AtBarrier means the application's barrier counts diverged.
-      if (any_done) {
-        fail_baton_locked(std::make_exception_ptr(UsageError(
-            "a node exited while other nodes are still waiting at a "
-            "barrier (mismatched barrier counts)")));
-        return;
-      }
-    }
-    try {
+      if (!at_barrier()) return;  // every node finished
       run_barrier_cb(barrier_cb);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(baton_mu_);
-      fail_baton_locked(std::current_exception());
-      return;
+      open_next_phase();
     }
-    {
-      std::lock_guard<std::mutex> lock(baton_mu_);
-      ++barriers_;
-      for (auto& s : slots_) {
-        if (s->status == NodeStatus::AtBarrier) s->status = NodeStatus::Ready;
-      }
-      advance_baton_locked(kController);
-    }
+  } catch (...) {
+    record_failure(std::current_exception());
+    unwind_owned(0);  // the one worker's span is every node
   }
 }
 
@@ -537,70 +447,48 @@ void Gang::controller_parallel(const BarrierFn& barrier_cb) {
       if (!release_parallel_phase()) return;
       continue;
     }
-    bool all_done = true;
-    bool any_done = false;
-    for (const auto& s : slots_) {
-      if (s->status == NodeStatus::Done) {
-        any_done = true;
-      } else {
-        all_done = false;
-      }
-    }
-    if (all_done) return;
-    if (any_done) {
-      record_failure(std::make_exception_ptr(UsageError(
-          "a node exited while other nodes are still waiting at a "
-          "barrier (mismatched barrier counts)")));
-      if (!release_parallel_phase()) return;
-      continue;
-    }
     try {
+      if (!at_barrier()) return;  // every node finished
       run_barrier_cb(barrier_cb);
     } catch (...) {
       record_failure(std::current_exception());
       if (!release_parallel_phase()) return;
       continue;
     }
-    ++barriers_;
-    for (auto& s : slots_) {
-      if (s->status == NodeStatus::AtBarrier) s->status = NodeStatus::Ready;
-    }
+    open_next_phase();
     if (!release_parallel_phase()) return;
   }
 }
 
 void Gang::run(const NodeFn& node_fn, const BarrierFn& barrier_cb) {
-  UPDSM_CHECK_MSG(active_workers_.load(std::memory_order_acquire) == 0,
-                  "Gang::run is not reentrant");
+  UPDSM_CHECK_MSG(node_fn_ == nullptr, "Gang::run is not reentrant");
   node_fn_ = &node_fn;
   controller_thread_ = std::this_thread::get_id();
   shutdown_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
+  next_ = kController;
   for (auto& s : slots_) {
     s->status = NodeStatus::Ready;
     s->started = false;
     s->exit = NodeExit::None;
     s->error = nullptr;
   }
-  turn_ = 0;
-  phase_remaining_.store(num_workers_, std::memory_order_relaxed);
-  active_workers_.store(num_workers_, std::memory_order_relaxed);
-  job_epoch_.fetch_add(1, std::memory_order_release);
-  for (auto& p : parkers_) p->wake();
-
   if (mode_ == GangMode::Parallel) {
+    phase_remaining_.store(num_workers_, std::memory_order_relaxed);
+    active_workers_.store(num_workers_, std::memory_order_relaxed);
+    job_epoch_.fetch_add(1, std::memory_order_release);
+    for (auto& p : parkers_) p->wake();
     controller_parallel(barrier_cb);
+    // Wait for every worker to finish (or abandon) this job before
+    // returning, so the pool is quiescent for the next run() and errors
+    // are complete.
+    for (;;) {
+      const std::uint64_t ticket = controller_.prepare();
+      if (active_workers_.load(std::memory_order_acquire) == 0) break;
+      controller_.wait(ticket);
+    }
   } else {
-    controller_baton(barrier_cb);
-  }
-
-  // Wait for every worker to finish (or abandon) this job before
-  // returning, so the pool is quiescent for the next run() and errors are
-  // complete.
-  for (;;) {
-    const std::uint64_t ticket = controller_.prepare();
-    if (active_workers_.load(std::memory_order_acquire) == 0) break;
-    controller_.wait(ticket);
+    run_serial(barrier_cb);
   }
   node_fn_ = nullptr;
   if (first_error_) {

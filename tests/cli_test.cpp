@@ -172,13 +172,15 @@ TEST(CliTest, MalformedValuesNameTheFlag) {
                    list = updsm::harness::parse_int_list(v, 1, 1 << 30);
                  }},
                 {"csv", "", "", [](std::string_view) {}}}};
-  for (const std::string arg :
-       {"--fanout=abc", "--fanout=4x", "--nodes=8.9", "--seed=0xZZ",
-        "--staleness=x", "--relay-threshold=two", "--scale=0.1abc",
-        "--jobs=abc", "--nodes-list=8,x", "--workers-list=1,,2",
-        "--nodes=", "--nodes= 8", "--nodes=+8", "--seed=-1", "--seed= 1",
-        "--scale=", "--scale= 0.5", "--tolerance=nan", "--gang=fast",
-        "--nodes-list=", "--workers-list=1,2,"}) {
+  // A directory opens as a --faults file, then fails its first read.
+  for (const std::string& arg : std::vector<std::string>{
+           "--fanout=abc", "--fanout=4x", "--nodes=8.9", "--seed=0xZZ",
+           "--staleness=x", "--relay-threshold=two", "--scale=0.1abc",
+           "--jobs=abc", "--nodes-list=8,x", "--workers-list=1,,2",
+           "--nodes=", "--nodes= 8", "--nodes=+8", "--seed=-1", "--seed= 1",
+           "--scale=", "--scale= 0.5", "--tolerance=nan", "--gang=fast",
+           "--nodes-list=", "--workers-list=1,2,", "--faults=", "--faults= ;",
+           "--faults=" + ::testing::TempDir()}) {
     const std::string err = error_of({arg}, cli);
     EXPECT_EQ(err.rfind(arg + ": ", 0), 0u) << arg << ": '" << err << "'";
   }

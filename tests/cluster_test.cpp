@@ -197,6 +197,41 @@ TEST(ClusterTest, MeasurementWindowExcludesWarmupAndTail) {
   EXPECT_NEAR(sim::to_msec(sum.app), 20.0, 1.0);  // 10ms on each of 2 nodes
 }
 
+TEST(ClusterTest, SerialGangsGetOneWorker) {
+  // sc-sw drops to the baton and async-u keeps the async gang: both run on
+  // the caller's thread, so the runtime sizes one arena whatever
+  // config.workers asks. bar-u's parallel gang keeps the workers asked for.
+  struct Case {
+    ProtocolKind kind;
+    sim::GangMode gang;
+    sim::GangMode effective;
+    int workers;
+  };
+  for (const Case c :
+       {Case{ProtocolKind::ScSw, sim::GangMode::Parallel, sim::GangMode::Baton,
+             1},
+        Case{ProtocolKind::AsyncU, sim::GangMode::Async, sim::GangMode::Async,
+             1},
+        Case{ProtocolKind::BarU, sim::GangMode::Parallel,
+             sim::GangMode::Parallel, 4}}) {
+    SCOPED_TRACE(protocols::to_string(c.kind));
+    ClusterConfig cfg = small_config(8);
+    cfg.gang = c.gang;
+    cfg.workers = 4;
+    mem::SharedHeap heap(cfg.page_size);
+    const GlobalAddr a = heap.alloc_page_aligned(8 * 128, "a");
+    Cluster cluster(cfg, heap, protocols::make_protocol(c.kind));
+    EXPECT_EQ(cluster.gang_mode(), c.effective);
+    EXPECT_EQ(cluster.runtime().workers(), c.workers);
+    cluster.run([&](NodeContext& ctx) {
+      auto arr = ctx.array<double>(a, 128);
+      arr.set(static_cast<std::size_t>(ctx.node()) * 16, 1.0);
+      ctx.barrier();
+    });
+    EXPECT_EQ(cluster.barriers(), 1u);
+  }
+}
+
 TEST(ClusterTest, VirtualTimeIsDeterministic) {
   auto run_once = [] {
     const ClusterConfig cfg = small_config(4);

@@ -1,5 +1,6 @@
 // Tests for the deterministic gang scheduler: strict node ordering, barrier
 // callback sequencing, error propagation and misuse detection -- plus the
+// async mode's clock-ordered turns, the serial modes' one thread, the
 // parallel mode's contracts (concurrent phase admission, callback isolation,
 // pool reuse, and the same misuse/error behaviour as the baton) and the
 // barrier-callback fan-out (for_each_node) in every mode.
@@ -128,6 +129,115 @@ TEST(GangTest, SingleNodeBarriersWork) {
 }
 
 TEST(GangTest, RejectsZeroNodes) { EXPECT_THROW(Gang(0), UsageError); }
+
+// --- async mode -------------------------------------------------------------
+
+TEST(GangAsyncTest, TurnsGoToTheLeastClockWithTiesToTheLowestId) {
+  // A scripted clock source: each step advances its node's clock by the
+  // node's stride. Walking the least (clock, id) rule by hand gives the
+  // order below; "sK" is a step of node K, "aK" its arrival at the
+  // tear-down barrier, "dK" its exit after it, "bI" barrier callback I.
+  constexpr int kNodes = 3;
+  const std::vector<std::uint64_t> stride{2, 1, 4};
+  std::vector<std::uint64_t> clock(kNodes, 0);
+  Gang gang(kNodes, GangMode::Async);
+  gang.set_clock_source(
+      [&](int node) { return clock[static_cast<std::size_t>(node)]; });
+  std::vector<std::string> log;
+  gang.run(
+      [&](int node) {
+        const auto i = static_cast<std::size_t>(node);
+        gang.barrier_wait(node);  // set-up
+        for (int step = 0; step < 3; ++step) {
+          log.push_back("s" + std::to_string(node));
+          clock[i] += stride[i];
+          gang.async_step(node);
+        }
+        log.push_back("a" + std::to_string(node));
+        gang.barrier_wait(node);  // tear-down
+        log.push_back("d" + std::to_string(node));
+      },
+      [&](std::uint64_t index) { log.push_back("b" + std::to_string(index)); });
+  const std::vector<std::string> expected{
+      "b0",
+      "s0", "s1", "s2",  // clocks tie at 0: ascending ids
+      "s1",              // (1, 1) is least
+      "s0",              // (2, 0) ties (2, 1): the lower id
+      "s1", "a1",        // (3, 1) is still least: node 1 keeps running
+      "s0",              // (4, 0) ties (4, 2)
+      "s2", "a0",        // (4, 2) < (6, 0), then node 0 at (6, 0) arrives
+      "s2", "a2",        // node 2 alone: it keeps running
+      "b1",
+      "d1", "d0", "d2",  // released in clock order: 3, 6, 12
+  };
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(gang.barriers_completed(), 2u);
+}
+
+TEST(GangAsyncTest, AsyncStepRefusedOutsideAsyncAndOutOfTurn) {
+  for (const auto mode : {GangMode::Baton, GangMode::Parallel}) {
+    Gang gang(2, mode, /*workers=*/1);
+    std::atomic<int> refused{0};
+    gang.run(
+        [&](int node) {
+          try {
+            gang.async_step(node);
+          } catch (const InternalError&) {
+            refused.fetch_add(1);
+          }
+          gang.barrier_wait(node);
+        },
+        [](std::uint64_t) {});
+    EXPECT_EQ(refused.load(), 2) << to_string(mode);
+  }
+
+  // Under Async only the running node may yield or park, and only itself:
+  // not another node, not the barrier callback, not a for_each_node share.
+  constexpr int kNodes = 3;
+  Gang gang(kNodes, GangMode::Async);
+  int refused_by_node = 0;
+  int refused_by_callback = 0;
+  int refused_by_share = 0;
+  gang.run(
+      [&](int node) {
+        const int other = (node + 1) % kNodes;
+        try {
+          gang.async_step(other);
+        } catch (const InternalError&) {
+          ++refused_by_node;
+        }
+        try {
+          gang.barrier_wait(other);
+        } catch (const InternalError&) {
+          ++refused_by_node;
+        }
+        gang.async_step(node);
+        gang.barrier_wait(node);
+      },
+      [&](std::uint64_t) {
+        try {
+          gang.async_step(0);
+        } catch (const InternalError&) {
+          ++refused_by_callback;
+        }
+        try {
+          gang.barrier_wait(0);
+        } catch (const InternalError&) {
+          ++refused_by_callback;
+        }
+        gang.for_each_node([&](int n) {
+          try {
+            gang.async_step(n);
+          } catch (const InternalError&) {
+            ++refused_by_share;
+          }
+        });
+      });
+  EXPECT_EQ(refused_by_node, 2 * kNodes);
+  EXPECT_EQ(refused_by_callback, 2);
+  EXPECT_EQ(refused_by_share, kNodes);
+  EXPECT_EQ(gang.barriers_completed(), 1u);
+}
 
 TEST(GangTest, ManyNodesManyRounds) {
   Gang gang(16);
@@ -335,30 +445,41 @@ TEST(GangWorkersTest, LargeGangSpawnsOnlyWorkersThreads) {
 }
 #endif
 
-TEST(GangWorkersTest, BatonOrderIdenticalForEveryWorkerCount) {
-  auto trace = [](int workers) {
-    Gang gang(5, GangMode::Baton, workers);
-    std::vector<int> order;
+TEST(GangWorkersTest, SerialGangsRunOnTheCallingThread) {
+  // Baton and Async run one node at a time, so they spawn no worker: every
+  // node, barrier callback and for_each_node share runs on the caller of
+  // run(), whatever the worker request.
+  constexpr int kNodes = 64;
+  for (const auto mode : {GangMode::Baton, GangMode::Async}) {
+    SCOPED_TRACE(to_string(mode));
+    Gang gang(kNodes, mode, /*workers=*/8);
+    EXPECT_EQ(gang.workers(), 1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    std::atomic<int> node_calls{0};
+    std::atomic<int> callbacks{0};
+    std::atomic<int> shares{0};
+    const auto count = [&](std::atomic<int>& calls) {
+      calls.fetch_add(1);
+      if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    };
     gang.run(
         [&](int node) {
-          for (int round = 0; round < 4; ++round) {
-            order.push_back(node);
+          for (int b = 0; b < 2; ++b) {
+            count(node_calls);
             gang.barrier_wait(node);
           }
+          count(node_calls);
         },
-        [](std::uint64_t) {});
-    return order;
-  };
-  const std::vector<int> baseline = trace(1);
-  ASSERT_EQ(baseline.size(), 20u);
-  for (int round = 0; round < 4; ++round) {
-    for (int node = 0; node < 5; ++node) {
-      EXPECT_EQ(baseline[static_cast<std::size_t>(round * 5 + node)], node);
-    }
+        [&](std::uint64_t) {
+          count(callbacks);
+          gang.for_each_node([&](int) { count(shares); });
+        });
+    EXPECT_EQ(elsewhere.load(), 0);
+    EXPECT_EQ(node_calls.load(), 3 * kNodes);
+    EXPECT_EQ(callbacks.load(), 2);
+    EXPECT_EQ(shares.load(), 2 * kNodes);
   }
-  EXPECT_EQ(trace(2), baseline);
-  EXPECT_EQ(trace(3), baseline);
-  EXPECT_EQ(trace(5), baseline);
 }
 
 TEST(GangWorkersTest, ParallelPhasesCompleteForEveryWorkerCount) {
@@ -424,13 +545,16 @@ struct FanOutCase {
   int workers;
 };
 
-/// Every mode with one worker, a shared pool (uneven spans: 3+2+2 nodes)
-/// and one worker per node.
+/// Parallel with one worker, a shared pool (uneven spans: 3+2+2 nodes) and
+/// one worker per node; Baton and Async, which run on the caller whatever
+/// the request.
 std::vector<FanOutCase> fan_out_cases(int nodes) {
   std::vector<FanOutCase> cases;
-  for (const auto mode : {GangMode::Parallel, GangMode::Baton, GangMode::Async}) {
-    for (const int workers : {1, 3, nodes}) cases.push_back({mode, workers});
+  for (const int workers : {1, 3, nodes}) {
+    cases.push_back({GangMode::Parallel, workers});
   }
+  cases.push_back({GangMode::Baton, 3});
+  cases.push_back({GangMode::Async, 3});
   return cases;
 }
 
