@@ -58,11 +58,13 @@ struct ClusterConfig {
   /// Cluster::run. The cluster silently downgrades to Baton for protocols
   /// whose fault handlers are not parallel-safe (sc-sw).
   sim::GangMode gang = sim::GangMode::Parallel;
-  /// OS threads the parallel gang multiplexes the node contexts over.
-  /// 0 = auto (hardware concurrency); values above num_nodes are clamped
-  /// with a warning. Results are bit-identical for every worker count --
-  /// only host wall-clock changes. The baton and async gangs ignore it and
-  /// run on one thread. `--workers` on the tools.
+  /// Workers the parallel gang multiplexes the node contexts over: the
+  /// thread that calls Cluster::run is worker 0 and each other worker is a
+  /// pool thread, so M workers take M OS threads in all and one worker
+  /// spawns none. 0 = auto (hardware concurrency); values above num_nodes
+  /// are clamped with a warning. Results are bit-identical for every worker
+  /// count -- only host wall-clock changes. The baton and async gangs
+  /// ignore it and run on one thread. `--workers` on the tools.
   int workers = 0;
 
   // --- large-cluster topology ---------------------------------------------

@@ -8,11 +8,11 @@
 // that *owns the node* (Gang::owner_worker) -- not whichever thread happens
 // to run -- so the routing is deterministic and completely uncontended: no
 // pool is ever touched by two threads at once. Mid-phase only the owning
-// worker executes a node; a barrier fan-out (Gang::for_each_node) runs each
-// node's share on that same worker, except that the controller runs worker
-// 0's share while worker 0 is parked; and the controller's serial barrier
-// work runs only while no node and no share does (the phase barrier and
-// the fan-out's completion count provide the happens-before).
+// worker executes a node (worker 0 is the controller, the caller of
+// Gang::run); a barrier fan-out (Gang::for_each_node) runs each node's
+// share on that same worker; and the controller's serial barrier work runs
+// only while no node and no share does (the phase barrier and the
+// fan-out's completion count provide the happens-before).
 //
 // Pool state can never affect simulation results: takers clear or
 // fully overwrite recycled buffers (Diff::create_into clears, twin create

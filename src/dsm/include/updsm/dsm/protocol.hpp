@@ -40,7 +40,7 @@
 //  * Node-local barrier work may run on the gang workers: from inside
 //    barrier_begin() or barrier_finish() a protocol calls
 //    Runtime::for_each_node(fn), which runs fn(n) for every node as a
-//    share of the worker that owns n (worker 0's on the controller) --
+//    share of the worker that owns n (worker 0 is the controller) --
 //    concurrently under GangMode::Parallel. Such a
 //    share follows the fault handlers' rule (b) strictly: it reads state
 //    frozen for the barrier, writes only node n's own state (frames,

@@ -100,7 +100,9 @@ const Flag kFlags[] = {
      "parallel|baton|async node scheduling (default\n"
      "parallel); async needs a parallel-safe protocol",
      [](RunOptions& o, V v) { o.cluster.gang = parse_gang(v); }},
-    {"workers", "M", "OS threads of the parallel gang (default: cores)",
+    {"workers", "M",
+     "parallel gang workers, the calling thread one\n"
+     "of them (default: cores)",
      [](RunOptions& o, V v) { o.cluster.workers = parse_int(v, 1); }},
     {"fanout", "K", "k-ary tree barrier (default 0 = flat master barrier)",
      [](RunOptions& o, V v) { o.cluster.barrier_fanout = parse_int(v); }},

@@ -19,20 +19,22 @@
 //    virtual clocks. Collectives (barrier_wait) still work and are used for
 //    setup/teardown phases.
 //
-//  - GangMode::Parallel: the node fibers are multiplexed over a persistent
-//    pool of M worker threads (M = `workers`, default hardware_concurrency,
-//    clamped to [1, N]) -- a 1024-node run does not create 1024 OS
-//    threads. Nodes are assigned to workers in deterministic contiguous
-//    blocks (Gang::owner_worker), and between barriers ALL ready nodes run
+//  - GangMode::Parallel: the node fibers are multiplexed over M workers
+//    (M = `workers`, default hardware_concurrency, clamped to [1, N]). The
+//    thread that calls run() is worker 0, and a persistent pool holds one
+//    thread for each of workers 1..M-1 -- a 1024-node run does not create
+//    1024 OS threads, and a one-worker gang creates none. Nodes are
+//    assigned to workers in deterministic contiguous blocks
+//    (Gang::owner_worker), and between barriers ALL ready nodes run
 //    concurrently (up to M at a time, each worker resuming its own nodes in
-//    ascending order); the controller runs the barrier callback, and the
-//    workers run only the per-node shares it fans out through
-//    for_each_node. Determinism is preserved by the DSM layer's discipline,
-//    not by scheduling: mid-phase code may only (a) read state frozen at
-//    the previous barrier, (b) perform commutative accounting (relaxed
-//    atomic adds), or (c) append to its own per-node logs, which the
-//    barrier callback merges in node order. See docs/SIMULATION.md
-//    ("Execution model" and "Host-parallel execution").
+//    ascending order); once every worker has arrived, the caller runs the
+//    barrier callback, and the pool threads run only the per-node shares it
+//    fans out through for_each_node. Determinism is preserved by the DSM
+//    layer's discipline, not by scheduling: mid-phase code may only (a)
+//    read state frozen at the previous barrier, (b) perform commutative
+//    accounting (relaxed atomic adds), or (c) append to its own per-node
+//    logs, which the barrier callback merges in node order. See
+//    docs/SIMULATION.md ("Execution model" and "Host-parallel execution").
 //
 // The two serial modes spawn no thread and report workers() == 1: one loop
 // on the caller resumes the node that one pick function chooses (pick_next:
@@ -41,8 +43,8 @@
 // orders are pure functions of node ids and virtual clocks, so the `workers`
 // request cannot change a serial run.
 //
-// The parallel pool has no global mutex/notify_all herd on the phase
-// transitions: every worker (and the controller) parks on its own
+// The parallel gang has no global mutex/notify_all herd on the phase
+// transitions: every pool thread (and the caller) parks on its own
 // cache-line-padded mutex+condvar "parker", phase hand-off goes through an
 // atomic arrival counter plus an atomic release epoch (a sense counter),
 // and barrier release is O(M) targeted wakes.
@@ -58,14 +60,13 @@
 // Workers inside the barrier callback: for_each_node(fn) runs fn(n) for
 // every node as its owner worker's share and returns once all shares are
 // done -- concurrently under Parallel, one share after another (ascending
-// node order) on the caller under Baton and Async. Worker 0's share runs on
-// the caller, which would otherwise sit idle, while that worker stays
-// parked; so each node's work, and each per-worker allocation arena, is
-// still touched by one thread at a time. It is how a protocol runs the
-// node-local part of its barrier work (diff capture, release-side
-// application) on all workers at once, the way every CVM node does it on
-// its own CPU; the callback keeps every cross-node write on the controller,
-// in node order.
+// node order) on the caller under Baton and Async. Each share runs on the
+// thread of the worker that owns the node, worker 0's on the caller; so
+// each node's work, and each per-worker allocation arena, is touched by
+// one thread at a time. It is how a protocol runs the node-local part of
+// its barrier work (diff capture, release-side application) on all workers
+// at once, the way every CVM node does it on its own CPU; the callback
+// keeps every cross-node write on the controller, in node order.
 //
 // Lifecycle:
 //   Gang gang(8, GangMode::Parallel, /*workers=*/4);
@@ -75,7 +76,8 @@
 // All nodes must execute identical barrier sequences; a node exiting while
 // another still synchronizes is reported as UsageError. Node fibers are
 // stamped with their node id (sim::current_exec_node()) in every mode; the
-// parallel pool's threads carry sim::current_exec_worker().
+// parallel pool's threads carry sim::current_exec_worker() (1..M-1), while
+// the caller, worker 0 included, reports kControllerContext there.
 //
 // Caveat: a node that busy-waits mid-phase on another node's shared write
 // without reaching a barrier starves that node forever under the serial
@@ -113,13 +115,14 @@ class Gang {
   using NodeFn = std::function<void(int)>;
   using BarrierFn = std::function<void(std::uint64_t)>;
 
-  /// Under Parallel, spawns the persistent worker pool:
-  /// resolve_workers(workers, num_nodes) threads multiplexing num_nodes
-  /// fiber contexts; requests above num_nodes are clamped with a stderr
-  /// warning. Baton and Async spawn no thread and ignore the request: they
-  /// run every node on the caller of run(). Negative requests are
-  /// UsageErrors in every mode. Baton is the default so that plain
-  /// `Gang g(n)` keeps the serialized semantics; callers opt into
+  /// Under Parallel, resolves M = resolve_workers(workers, num_nodes)
+  /// workers to multiplex num_nodes fiber contexts and spawns the
+  /// persistent pool of M - 1 threads (worker 0 is the caller of run(), so
+  /// a one-worker gang spawns none); requests above num_nodes are clamped
+  /// with a stderr warning. Baton and Async spawn no thread and ignore the
+  /// request: they run every node on the caller of run(). Negative
+  /// requests are UsageErrors in every mode. Baton is the default so that
+  /// plain `Gang g(n)` keeps the serialized semantics; callers opt into
   /// concurrency explicitly.
   explicit Gang(int num_nodes, GangMode mode = GangMode::Baton,
                 int workers = 0);
@@ -130,28 +133,29 @@ class Gang {
 
   /// Runs `node_fn(i)` for every node to completion, invoking
   /// `barrier_cb(k)` on the controller thread (the caller) at the k-th
-  /// global barrier. Rethrows the first exception raised by any node or by
-  /// the callback; nodes that had not started by then never run. May be
-  /// called repeatedly; the parallel pool is reused.
+  /// global barrier; under Parallel the caller also runs worker 0's nodes.
+  /// Rethrows the first exception raised by any node or by the callback;
+  /// nodes that had not started by then never run. May be called
+  /// repeatedly; the parallel pool is reused.
   void run(const NodeFn& node_fn, const BarrierFn& barrier_cb);
 
   /// Called from inside node_fn: parks this node at the global barrier and
   /// returns once the barrier callback has completed and this node may run
-  /// again (its next turn, or the next phase in parallel mode). Under Baton
-  /// and Async only the running node may call it for itself.
+  /// again (its next turn, or the next phase in parallel mode). Only the
+  /// running node may call it, for itself: a call for another node, from
+  /// the barrier callback or from a for_each_node share throws
+  /// InternalError in every mode.
   void barrier_wait(int node);
 
   /// Barrier-callback fan-out: runs `fn(n)` once for every node, with
-  /// current_exec_node() == n inside the call (restored afterwards). The
-  /// nodes of worker w > 0 run on that worker; worker 0's nodes run on the
-  /// caller while worker 0 stays parked. That keeps what a node's share
-  /// allocates in the same heap every run (one worker's large share would
-  /// otherwise land in whichever malloc arena its new thread drew) and
-  /// saves a wake-up. Under Parallel the shares run concurrently; under
-  /// Baton and Async, whose one worker is the caller, one at a time in
-  /// ascending node order. Returns once
-  /// every share has finished; if any fn(n) threw, every other share still
-  /// ran and the exception of the lowest such n is rethrown. Only the
+  /// current_exec_node() == n inside the call (restored afterwards). Each
+  /// node's share runs on the thread that runs the node: the nodes of
+  /// worker w > 0 on that pool thread, worker 0's on the caller. Under
+  /// Parallel the shares run concurrently; under Baton and Async, whose
+  /// one worker is the caller, one at a time in ascending node order.
+  /// Returns once every share has finished; if any fn(n) threw, every
+  /// other share still ran and the exception of the lowest such n is
+  /// rethrown. Only the
   /// controller may call it, from inside the barrier callback (never from
   /// fn itself); any other call throws UsageError.
   void for_each_node(const NodeFn& fn);
@@ -174,8 +178,9 @@ class Gang {
 
   [[nodiscard]] GangMode mode() const { return mode_; }
 
-  /// Worker threads of the parallel pool (after auto-detect and clamping);
-  /// 1 for Baton and Async, whose one worker is the caller of run().
+  /// Workers of the parallel gang (after auto-detect and clamping), worker
+  /// 0 being the caller of run(), so the pool holds workers() - 1 threads;
+  /// 1 for Baton and Async, whose one worker is the caller too.
   [[nodiscard]] int workers() const { return num_workers_; }
 
   /// Number of barriers completed so far (valid during and after run();
@@ -238,11 +243,18 @@ class Gang {
     }
   };
 
+  /// A pool thread's life: waits for each run()'s job and runs it.
   void worker_main(int worker);
+  /// One job on pool worker `worker` (>= 1): run_phase each phase, and
+  /// between phases the posted for_each_node shares.
   void run_job_parallel(int worker, std::uint64_t& task_seen);
-  /// True when a for_each_node share is posted for `worker` (never 0) --
-  /// the parallel workers' parking loops check it.
-  [[nodiscard]] bool task_ready(int worker, std::uint64_t task_seen) const;
+  /// Parallel: one phase of `worker`'s span, on its pool thread or, for
+  /// worker 0, on the caller. Resumes the span's Ready nodes in ascending
+  /// order (on shutdown, unwinds them all instead), then arrives at the
+  /// phase barrier. Returns whether the span still holds a live node.
+  /// noexcept: node errors stay in their fibers, so what could escape (a
+  /// failed fiber stack mmap) terminates on the caller as on a pool thread.
+  [[nodiscard]] bool run_phase(int worker) noexcept;
   /// Runs fn(n) for every node of `worker`'s span, in node order, keeping
   /// the span's first exception in task_errors_[worker].
   void run_share(int worker);
@@ -260,16 +272,20 @@ class Gang {
   [[nodiscard]] bool at_barrier() const;
   /// Counts the barrier and makes every node parked at it Ready again.
   void open_next_phase();
+  /// Parallel: the caller's part of the whole run (worker 0's phases and
+  /// every barrier callback).
   void controller_parallel(const BarrierFn& barrier_cb);
   [[nodiscard]] bool release_parallel_phase();
+  /// Parks the caller on controller_ until `count` reads 0.
+  void await_zero(const std::atomic<int>& count);
   /// Baton and Async: the whole run, on the caller.
   void run_serial(const BarrierFn& barrier_cb);
   /// Baton and Async: the node to resume next, or kController when none is
   /// Ready. Baton takes the lowest Ready id (scanning from after + 1, the
   /// node that just ran); Async the least (clock, id) pair.
   [[nodiscard]] int pick_next(int after) const;
-  /// Baton and Async: refuses a call for `node` that does not come from
-  /// that node's own running fiber.
+  /// Refuses a call for `node` that does not come from that node's own
+  /// running fiber.
   void check_running(int node, const char* call) const;
   [[nodiscard]] int span_first(int worker) const { return span_[worker]; }
   [[nodiscard]] int span_last(int worker) const {
@@ -282,26 +298,29 @@ class Gang {
 
   std::vector<std::unique_ptr<NodeSlot>> slots_;
   std::vector<int> span_;  // worker w owns nodes [span_[w], span_[w+1])
-  std::vector<std::unique_ptr<Parker>> parkers_;  // one per pool worker
+  /// [worker]: one per pool thread; none for worker 0, the caller of run(),
+  /// which parks on controller_.
+  std::vector<std::unique_ptr<Parker>> parkers_;
   Parker controller_;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  // workers 1..M-1, in order
 
-  // Job hand-off: run() bumps job_epoch_ and wakes every worker; each
-  // worker picks the job up once and reports back via active_workers_.
+  // Job hand-off: run() bumps job_epoch_ and wakes every pool worker; each
+  // picks the job up once and reports back via active_workers_.
   std::atomic<std::uint64_t> job_epoch_{0};
   std::atomic<int> active_workers_{0};
   std::atomic<bool> destroy_{false};
   const NodeFn* node_fn_ = nullptr;
   std::function<std::uint64_t(int)> clock_source_;  // Async-mode scheduling
 
-  // Parallel mode: workers still to arrive at the current phase barrier,
-  // and the release epoch (sense counter) parked workers watch. Statuses
-  // are plain fields there; they synchronize through these atomics
-  // (workers publish with the acq_rel arrival decrement, the controller
-  // publishes with the release epoch increment).
+  // Parallel mode: workers still to arrive at the current phase barrier
+  // (the caller counts as worker 0 while its span is live), and the release
+  // epoch (sense counter) parked pool workers watch. Statuses are plain
+  // fields there; they synchronize through these atomics (pool workers
+  // publish with the acq_rel arrival decrement, the caller publishes with
+  // the release epoch increment).
   std::atomic<int> phase_remaining_{0};
   std::atomic<std::uint64_t> phase_epoch_{0};
-  /// release_parallel_phase() scratch: the workers it wakes (controller
+  /// release_parallel_phase() scratch: the live workers it counts (caller
   /// only; reserved up front so no barrier allocates).
   std::vector<int> live_workers_;
 

@@ -69,29 +69,29 @@ Gang::Gang(int num_nodes, GangMode mode, int workers)
   }
   task_errors_.resize(static_cast<std::size_t>(num_workers_));
   if (mode != GangMode::Parallel) return;
-  parkers_.reserve(static_cast<std::size_t>(num_workers_));
-  threads_.reserve(static_cast<std::size_t>(num_workers_));
+  // Worker 0 is the caller of run(), which parks on controller_: only
+  // workers 1..M-1 get a thread and a parker.
+  parkers_.resize(static_cast<std::size_t>(num_workers_));
+  threads_.reserve(static_cast<std::size_t>(num_workers_) - 1);
   live_workers_.reserve(static_cast<std::size_t>(num_workers_));
-  for (int w = 0; w < num_workers_; ++w) {
-    parkers_.push_back(std::make_unique<Parker>());
-  }
-  for (int w = 0; w < num_workers_; ++w) {
+  for (int w = 1; w < num_workers_; ++w) {
+    parkers_[static_cast<std::size_t>(w)] = std::make_unique<Parker>();
     threads_.emplace_back([this, w] { worker_main(w); });
   }
 }
 
 Gang::~Gang() {
   destroy_.store(true, std::memory_order_release);
-  // Workers exit one at a time, highest first. glibc puts an exiting
-  // thread's malloc arena at the head of its free list, so the next gang's
-  // threads draw their predecessors' arenas in a fixed order (worker 0's
-  // first) instead of a random one. Otherwise the large allocation bursts
-  // of one node (node 0's initialisation) land in a different arena every
-  // few runs, and each arena grows to hold them: +2 MB peak RSS on a
-  // 64-node async run, +12 % on a 256-node bar-i run.
-  for (int w = static_cast<int>(threads_.size()) - 1; w >= 0; --w) {
+  // Pool threads exit one at a time, highest worker first. glibc puts an
+  // exiting thread's malloc arena at the head of its free list, so the next
+  // gang's threads draw their predecessors' arenas in a fixed order (worker
+  // 1's first) instead of a random one. Otherwise a node's allocation
+  // bursts land in a different arena every few runs, and each arena grows
+  // to hold them: +12 % peak RSS on a 256-node bar-i run. Worker 0's nodes
+  // allocate from the caller's arena.
+  for (int w = num_workers_ - 1; w >= 1; --w) {
     parkers_[static_cast<std::size_t>(w)]->wake();
-    threads_[static_cast<std::size_t>(w)].join();
+    threads_[static_cast<std::size_t>(w) - 1].join();
   }
 }
 
@@ -182,7 +182,8 @@ int Gang::pick_next(int after) const {
 }
 
 void Gang::check_running(int node, const char* call) const {
-  // The serial loop stamps the node whose fiber it resumes; a
+  // The loop that resumes a node fiber (the serial loop, a pool worker or
+  // the parallel gang's caller) stamps it with the node's id; a
   // for_each_node share carries its node's stamp but is no running fiber.
   UPDSM_CHECK_MSG(current_exec_node() == node && task_fn_ == nullptr,
                   call << "(" << node << ") called out of turn (running "
@@ -203,21 +204,15 @@ void Gang::async_step(int node) {
 }
 
 void Gang::barrier_wait(int node) {
+  check_running(node, "barrier_wait");
   NodeSlot& slot = *slots_[static_cast<std::size_t>(node)];
-  if (mode_ != GangMode::Parallel) check_running(node, "barrier_wait");
   // Under Parallel a plain write: the owning worker's arrival decrement
   // publishes it to the controller.
   slot.status = NodeStatus::AtBarrier;
   // Switches back to the loop that resumed this node (the serial loop, or
-  // the owning worker's) until the barrier releases this node again.
+  // the owning worker's phase) until the barrier releases this node again.
   slot.fiber.yield();
   if (shutdown_.load(std::memory_order_acquire)) throw Shutdown{};
-}
-
-bool Gang::task_ready(int worker, std::uint64_t task_seen) const {
-  // Worker 0's share is always run by the caller of for_each_node.
-  return worker != 0 &&
-         task_epoch_.load(std::memory_order_acquire) != task_seen;
 }
 
 void Gang::run_share(int worker) {
@@ -248,13 +243,10 @@ void Gang::for_each_node(const NodeFn& fn) {
                     task_fn_ == nullptr,
                 "Gang::for_each_node may only be called by the controller "
                 "from inside the barrier callback");
-  // Every node is parked at the barrier, so every parallel worker owns a
-  // live node and sits in its parking loop, where task_ready() picks its
-  // share up. Worker 0's share runs right here on the caller instead: that
-  // worker stays parked, so its nodes and arena are still touched by one
-  // thread at a time, the caller does work instead of waiting, and one
-  // worker fewer is woken (none at all with a single worker, which is
-  // every serial gang).
+  // Every node is parked at the barrier, so every pool worker owns a live
+  // node and sits in its parking loop, where it picks its share up. The
+  // caller is worker 0 and runs that worker's share here (the only share of
+  // a one-worker gang, which every serial gang is).
   task_fn_ = &fn;
   task_remaining_.store(num_workers_ - 1, std::memory_order_relaxed);
   task_epoch_.fetch_add(1, std::memory_order_release);
@@ -262,11 +254,7 @@ void Gang::for_each_node(const NodeFn& fn) {
     parkers_[static_cast<std::size_t>(w)]->wake();
   }
   run_share(0);
-  for (;;) {
-    const std::uint64_t ticket = controller_.prepare();
-    if (task_remaining_.load(std::memory_order_acquire) == 0) break;
-    controller_.wait(ticket);
-  }
+  await_zero(task_remaining_);
   task_fn_ = nullptr;
   std::exception_ptr first;
   for (std::exception_ptr& e : task_errors_) {
@@ -307,45 +295,51 @@ void Gang::worker_main(int worker) {
   }
 }
 
+bool Gang::run_phase(int worker) noexcept {
+  if (shutdown_.load(std::memory_order_acquire)) {
+    unwind_owned(worker);
+  } else {
+    for (int n = span_first(worker); n < span_last(worker); ++n) {
+      NodeSlot& slot = *slots_[static_cast<std::size_t>(n)];
+      if (slot.status != NodeStatus::Ready) continue;
+      if (!slot.started && shutdown_.load(std::memory_order_acquire)) {
+        // Another node failed before this one ever started.
+        slot.status = NodeStatus::Done;
+        continue;
+      }
+      if (run_node_fiber(n)) {
+        slot.status = NodeStatus::Done;
+        if (slot.exit == NodeExit::Errored) record_failure(slot.error);
+      }
+    }
+  }
+  bool live = false;
+  for (int n = span_first(worker); n < span_last(worker); ++n) {
+    if (slots_[static_cast<std::size_t>(n)]->status != NodeStatus::Done) {
+      live = true;
+      break;
+    }
+  }
+  // Arrive at the phase barrier; the last pool arrival wakes the caller
+  // (which does not wait when it arrives last itself).
+  if (phase_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+      worker != 0) {
+    controller_.wake();
+  }
+  return live;
+}
+
 void Gang::run_job_parallel(int worker, std::uint64_t& task_seen) {
   Parker& parker = *parkers_[static_cast<std::size_t>(worker)];
   for (;;) {
-    // The release epoch is stable for the whole phase: the controller
-    // cannot bump it again until this worker arrives below.
+    // The release epoch is stable for the whole phase: the caller cannot
+    // bump it again until this worker arrives in run_phase.
     const std::uint64_t phase = phase_epoch_.load(std::memory_order_acquire);
-    if (shutdown_.load(std::memory_order_acquire)) {
-      unwind_owned(worker);
-    } else {
-      for (int n = span_first(worker); n < span_last(worker); ++n) {
-        NodeSlot& slot = *slots_[static_cast<std::size_t>(n)];
-        if (slot.status != NodeStatus::Ready) continue;
-        if (!slot.started && shutdown_.load(std::memory_order_acquire)) {
-          // Another node failed before this one ever started.
-          slot.status = NodeStatus::Done;
-          continue;
-        }
-        if (run_node_fiber(n)) {
-          slot.status = NodeStatus::Done;
-          if (slot.exit == NodeExit::Errored) record_failure(slot.error);
-        }
-      }
-    }
-    bool live = false;
-    for (int n = span_first(worker); n < span_last(worker); ++n) {
-      if (slots_[static_cast<std::size_t>(n)]->status != NodeStatus::Done) {
-        live = true;
-        break;
-      }
-    }
-    // Arrive at the phase barrier; the last arrival wakes the controller.
-    if (phase_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      controller_.wake();
-    }
-    if (!live) break;
+    if (!run_phase(worker)) break;
     for (;;) {
       const std::uint64_t ticket = parker.prepare();
       if (phase_epoch_.load(std::memory_order_acquire) != phase) break;
-      if (task_ready(worker, task_seen)) {
+      if (task_epoch_.load(std::memory_order_acquire) != task_seen) {
         run_task(worker, task_seen);
       } else {
         parker.wait(ticket);
@@ -410,11 +404,12 @@ void Gang::run_serial(const BarrierFn& barrier_cb) {
 
 bool Gang::release_parallel_phase() {
   // Only called with every worker quiescent (arrived or detached), so the
-  // status scan cannot race. Wakes exactly the workers that still own a
-  // live node: O(M) targeted wakes, no herd. The wake list is recorded
-  // before the epoch bump: a worker that sees the new epoch early starts
-  // running its nodes and writing their statuses, so they must not be
-  // scanned again afterwards.
+  // status scan cannot race. Counts every worker that still owns a live
+  // node and wakes those of the pool (worker 0 is the caller): O(M)
+  // targeted wakes, no herd. The wake list is recorded before the epoch
+  // bump: a worker that sees the new epoch early starts running its nodes
+  // and writing their statuses, so they must not be scanned again
+  // afterwards.
   live_workers_.clear();
   for (int w = 0; w < num_workers_; ++w) {
     for (int n = span_first(w); n < span_last(w); ++n) {
@@ -429,21 +424,32 @@ bool Gang::release_parallel_phase() {
                          std::memory_order_relaxed);
   phase_epoch_.fetch_add(1, std::memory_order_release);
   for (const int w : live_workers_) {
-    parkers_[static_cast<std::size_t>(w)]->wake();
+    if (w != 0) parkers_[static_cast<std::size_t>(w)]->wake();
   }
   return true;
 }
 
+void Gang::await_zero(const std::atomic<int>& count) {
+  while (count.load(std::memory_order_acquire) != 0) {
+    const std::uint64_t ticket = controller_.prepare();
+    if (count.load(std::memory_order_acquire) == 0) return;
+    controller_.wait(ticket);
+  }
+}
+
 void Gang::controller_parallel(const BarrierFn& barrier_cb) {
+  // The caller is worker 0. Each phase, after release_parallel_phase (or
+  // run) has woken the pool, it runs that worker's span, arrives, and waits
+  // for the last pool arrival. A span that held no live node at its arrival
+  // is not in the next phase, as a pool worker that left the job is not.
+  bool own_live = true;  // run() makes every node Ready
   for (;;) {
-    for (;;) {
-      const std::uint64_t ticket = controller_.prepare();
-      if (phase_remaining_.load(std::memory_order_acquire) == 0) break;
-      controller_.wait(ticket);
-    }
+    if (own_live) own_live = run_phase(0);
+    await_zero(phase_remaining_);
     if (shutdown_.load(std::memory_order_acquire)) {
-      // Unwind phase: release the surviving workers so they tear their
-      // suspended fibers down; repeat until none is left.
+      // Unwind phase: release the surviving workers, the caller's span
+      // included, so they tear their suspended fibers down; repeat until
+      // none is left.
       if (!release_parallel_phase()) return;
       continue;
     }
@@ -475,18 +481,16 @@ void Gang::run(const NodeFn& node_fn, const BarrierFn& barrier_cb) {
   }
   if (mode_ == GangMode::Parallel) {
     phase_remaining_.store(num_workers_, std::memory_order_relaxed);
-    active_workers_.store(num_workers_, std::memory_order_relaxed);
+    active_workers_.store(num_workers_ - 1, std::memory_order_relaxed);
     job_epoch_.fetch_add(1, std::memory_order_release);
-    for (auto& p : parkers_) p->wake();
+    for (int w = 1; w < num_workers_; ++w) {
+      parkers_[static_cast<std::size_t>(w)]->wake();
+    }
     controller_parallel(barrier_cb);
-    // Wait for every worker to finish (or abandon) this job before
+    // Wait for every pool worker to finish (or abandon) this job before
     // returning, so the pool is quiescent for the next run() and errors
     // are complete.
-    for (;;) {
-      const std::uint64_t ticket = controller_.prepare();
-      if (active_workers_.load(std::memory_order_acquire) == 0) break;
-      controller_.wait(ticket);
-    }
+    await_zero(active_workers_);
   } else {
     run_serial(barrier_cb);
   }

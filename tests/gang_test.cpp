@@ -1,11 +1,13 @@
 // Tests for the deterministic gang scheduler: strict node ordering, barrier
 // callback sequencing, error propagation and misuse detection -- plus the
-// async mode's clock-ordered turns, the serial modes' one thread, the
-// parallel mode's contracts (concurrent phase admission, callback isolation,
-// pool reuse, and the same misuse/error behaviour as the baton) and the
-// barrier-callback fan-out (for_each_node) in every mode.
+// async mode's clock-ordered turns, the one thread of the serial and
+// one-worker gangs, the parallel mode's contracts (concurrent phase
+// admission, callback isolation, pool reuse, worker 0 on the caller, and
+// the same misuse/error behaviour as the baton) and the barrier-callback
+// fan-out (for_each_node) in every mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <mutex>
@@ -358,6 +360,47 @@ TEST(GangParallelTest, UsableAfterError) {
   EXPECT_EQ(visits.load(), 2);
 }
 
+TEST(GangParallelTest, MisplacedBarrierWaitThrowsAndLeavesTheGangUsable) {
+  // Worker 0 (the caller) owns nodes 0-1, worker 1 nodes 2-3. Each call
+  // parks a node whose fiber is not the one running on the calling thread:
+  // it must throw, as under the baton, not switch a foreign fiber out.
+  struct Case {
+    const char* what;
+    int node;      // the node that misplaces the call, or -1 for none
+    int parks;     // the node it names
+    int share;     // the share that misplaces the call, or -1 for none
+    bool from_cb;  // the barrier callback misplaces the call
+  };
+  for (const Case c : {Case{"share of node 2", -1, 2, 2, false},
+                       Case{"node 1 parks node 3", 1, 3, -1, false},
+                       Case{"node 1 parks node 0", 1, 0, -1, false},
+                       Case{"callback parks node 0", -1, 0, -1, true}}) {
+    SCOPED_TRACE(c.what);
+    Gang gang(4, GangMode::Parallel, /*workers=*/2);
+    EXPECT_THROW(gang.run(
+                     [&](int node) {
+                       if (node == c.node) gang.barrier_wait(c.parks);
+                       gang.barrier_wait(node);
+                     },
+                     [&](std::uint64_t) {
+                       if (c.from_cb) gang.barrier_wait(c.parks);
+                       gang.for_each_node([&](int n) {
+                         if (n == c.share) gang.barrier_wait(c.parks);
+                       });
+                     }),
+                 InternalError);
+    std::atomic<int> visits{0};
+    gang.run(
+        [&](int node) {
+          visits.fetch_add(1);
+          gang.barrier_wait(node);
+          visits.fetch_add(1);
+        },
+        [&](std::uint64_t) { gang.for_each_node([](int) {}); });
+    EXPECT_EQ(visits.load(), 8);
+  }
+}
+
 TEST(GangParallelTest, ManyNodesManyRounds) {
   Gang gang(16, GangMode::Parallel);
   std::vector<std::atomic<int>> counts(16);
@@ -430,7 +473,7 @@ TEST(GangWorkersTest, LargeGangSpawnsOnlyWorkersThreads) {
   const int before = os_thread_count();
   Gang gang(256, GangMode::Parallel, /*workers=*/4);
   EXPECT_EQ(gang.workers(), 4);
-  EXPECT_LE(os_thread_count(), before + 4);
+  EXPECT_LE(os_thread_count(), before + 3) << "worker 0 is the caller";
   std::vector<std::atomic<int>> counts(256);
   gang.run(
       [&](int node) {
@@ -443,25 +486,34 @@ TEST(GangWorkersTest, LargeGangSpawnsOnlyWorkersThreads) {
   for (const auto& c : counts) EXPECT_EQ(c.load(), 3);
   EXPECT_EQ(gang.barriers_completed(), 3u);
 }
-#endif
 
-TEST(GangWorkersTest, SerialGangsRunOnTheCallingThread) {
-  // Baton and Async run one node at a time, so they spawn no worker: every
-  // node, barrier callback and for_each_node share runs on the caller of
-  // run(), whatever the worker request.
-  constexpr int kNodes = 64;
-  for (const auto mode : {GangMode::Baton, GangMode::Async}) {
-    SCOPED_TRACE(to_string(mode));
-    Gang gang(kNodes, mode, /*workers=*/8);
+TEST(GangWorkersTest, OneWorkerGangsRunOnTheCallingThread) {
+  // Baton and Async run one node at a time, and a one-worker parallel gang
+  // has only worker 0, the caller: none spawns a thread, and every node,
+  // barrier callback and for_each_node share runs on the caller of run(),
+  // whatever the worker request.
+  struct Case {
+    GangMode mode;
+    int nodes;
+    int workers;
+  };
+  for (const Case c : {Case{GangMode::Baton, 64, 8},
+                       Case{GangMode::Async, 64, 8},
+                       Case{GangMode::Parallel, 16, 1}}) {
+    SCOPED_TRACE(to_string(c.mode));
+    const int before = os_thread_count();
+    Gang gang(c.nodes, c.mode, c.workers);
     EXPECT_EQ(gang.workers(), 1);
     const std::thread::id caller = std::this_thread::get_id();
     std::atomic<int> elsewhere{0};
     std::atomic<int> node_calls{0};
     std::atomic<int> callbacks{0};
     std::atomic<int> shares{0};
+    int most_threads = 0;
     const auto count = [&](std::atomic<int>& calls) {
       calls.fetch_add(1);
       if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+      most_threads = std::max(most_threads, os_thread_count());
     };
     gang.run(
         [&](int node) {
@@ -476,10 +528,59 @@ TEST(GangWorkersTest, SerialGangsRunOnTheCallingThread) {
           gang.for_each_node([&](int) { count(shares); });
         });
     EXPECT_EQ(elsewhere.load(), 0);
-    EXPECT_EQ(node_calls.load(), 3 * kNodes);
+    EXPECT_LE(most_threads, before);
+    EXPECT_EQ(node_calls.load(), 3 * c.nodes);
     EXPECT_EQ(callbacks.load(), 2);
-    EXPECT_EQ(shares.load(), 2 * kNodes);
+    EXPECT_EQ(shares.load(), 2 * c.nodes);
   }
+}
+#endif
+
+TEST(GangWorkersTest, ParallelWorkerZeroRunsOnTheCaller) {
+  // Worker 0's nodes (0 and 1), every barrier callback and worker 0's
+  // for_each_node shares run on the caller of run(); nodes 2-7 run on three
+  // pool threads, one per worker, and each share on its node's thread.
+  constexpr int kNodes = 8;
+  constexpr int kWorkers = 4;
+  Gang gang(kNodes, GangMode::Parallel, kWorkers);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> node_thread(kNodes);
+  std::vector<std::thread::id> share_thread(kNodes);
+  std::atomic<int> moved{0};  // a node or share seen on two threads
+  int callbacks_elsewhere = 0;
+  const auto note = [&](std::thread::id& seen) {
+    const std::thread::id self = std::this_thread::get_id();
+    if (seen != std::thread::id() && seen != self) moved.fetch_add(1);
+    seen = self;
+  };
+  gang.run(
+      [&](int node) {
+        for (int b = 0; b < 3; ++b) {
+          note(node_thread[static_cast<std::size_t>(node)]);
+          gang.barrier_wait(node);
+        }
+      },
+      [&](std::uint64_t) {
+        if (std::this_thread::get_id() != caller) ++callbacks_elsewhere;
+        gang.for_each_node(
+            [&](int n) { note(share_thread[static_cast<std::size_t>(n)]); });
+      });
+  EXPECT_EQ(moved.load(), 0);
+  EXPECT_EQ(callbacks_elsewhere, 0);
+  std::vector<std::thread::id> pool;
+  for (int n = 0; n < kNodes; ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    EXPECT_EQ(share_thread[i], node_thread[i]) << "node " << n;
+    if (Gang::owner_worker(n, kNodes, kWorkers) == 0) {
+      EXPECT_EQ(node_thread[i], caller) << "node " << n;
+    } else {
+      EXPECT_NE(node_thread[i], caller) << "node " << n;
+      if (std::find(pool.begin(), pool.end(), node_thread[i]) == pool.end()) {
+        pool.push_back(node_thread[i]);
+      }
+    }
+  }
+  EXPECT_EQ(pool.size(), static_cast<std::size_t>(kWorkers - 1));
 }
 
 TEST(GangWorkersTest, ParallelPhasesCompleteForEveryWorkerCount) {
@@ -513,28 +614,33 @@ TEST(GangWorkersTest, ParallelPhasesCompleteForEveryWorkerCount) {
 }
 
 TEST(GangWorkersTest, ErrorsPropagateWithSharedWorkers) {
-  // Node 2 throws while nodes 0/1/3 (some on the same worker) are parked
+  // One node throws while the others (some on the same worker) are parked
   // at the barrier; the pool must unwind every suspended fiber and stay
-  // usable.
+  // usable. Under Parallel node 1 is worker 0's, which runs on the caller
+  // of run(), and node 2 is a pool thread's.
   for (const auto mode : {GangMode::Baton, GangMode::Parallel}) {
-    Gang gang(4, mode, /*workers=*/2);
-    EXPECT_THROW(
-        gang.run(
-            [&](int node) {
-              gang.barrier_wait(node);
-              if (node == 2) throw std::runtime_error("node 2 died");
-              gang.barrier_wait(node);
-            },
-            [](std::uint64_t) {}),
-        std::runtime_error);
-    std::atomic<int> visits{0};
-    gang.run(
-        [&](int node) {
-          visits.fetch_add(1);
-          gang.barrier_wait(node);
-        },
-        [](std::uint64_t) {});
-    EXPECT_EQ(visits.load(), 4);
+    for (const int thrower : {1, 2}) {
+      SCOPED_TRACE(std::string(to_string(mode)) + " node " +
+                   std::to_string(thrower));
+      Gang gang(4, mode, /*workers=*/2);
+      EXPECT_THROW(
+          gang.run(
+              [&](int node) {
+                gang.barrier_wait(node);
+                if (node == thrower) throw std::runtime_error("node died");
+                gang.barrier_wait(node);
+              },
+              [](std::uint64_t) {}),
+          std::runtime_error);
+      std::atomic<int> visits{0};
+      gang.run(
+          [&](int node) {
+            visits.fetch_add(1);
+            gang.barrier_wait(node);
+          },
+          [](std::uint64_t) {});
+      EXPECT_EQ(visits.load(), 4);
+    }
   }
 }
 
